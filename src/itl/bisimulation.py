@@ -7,6 +7,11 @@ all atoms (PV) and satisfies back-and-forth conditions for the strict order
 mode "LF" two history-matching conditions (F-f/F-b) are added for the weak
 future operator.
 
+The conditions are decided by one routine, ``_first_failure``, that reads the
+point relations from the frames' masks (``rel_*_masks``, ``future_chains``)
+and the checked relation from per-point masks and their converse.  The
+p-morphism checker in ``morphisms`` runs the same routine on a map's graph.
+
 The greatest relation satisfying the per-pair conditions is computed by
 deleting violating pairs until a fixpoint; since every condition only asks
 for the existence of related witnesses, deletion is monotone and the fixpoint
@@ -20,18 +25,25 @@ from dataclasses import dataclass
 from .errors import InvalidPointError
 from .formula import And, Atom, F, Formula, G, H, L, Not
 from .semantics import Evaluator
-from .structures import (
-    Model, Point, Report, Violation,
-    future_points, point_key, points, precedes, same_moment,
-)
+from .structures import Frame, Model, Point, Report, Violation, point_key
 
 CONDITIONS = ("PV", "G-f", "G-b", "H-f", "H-b", "L-f", "L-b")
 LF_CONDITIONS = ("F-f", "F-b")
+
+_TABLES = {"G": "rel_successor_masks", "H": "rel_predecessor_masks",
+           "L": "rel_same_moment_masks"}
+_NOUNS = {"G": "successor", "H": "predecessor", "L": "same-moment point"}
 
 
 def conditions_for(mode: str) -> tuple[str, ...]:
     """The per-pair conditions plus the anchor condition, in reporting order."""
     return CONDITIONS + (LF_CONDITIONS if mode == "LF" else ()) + ("B",)
+
+
+def _pair_conditions(mode: str) -> tuple[str, ...]:
+    """The per-pair conditions besides PV, in reporting order."""
+    return ("G-f", "H-f", "L-f", "G-b", "H-b", "L-b") + (
+        LF_CONDITIONS if mode == "LF" else ())
 
 
 @dataclass(frozen=True)
@@ -42,101 +54,97 @@ class PointRelation:
         return sorted(self.pairs, key=lambda pq: (point_key(pq[0]), point_key(pq[1])))
 
 
+def _relation_masks(src: Frame, dst: Frame, pairs) -> tuple[list[int], list[int]]:
+    """Per source point the mask of its related target points, and per target
+    point the mask of its related source points."""
+    src_index, dst_index = src.point_index, dst.point_index
+    rel = [0] * len(src.point_list)
+    conv = [0] * len(dst.point_list)
+    for p, q in pairs:
+        i, j = src_index[p], dst_index[q]
+        rel[i] |= 1 << j
+        conv[j] |= 1 << i
+    return rel, conv
+
+
+def _first_unlinked(todo: int, reach: int, links) -> int | None:
+    """The lowest point of ``todo`` whose links miss ``reach``."""
+    while todo:
+        low = todo & -todo
+        r = low.bit_length() - 1
+        if not links[r] & reach:
+            return r
+        todo ^= low
+    return None
+
+
+def _first_failure(kind: str, src: Frame, dst: Frame, i: int, j: int,
+                   rel, conv):
+    """The first witness, in canonical order, that the pair of source point
+    ``i`` and target point ``j`` fails condition ``kind``; None if it holds.
+
+    ``rel`` and ``conv`` hold the relation as per-point masks (see
+    ``_relation_masks``).  A G/H/L condition is witnessed by a point (of the
+    source for "-f", of the target for "-b"), F-f by a history of the target
+    class and F-b by a history of the source class.  A back condition is the
+    forth condition of the converse relation.
+    """
+    if kind.endswith("-b"):
+        src, dst, i, j, rel = dst, src, j, i, conv
+    if kind[0] == "F":
+        # every history of the far class is tracked by one of the near class:
+        # each later point along it has a related later point along the other
+        near = src.future_chains[i]
+        for leaf, far in zip(sorted(dst.point_list[j].block), dst.future_chains[j]):
+            if all(_first_unlinked(chain, far, rel) is not None for chain in near):
+                return leaf
+        return None
+    table = _TABLES[kind[0]]
+    r = _first_unlinked(getattr(src, table)[i], getattr(dst, table)[j], rel)
+    return None if r is None else src.point_list[r]
+
+
+def _pv_failure(src: Model, dst: Model, p: Point, q: Point) -> str | None:
+    """The first atom on which the two points disagree, if any."""
+    for atom in sorted(set(src.valuation) | set(dst.valuation)):
+        if (p in src.valuation.get(atom, frozenset())) != \
+                (q in dst.valuation.get(atom, frozenset())):
+            return atom
+    return None
+
+
 def _pair_text(pair: tuple[Point, Point]) -> list[str]:
     return [pair[0].text(), pair[1].text()]
 
 
-def _pair_violations(src: Model, dst: Model, pairs: frozenset,
-                     pair: tuple[Point, Point], mode: str) -> list[Violation]:
+def _pair_violations(src: Model, dst: Model, pair: tuple[Point, Point],
+                     rel, conv, mode: str) -> list[Violation]:
     """Failures of the per-pair conditions for one related pair."""
     p, q = pair
     out = []
-
-    atoms = sorted(set(src.valuation) | set(dst.valuation))
-    for atom in atoms:
-        if (p in src.valuation.get(atom, frozenset())) != \
-                (q in dst.valuation.get(atom, frozenset())):
-            out.append(Violation(
-                "PV", f"{p.text()} and {q.text()} disagree on atom {atom!r}",
-                {"pair": _pair_text(pair), "atom": atom}))
-            break
-
-    src_pts = points(src.frame)
-    dst_pts = points(dst.frame)
-
-    forward = (
-        ("G-f", lambda f, a, b: precedes(f, a, b), "successor"),
-        ("H-f", lambda f, a, b: precedes(f, b, a), "predecessor"),
-        ("L-f", same_moment, "same-moment point"),
-    )
-    for kind, rel, noun in forward:
-        for r in sorted((r for r in src_pts if rel(src.frame, p, r)), key=point_key):
-            if not any(rel(dst.frame, q, r2) and (r, r2) in pairs for r2 in dst_pts):
-                out.append(Violation(
-                    kind,
-                    f"{noun} {r.text()} of {p.text()} has no related "
-                    f"counterpart for {q.text()}",
-                    {"pair": _pair_text(pair), "witness_point": r.text()}))
-                break
-
-    backward = (
-        ("G-b", lambda f, a, b: precedes(f, a, b), "successor"),
-        ("H-b", lambda f, a, b: precedes(f, b, a), "predecessor"),
-        ("L-b", same_moment, "same-moment point"),
-    )
-    for kind, rel, noun in backward:
-        for r2 in sorted((r2 for r2 in dst_pts if rel(dst.frame, q, r2)),
-                         key=point_key):
-            if not any(rel(src.frame, p, r) and (r, r2) in pairs for r in src_pts):
-                out.append(Violation(
-                    kind,
-                    f"{noun} {r2.text()} of {q.text()} has no related "
-                    f"counterpart for {p.text()}",
-                    {"pair": _pair_text(pair), "witness_point": r2.text()}))
-                break
-
-    if mode == "LF":
-        out.extend(_weak_future_pair_violations(src, dst, pairs, pair))
-    return out
-
-
-def _weak_future_pair_violations(src: Model, dst: Model, pairs: frozenset,
-                                 pair: tuple[Point, Point]) -> list[Violation]:
-    p, q = pair
-    out = []
-
-    def tracks(h: str, h2: str) -> bool:
-        # Every later point along h has a related later point along h2.
-        futures2 = future_points(dst.frame, q.moment, h2)
-        for r in future_points(src.frame, p.moment, h):
-            if not any((r, r2) in pairs for r2 in futures2):
-                return False
-        return True
-
-    for h2 in sorted(q.block):
-        if not any(tracks(h, h2) for h in sorted(p.block)):
-            out.append(Violation(
-                "F-f",
-                f"no history of {p.text()} tracks history {h2!r} of {q.text()}",
-                {"pair": _pair_text(pair), "target_history": h2}))
-            break
-
-    def covered(h: str, h2: str) -> bool:
-        # Every later point along h2 has a related later point along h.
-        futures = future_points(src.frame, p.moment, h)
-        for r2 in future_points(dst.frame, q.moment, h2):
-            if not any((r, r2) in pairs for r in futures):
-                return False
-        return True
-
-    for h in sorted(p.block):
-        if not any(covered(h, h2) for h2 in sorted(q.block)):
-            out.append(Violation(
-                "F-b",
-                f"history {h!r} of {p.text()} is tracked by no history of "
-                f"{q.text()}",
-                {"pair": _pair_text(pair), "history": h}))
-            break
+    atom = _pv_failure(src, dst, p, q)
+    if atom is not None:
+        out.append(Violation(
+            "PV", f"{p.text()} and {q.text()} disagree on atom {atom!r}",
+            {"pair": _pair_text(pair), "atom": atom}))
+    i, j = src.frame.point_index[p], dst.frame.point_index[q]
+    for kind in _pair_conditions(mode):
+        w = _first_failure(kind, src.frame, dst.frame, i, j, rel, conv)
+        if w is None:
+            continue
+        if kind == "F-f":
+            message = f"no history of {p.text()} tracks history {w!r} of {q.text()}"
+            witness = {"pair": _pair_text(pair), "target_history": w}
+        elif kind == "F-b":
+            message = (f"history {w!r} of {p.text()} is tracked by no history "
+                       f"of {q.text()}")
+            witness = {"pair": _pair_text(pair), "history": w}
+        else:
+            here, there = (p, q) if kind.endswith("-f") else (q, p)
+            message = (f"{_NOUNS[kind[0]]} {w.text()} of {here.text()} has no "
+                       f"related counterpart for {there.text()}")
+            witness = {"pair": _pair_text(pair), "witness_point": w.text()}
+        out.append(Violation(kind, message, witness))
     return out
 
 
@@ -157,9 +165,10 @@ def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
     """
     _require_valid_pairs(src, dst, relation.pairs)
     _require_valid_pairs(src, dst, [anchor])
+    rel, conv = _relation_masks(src.frame, dst.frame, relation.pairs)
     violations = []
     for pair in relation.sorted_pairs():
-        violations.extend(_pair_violations(src, dst, relation.pairs, pair, mode))
+        violations.extend(_pair_violations(src, dst, pair, rel, conv, mode))
     if anchor not in relation.pairs:
         violations.append(Violation(
             "B", f"the relation does not link the anchors "
@@ -174,25 +183,29 @@ def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRela
     Any pair it contains makes it a bisimulation anchored there.  The result
     may be empty.
     """
-    atoms = sorted(set(src.valuation) | set(dst.valuation))
-
-    def pv_agree(p: Point, q: Point) -> bool:
-        return all((p in src.valuation.get(a, frozenset())) ==
-                   (q in dst.valuation.get(a, frozenset())) for a in atoms)
-
-    current = {
-        (p, q)
-        for p in points(src.frame) for q in points(dst.frame)
-        if pv_agree(p, q)
-    }
+    sf, df = src.frame, dst.frame
+    src_pts, dst_pts = sf.point_list, df.point_list
+    rel, conv = _relation_masks(sf, df, (
+        (p, q) for p in src_pts for q in dst_pts
+        if _pv_failure(src, dst, p, q) is None))
+    kinds = _pair_conditions(mode)
     changed = True
     while changed:
         changed = False
-        for pair in sorted(current, key=lambda pq: (point_key(pq[0]), point_key(pq[1]))):
-            if _pair_violations(src, dst, frozenset(current), pair, mode):
-                current.discard(pair)
-                changed = True
-    return PointRelation(frozenset(current))
+        for i in range(len(src_pts)):
+            todo = rel[i]
+            while todo:
+                low = todo & -todo
+                j = low.bit_length() - 1
+                todo ^= low
+                if any(_first_failure(kind, sf, df, i, j, rel, conv) is not None
+                       for kind in kinds):
+                    rel[i] ^= low
+                    conv[j] ^= 1 << i
+                    changed = True
+    return PointRelation(frozenset(
+        (p, dst_pts[j]) for i, p in enumerate(src_pts)
+        for j in range(len(dst_pts)) if rel[i] >> j & 1))
 
 
 def bisimilar(src: Model, p: Point, dst: Model, q: Point, mode: str = "LF") -> bool:

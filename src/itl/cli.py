@@ -19,14 +19,14 @@ from .bisimulation import (
 )
 from .documents import dumps
 from .errors import ItlError
-from .formula import format_formula, parse
+from .formula import Not, format_formula, parse
 from .generate import INDIST_POLICIES, gen_random_model
 from .morphisms import (
     check_frame_pmorphism, check_model_pmorphism,
     conditions_for as morphism_conditions, search_pmorphisms,
 )
-from .semantics import Evaluator, frame_sat, frame_valid, model_sat, model_valid
-from .structures import histories, points
+from .semantics import Evaluator, frame_sat, model_sat
+from .structures import histories, points, validate_frame
 
 
 def _read_doc(path: str):
@@ -39,22 +39,30 @@ def _read_doc(path: str):
         raise ItlError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _require_ok(report, what: str) -> None:
+    if not report.ok:
+        first = report.violations[0]
+        raise ItlError(f"{what}: {first.kind}: {first.message}")
+
+
+def _valid_frame(doc, what: str):
+    frame = documents.frame_from_doc(doc)
+    _require_ok(validate_frame(frame), what)
+    return frame
+
+
+def _valid_model(doc, what: str):
+    report, model = documents.read_model_doc(doc)
+    _require_ok(report, what)
+    return model
+
+
 def _load_frame(path: str):
-    doc = _read_doc(path)
-    report = documents.validate_frame_doc(doc)
-    if not report.ok:
-        first = report.violations[0]
-        raise ItlError(f"{path} is not a valid frame: {first.kind}: {first.message}")
-    return documents.frame_from_doc(doc)
+    return _valid_frame(_read_doc(path), f"{path} is not a valid frame")
 
 
-def _load_model(path: str) -> Model:
-    doc = _read_doc(path)
-    report = documents.validate_model_doc(doc)
-    if not report.ok:
-        first = report.violations[0]
-        raise ItlError(f"{path} is not a valid model: {first.kind}: {first.message}")
-    return documents.model_from_doc(doc)
+def _load_model(path: str):
+    return _valid_model(_read_doc(path), f"{path} is not a valid model")
 
 
 def _print_report(report, as_json: bool, conditions=None) -> int:
@@ -83,7 +91,7 @@ def _bool_exit(value: bool) -> int:
 
 def _cmd_validate(args) -> int:
     doc = _read_doc(args.document)
-    if "valuation" in doc:
+    if documents.is_model_doc(doc):
         report = documents.validate_model_doc(doc)
     else:
         report = documents.validate_frame_doc(doc)
@@ -144,78 +152,40 @@ def _cmd_eval(args) -> int:
 def _cmd_check(args) -> int:
     doc = _read_doc(args.document)
     formula = parse(args.formula, args.mode)
-    if "valuation" in doc:
-        report = documents.validate_model_doc(doc)
-        if not report.ok:
-            first = report.violations[0]
-            raise ItlError(f"invalid model: {first.kind}: {first.message}")
-        model = documents.model_from_doc(doc)
-        if args.sat:
-            witness = model_sat(model, formula, args.mode)
-            if args.json:
-                print(dumps({"sat": witness is not None,
-                             "witness": witness.text() if witness else None}))
-            else:
-                print(f"sat {witness.text()}" if witness else "unsat")
-            return _bool_exit(witness is not None)
-        holds = model_valid(model, formula, args.mode)
-        counter = None if holds else model_sat(
-            model, parse(f"~({args.formula})", args.mode), args.mode)
-        if args.json:
-            print(dumps({"valid": holds,
-                         "counterexample": counter.text() if counter else None}))
-        else:
-            print("valid" if holds else f"invalid at {counter.text()}")
-        return _bool_exit(holds)
-
-    report = documents.validate_frame_doc(doc)
-    if not report.ok:
-        first = report.violations[0]
-        raise ItlError(f"invalid frame: {first.kind}: {first.message}")
-    frame = documents.frame_from_doc(doc)
-    if args.sat:
-        found = frame_sat(frame, formula, args.mode, max_enum=args.max_enum)
-        if args.json:
-            out = {"sat": found is not None}
-            if found:
-                valuation, point = found
-                out["witness"] = {
-                    "point": point.text(),
-                    "valuation": {a: sorted(p.text() for p in pts)
-                                  for a, pts in valuation.items()},
-                }
-            print(dumps(out))
-        else:
-            if found:
-                valuation, point = found
-                print(f"sat {point.text()} under "
-                      + "; ".join(f"{a}={{{', '.join(sorted(p.text() for p in pts))}}}"
-                                  for a, pts in sorted(valuation.items())))
-            else:
-                print("unsat")
-        return _bool_exit(found is not None)
-    holds = frame_valid(frame, formula, args.mode, max_enum=args.max_enum)
-    counter = None if holds else frame_sat(
-        frame, parse(f"~({args.formula})", args.mode), args.mode,
-        max_enum=args.max_enum)
+    # a counterexample to validity is a point satisfying the negation
+    target = formula if args.sat else Not(formula)
+    in_model = documents.is_model_doc(doc)
+    if in_model:
+        model = _valid_model(doc, "invalid model")
+        point = model_sat(model, target, args.mode)
+        found = None if point is None else (None, point)
+    else:
+        frame = _valid_frame(doc, "invalid frame")
+        found = frame_sat(frame, target, args.mode, max_enum=args.max_enum)
+    holds = (found is not None) == args.sat
+    verdict, label = ("sat", "witness") if args.sat else ("valid", "counterexample")
     if args.json:
-        out = {"valid": holds}
-        if counter:
-            valuation, point = counter
-            out["counterexample"] = {
+        out = {verdict: holds}
+        if found is not None:
+            valuation, point = found
+            out[label] = point.text() if valuation is None else {
                 "point": point.text(),
                 "valuation": {a: sorted(p.text() for p in pts)
                               for a, pts in valuation.items()},
             }
+        elif in_model:
+            out[label] = None
         print(dumps(out))
+    elif found is None:
+        print("unsat" if args.sat else "valid")
     else:
-        if holds:
-            print("valid")
-        else:
-            valuation, point = counter
-            print(f"invalid at {point.text()} under "
-                  + "; ".join(f"{a}={{{', '.join(sorted(p.text() for p in pts))}}}"
-                              for a, pts in sorted(valuation.items())))
+        valuation, point = found
+        text = f"{'sat' if args.sat else 'invalid at'} {point.text()}"
+        if valuation is not None:
+            text += " under " + "; ".join(
+                f"{a}={{{', '.join(sorted(p.text() for p in pts))}}}"
+                for a, pts in sorted(valuation.items()))
+        print(text)
     return _bool_exit(holds)
 
 

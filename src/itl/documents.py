@@ -113,25 +113,41 @@ def _valuation_violations(frame: Frame, valuation_data) -> list[Violation]:
     return out
 
 
-def model_from_doc(data) -> Model:
-    """Build a model; raises DocumentError if the frame is invalid or a
-    valuation entry does not resolve to a point."""
+def is_model_doc(data) -> bool:
+    """Whether a document is a model (it has a valuation) rather than a frame."""
+    _expect(isinstance(data, dict), "document must be an object")
+    return "valuation" in data
+
+
+def read_model_doc(data) -> tuple[Report, Model | None]:
+    """Validate a model document and, when it is valid, build the model from
+    the frame that was validated.  Shape problems raise DocumentError."""
     frame = frame_from_doc(data)
     report = validate_frame(frame)
     if not report.ok:
-        first = report.violations[0]
-        raise DocumentError(f"invalid frame: {first.kind}: {first.message}")
-    _expect(isinstance(data.get("valuation", {}), dict),
-            "valuation must be an object")
+        return report, None
     valuation_data = data.get("valuation", {})
+    _expect(isinstance(valuation_data, dict), "valuation must be an object")
     problems = _valuation_violations(frame, valuation_data)
     if problems:
-        raise DocumentError(f"invalid valuation: {problems[0].message}")
-    valuation = {}
-    for atom, entries in valuation_data.items():
-        valuation[atom] = frozenset(
-            resolve_point(frame, e[0], e[1]) for e in entries)
-    return Model(frame, valuation)
+        return Report(tuple(problems)), None
+    valuation = {
+        atom: frozenset(resolve_point(frame, *e) for e in entries)
+        for atom, entries in valuation_data.items()
+    }
+    return report, Model(frame, valuation)
+
+
+def model_from_doc(data) -> Model:
+    """Build a model; raises DocumentError if the frame is invalid or a
+    valuation entry does not resolve to a point."""
+    report, model = read_model_doc(data)
+    if model is None:
+        first = report.violations[0]
+        if first.kind == "valuation-invalid-point":
+            raise DocumentError(f"invalid valuation: {first.message}")
+        raise DocumentError(f"invalid frame: {first.kind}: {first.message}")
+    return model
 
 
 def model_to_doc(model: Model) -> dict:
@@ -151,13 +167,7 @@ def validate_frame_doc(data) -> Report:
 
 def validate_model_doc(data) -> Report:
     """Like validate_frame_doc, plus valuation points must resolve."""
-    frame = frame_from_doc(data)
-    report = validate_frame(frame)
-    if not report.ok:
-        return report
-    _expect(isinstance(data.get("valuation", {}), dict),
-            "valuation must be an object")
-    return Report(tuple(_valuation_violations(frame, data.get("valuation", {}))))
+    return read_model_doc(data)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ and back condition for the strict order (G-f, G-b), the back condition for
 its converse (H-b), and both for the same-moment relation (L-f, L-b).  In
 mode "LF" two further conditions (F-f, F-b) tie the histories of a class to
 the histories of its image class, matching the weak-future operator.
+
+These are the bisimulation conditions on the graph of the map, and a map is
+checked as its graph by the condition routine of ``bisimulation``, over the
+frames' relation masks.  The forward condition for the converse order (H-f)
+is left out: for a function it follows from G-f.
 """
 
 from __future__ import annotations
@@ -13,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
+from .bisimulation import _TABLES, _first_failure, _pv_failure, _relation_masks
 from .errors import BoundExceededError
 from .structures import (
     Frame, Model, Point, Report, Violation,
-    future_points, point_key, points, precedes, same_moment,
+    point_key, points, precedes, same_moment,
 )
 
 FRAME_CONDITIONS = ("G-f", "G-b", "H-b", "L-f", "L-b")
@@ -61,151 +67,51 @@ def _require_total(src: Frame, dst: Frame, f: PointMap) -> None:
             raise ValueError(f"image {q.text()} is not a point of the target frame")
 
 
-def _pair_text(p: Point, q: Point) -> list[str]:
-    return [p.text(), q.text()]
+def _violation(kind: str, p: Point, f: PointMap, w) -> Violation:
+    """The report entry for a failure of the graph pair (p, f(p))."""
+    fp = f(p)
+    if kind == "G-f":
+        return Violation(kind, f"{p.text()} precedes {w.text()} but the images do not",
+                         {"pair": [p.text(), w.text()],
+                          "images": [fp.text(), f(w).text()]})
+    if kind == "L-f":
+        return Violation(kind, f"{p.text()} and {w.text()} share a moment but "
+                               f"their images do not",
+                         {"pair": [p.text(), w.text()],
+                          "images": [fp.text(), f(w).text()]})
+    if kind == "F-f":
+        return Violation(kind, f"no history of {p.text()} tracks target history "
+                               f"{w!r} of {fp.text()}",
+                         {"point": p.text(), "target_history": w})
+    if kind == "F-b":
+        return Violation(kind, f"history {w!r} of {p.text()} is tracked by no "
+                               f"history of {fp.text()}",
+                         {"point": p.text(), "history": w})
+    message = {
+        "G-b": f"{w.text()} succeeds the image of {p.text()} but no successor "
+               f"of {p.text()} maps onto it",
+        "H-b": f"{w.text()} precedes the image of {p.text()} but no predecessor "
+               f"of {p.text()} maps onto it",
+        "L-b": f"{w.text()} shares a moment with the image of {p.text()} but is "
+               f"not the image of any point at {p.moment!r}",
+    }[kind]
+    return Violation(kind, message, {"point": p.text(), "target": w.text()})
 
 
 def check_frame_pmorphism(src: Frame, dst: Frame, f: PointMap,
                           mode: str = "LF") -> Report:
     """Per-condition check; at most one minimal witness per failed condition."""
     _require_total(src, dst, f)
-    src_pts = sorted(points(src), key=point_key)
-    dst_pts = sorted(points(dst), key=point_key)
+    rel, conv = _relation_masks(src, dst, f.mapping.items())
+    images = [dst.point_index[f(p)] for p in src.point_list]
     violations = []
-
-    def fail(kind: str, message: str, witness: dict) -> None:
-        violations.append(Violation(kind, message, witness))
-
-    # G-f: the order is carried forward.
-    done = False
-    for p in src_pts:
-        for q in src_pts:
-            if precedes(src, p, q) and not precedes(dst, f(p), f(q)):
-                fail("G-f",
-                     f"{p.text()} precedes {q.text()} but the images do not",
-                     {"pair": _pair_text(p, q),
-                      "images": _pair_text(f(p), f(q))})
-                done = True
+    for kind in conditions_for(mode):
+        for i, p in enumerate(src.point_list):
+            w = _first_failure(kind, src, dst, i, images[i], rel, conv)
+            if w is not None:
+                violations.append(_violation(kind, p, f, w))
                 break
-        if done:
-            break
-
-    # G-b: successors of an image are hit by images of successors.
-    done = False
-    for p in src_pts:
-        for q2 in dst_pts:
-            if precedes(dst, f(p), q2):
-                if not any(precedes(src, p, q) and f(q) == q2 for q in src_pts):
-                    fail("G-b",
-                         f"{q2.text()} succeeds the image of {p.text()} but no "
-                         f"successor of {p.text()} maps onto it",
-                         {"point": p.text(), "target": q2.text()})
-                    done = True
-                    break
-        if done:
-            break
-
-    # H-b: predecessors of an image are hit by images of predecessors.
-    done = False
-    for p in src_pts:
-        for q2 in dst_pts:
-            if precedes(dst, q2, f(p)):
-                if not any(precedes(src, q, p) and f(q) == q2 for q in src_pts):
-                    fail("H-b",
-                         f"{q2.text()} precedes the image of {p.text()} but no "
-                         f"predecessor of {p.text()} maps onto it",
-                         {"point": p.text(), "target": q2.text()})
-                    done = True
-                    break
-        if done:
-            break
-
-    # L-f: sharing a moment is carried forward.
-    done = False
-    for p in src_pts:
-        for q in src_pts:
-            if same_moment(src, p, q) and not same_moment(dst, f(p), f(q)):
-                fail("L-f",
-                     f"{p.text()} and {q.text()} share a moment but their "
-                     f"images do not",
-                     {"pair": _pair_text(p, q),
-                      "images": _pair_text(f(p), f(q))})
-                done = True
-                break
-        if done:
-            break
-
-    # L-b: points at the image's moment are hit from the source moment.
-    done = False
-    for p in src_pts:
-        for q2 in dst_pts:
-            if same_moment(dst, f(p), q2):
-                if not any(same_moment(src, p, q) and f(q) == q2 for q in src_pts):
-                    fail("L-b",
-                         f"{q2.text()} shares a moment with the image of "
-                         f"{p.text()} but is not the image of any point at "
-                         f"{p.moment!r}",
-                         {"point": p.text(), "target": q2.text()})
-                    done = True
-                    break
-        if done:
-            break
-
-    if mode == "LF":
-        violations.extend(_weak_future_violations(src, dst, f, src_pts))
     return Report(tuple(violations))
-
-
-def _weak_future_violations(src: Frame, dst: Frame, f: PointMap,
-                            src_pts) -> list[Violation]:
-    out = []
-
-    def matches(p: Point, h: str, q2: Point, h2: str) -> bool:
-        # Every later point along h maps onto some later point along h2.
-        futures2 = set(future_points(dst, q2.moment, h2))
-        for r in future_points(src, p.moment, h):
-            if f(r) not in futures2:
-                return False
-        return True
-
-    # F-f: each history of the image class is covered by some source history.
-    for p in src_pts:
-        q2 = f(p)
-        for h2 in sorted(q2.block):
-            if not any(matches(p, h, q2, h2) for h in sorted(p.block)):
-                out.append(Violation(
-                    "F-f",
-                    f"no history of {p.text()} tracks target history {h2!r} "
-                    f"of {q2.text()}",
-                    {"point": p.text(), "target_history": h2}))
-                break
-        else:
-            continue
-        break
-
-    def covers(p: Point, h: str, q2: Point, h2: str) -> bool:
-        # Every later point along h2 is the image of a later point along h.
-        images = {f(r) for r in future_points(src, p.moment, h)}
-        for r2 in future_points(dst, q2.moment, h2):
-            if r2 not in images:
-                return False
-        return True
-
-    # F-b: each source history is tracked by some history of the image class.
-    for p in src_pts:
-        q2 = f(p)
-        for h in sorted(p.block):
-            if not any(covers(p, h, q2, h2) for h2 in sorted(q2.block)):
-                out.append(Violation(
-                    "F-b",
-                    f"history {h!r} of {p.text()} is tracked by no history "
-                    f"of {q2.text()}",
-                    {"point": p.text(), "history": h}))
-                break
-        else:
-            continue
-        break
-    return out
 
 
 def check_model_pmorphism(src: Model, dst: Model, f: PointMap,
@@ -213,21 +119,14 @@ def check_model_pmorphism(src: Model, dst: Model, f: PointMap,
     """Frame conditions plus valuation agreement (PV) on every atom in use."""
     report = check_frame_pmorphism(src.frame, dst.frame, f, mode)
     violations = list(report.violations)
-    atoms = sorted(set(src.valuation) | set(dst.valuation))
-    done = False
-    for p in sorted(points(src.frame), key=point_key):
-        for atom in atoms:
-            here = p in src.valuation.get(atom, frozenset())
-            there = f(p) in dst.valuation.get(atom, frozenset())
-            if here != there:
-                violations.append(Violation(
-                    "PV",
-                    f"{p.text()} and its image {f(p).text()} disagree on "
-                    f"atom {atom!r}",
-                    {"point": p.text(), "atom": atom}))
-                done = True
-                break
-        if done:
+    for p in src.frame.point_list:
+        atom = _pv_failure(src, dst, p, f(p))
+        if atom is not None:
+            violations.append(Violation(
+                "PV",
+                f"{p.text()} and its image {f(p).text()} disagree on "
+                f"atom {atom!r}",
+                {"point": p.text(), "atom": atom}))
             break
     return Report(tuple(violations))
 
@@ -261,34 +160,33 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
     """Enumerate the total maps passing check_frame_pmorphism, in canonical order.
 
     Backtracks over assignments in canonical point order, pruning as soon as
-    an already-assigned pair violates a forward condition.
+    an already-assigned pair violates a forward condition, read from the
+    frames' relation masks.
     """
     bound = limits.resolve(bound, limits.DEFAULT_SEARCH_BOUND)
-    src_pts = sorted(points(src), key=point_key)
-    dst_pts = sorted(points(dst), key=point_key)
+    src_pts, dst_pts = src.point_list, dst.point_list
     if len(src_pts) > bound or len(dst_pts) > bound:
         raise BoundExceededError(
             f"search over {len(src_pts)} -> {len(dst_pts)} points exceeds the "
             f"bound of {bound} points per side")
 
     n = len(src_pts)
-    assignment: list[Point] = []
+    images: list[int] = []  # target point indices, by source point index
+    tables = [(getattr(src, t), getattr(dst, t)) for t in _TABLES.values()]
 
-    def compatible(i: int, candidate: Point) -> bool:
-        p = src_pts[i]
-        for j in range(i):
-            q, fq = src_pts[j], assignment[j]
-            if precedes(src, p, q) and not precedes(dst, candidate, fq):
-                return False
-            if precedes(src, q, p) and not precedes(dst, fq, candidate):
-                return False
-            if same_moment(src, p, q) and not same_moment(dst, candidate, fq):
-                return False
+    def compatible(i: int, c: int) -> bool:
+        # each assigned point related to p must map to one related to c
+        for near, far in tables:
+            todo = near[i] & ((1 << i) - 1)
+            while todo:
+                low = todo & -todo
+                if not far[c] >> images[low.bit_length() - 1] & 1:
+                    return False
+                todo ^= low
         return True
 
     def emit():
-        mapping = dict(zip(src_pts, assignment))
-        candidate = PointMap(mapping)
+        candidate = PointMap(dict(zip(src_pts, (dst_pts[c] for c in images))))
         if surjective and not candidate.is_surjective_onto(dst):
             return None
         if check_frame_pmorphism(src, dst, candidate, mode).ok:
@@ -302,14 +200,13 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
                 yield found
             return
         if surjective:
-            unhit = len(set(dst_pts) - set(assignment))
-            if unhit > n - i:
+            if len(dst_pts) - len(set(images)) > n - i:
                 return
-        for candidate in dst_pts:
-            if compatible(i, candidate):
-                assignment.append(candidate)
+        for c in range(len(dst_pts)):
+            if compatible(i, c):
+                images.append(c)
                 yield from walk(i + 1)
-                assignment.pop()
+                images.pop()
 
     yield from walk(0)
 

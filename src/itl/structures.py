@@ -13,7 +13,8 @@ An evaluation point is a pair of a moment and one class of histories at it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import InvalidPointError
 
@@ -173,14 +174,9 @@ class Frame:
         return out
 
     @cached_property
-    def histories(self) -> tuple[History, ...]:
-        tree = self.tree
-        return tuple(History(leaf, tree.down_set(leaf)) for leaf in tree.leaves)
-
-    @cached_property
     def histories_through_map(self) -> dict[str, tuple[History, ...]]:
         out: dict[str, list[History]] = {m: [] for m in self.tree.moment_set}
-        for h in self.histories:
+        for h in histories(self.tree):
             for m in h.moments:
                 out[m].append(h)
         return {m: tuple(hs) for m, hs in out.items()}
@@ -221,9 +217,7 @@ class Frame:
 
     @cached_property
     def hist_future_masks(self) -> tuple[int, ...]:
-        return tuple(
-            _fold_masks(chains) for chains in self.future_chains
-        )
+        return tuple(reduce(or_, chains, 0) for chains in self.future_chains)
 
     @cached_property
     def future_chains(self) -> tuple[tuple[int, ...], ...]:
@@ -266,47 +260,47 @@ class Frame:
         return tuple(out)
 
     @cached_property
-    def rel_successor_masks(self) -> tuple[int, ...]:
-        pts = self.point_list
-        out = []
+    def _rel_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Successor, predecessor and same-moment masks of the point relations.
+
+        A point's successors are the classes, at the moments after its own,
+        that lie inside its class; predecessors are read off by transposing
+        the successors.  The tree and the blocks are walked directly, not the
+        histories the "hist" tables are built from.
+        """
+        pts, index = self.point_list, self.point_index
+        descendants, blocks_at = self.tree.descendants, self.blocks_at
+        successors = []
         for p in pts:
             mask = 0
-            for j, q in enumerate(pts):
-                if precedes(self, p, q):
-                    mask |= 1 << j
-            out.append(mask)
-        return tuple(out)
+            for s in descendants[p.moment]:
+                for block in blocks_at[s]:
+                    if block <= p.block:
+                        mask |= 1 << index[Point(s, block)]
+            successors.append(mask)
+        predecessors = [0] * len(pts)
+        for i, mask in enumerate(successors):
+            while mask:
+                low = mask & -mask
+                predecessors[low.bit_length() - 1] |= 1 << i
+                mask ^= low
+        at_moment: dict[str, int] = {}
+        for i, p in enumerate(pts):
+            at_moment[p.moment] = at_moment.get(p.moment, 0) | 1 << i
+        same = tuple(at_moment[p.moment] for p in pts)
+        return tuple(successors), tuple(predecessors), same
+
+    @cached_property
+    def rel_successor_masks(self) -> tuple[int, ...]:
+        return self._rel_tables[0]
 
     @cached_property
     def rel_predecessor_masks(self) -> tuple[int, ...]:
-        pts = self.point_list
-        out = []
-        for p in pts:
-            mask = 0
-            for j, q in enumerate(pts):
-                if precedes(self, q, p):
-                    mask |= 1 << j
-            out.append(mask)
-        return tuple(out)
+        return self._rel_tables[1]
 
     @cached_property
     def rel_same_moment_masks(self) -> tuple[int, ...]:
-        pts = self.point_list
-        out = []
-        for p in pts:
-            mask = 0
-            for j, q in enumerate(pts):
-                if same_moment(self, p, q):
-                    mask |= 1 << j
-            out.append(mask)
-        return tuple(out)
-
-
-def _fold_masks(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
+        return self._rel_tables[2]
 
 
 @dataclass(frozen=True, eq=False)

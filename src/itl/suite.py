@@ -23,7 +23,7 @@ from .bisimulation import (
     greatest_bisimulation,
 )
 from .documents import (
-    dumps, model_to_doc, resolve_point, validate_frame_doc,
+    dumps, is_model_doc, model_to_doc, resolve_point, validate_frame_doc,
     validate_model_doc,
 )
 from .formula import enumerate_formulas, format_formula, parse
@@ -485,7 +485,7 @@ class Battery:
 
             # validator witnesses over the malformed corpus
             for name, kind, doc in catalog.MALFORMED_DOCUMENTS:
-                report = (validate_model_doc(doc) if "valuation" in doc
+                report = (validate_model_doc(doc) if is_model_doc(doc)
                           else validate_frame_doc(doc))
                 for violation in report.violations:
                     if violation.kind != kind:
@@ -580,7 +580,7 @@ class Battery:
         def body():
             missed = []
             for name, kind, doc in catalog.MALFORMED_DOCUMENTS:
-                report = (validate_model_doc(doc) if "valuation" in doc
+                report = (validate_model_doc(doc) if is_model_doc(doc)
                           else validate_frame_doc(doc))
                 if report.ok or kind not in report.kinds():
                     missed.append(name)

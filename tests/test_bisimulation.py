@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from itl.bisimulation import (
-    PointRelation, bisimilar, check_bisimulation, find_distinguishing_formula,
-    greatest_bisimulation,
+    PointRelation, _first_failure, _relation_masks, bisimilar,
+    check_bisimulation, find_distinguishing_formula, greatest_bisimulation,
 )
 from itl.catalog import (
     catalog_frames, f1_model, frame_chain2, frame_fork, frame_single,
@@ -15,7 +17,12 @@ from itl.formula import G, Atom, enumerate_formulas
 from itl.generate import gen_random_model
 from itl.morphisms import PointMap, pullback_valuation
 from itl.semantics import eval_hist, eval_rel
-from itl.structures import Model, Point, points
+from itl.structures import Model, Point, Violation, points
+from itl.suite import _replay_map_violation, _replay_relation_violation
+
+PAIR_CONDITIONS = ("G-f", "H-f", "L-f", "G-b", "H-b", "L-b")
+MAP_CONDITIONS = ("G-f", "G-b", "H-b", "L-f", "L-b")
+F_CONDITIONS = ("F-f", "F-b")
 
 
 def pt(model_or_frame, moment, rep):
@@ -37,6 +44,96 @@ def collapse_models():
     dst = Model(chain, {"p": frozenset({pt(chain, "a", "a")})})
     src = Model(fork, pullback_valuation(dst.valuation, f))
     return src, dst, f
+
+
+def relation_candidates(src, dst, pair, kind):
+    """(routine result, replayable witness) for every witness a violation of
+    kind at pair could name, in canonical order."""
+    p, q = pair
+    base = {"pair": [p.text(), q.text()]}
+    if kind == "PV":
+        atoms = sorted(set(src.valuation) | set(dst.valuation))
+        return [(a, dict(base, atom=a)) for a in atoms]
+    if kind == "F-f":
+        return [(h, dict(base, target_history=h)) for h in sorted(q.block)]
+    if kind == "F-b":
+        return [(h, dict(base, history=h)) for h in sorted(p.block)]
+    side = src if kind.endswith("-f") else dst
+    return [(r, dict(base, witness_point=r.text())) for r in points(side.frame)]
+
+
+def replayed_failure(src, dst, relation, pair, kind):
+    """The first candidate witness the suite's replayer confirms, or None."""
+    for value, witness in relation_candidates(src, dst, pair, kind):
+        if _replay_relation_violation(src, dst, relation,
+                                      Violation(kind, "", witness)):
+            return value
+    return None
+
+
+def map_candidates(src, dst, f, p, kind):
+    """Like relation_candidates, for the graph pair (p, f(p)) of a map."""
+    base = {"point": p.text()}
+    if kind in ("G-f", "L-f"):
+        return [(q, {"pair": [p.text(), q.text()]}) for q in points(src)]
+    if kind == "F-f":
+        return [(h, dict(base, target_history=h)) for h in sorted(f(p).block)]
+    if kind == "F-b":
+        return [(h, dict(base, history=h)) for h in sorted(p.block)]
+    return [(q, dict(base, target=q.text())) for q in points(dst)]
+
+
+def small_model(seed: int, max_points: int = 10) -> Model:
+    """A generated model with at most max_points points, one atom."""
+    rng = random.Random(seed)
+    while True:
+        model = gen_random_model(
+            rng.randrange(2 ** 32), rng.randint(1, 6), branching=rng.choice((2, 3)),
+            indist_policy=rng.choice(("undividedness", "coarsened")), n_atoms=1)
+        if len(points(model.frame)) <= max_points:
+            return model
+
+
+# ---------------------------------------------------------------------------
+# the condition routine against the suite's witness replayers
+# ---------------------------------------------------------------------------
+
+@given(seed=st.integers(0, 10 ** 6), mode=st.sampled_from(("L", "LF")))
+def test_condition_routine_matches_relation_replayer(seed, mode):
+    src, dst = small_model(seed), small_model(seed + 1)
+    universe = [(p, q) for p in points(src.frame) for q in points(dst.frame)]
+    rng = random.Random(seed)
+    kinds = PAIR_CONDITIONS + (F_CONDITIONS if mode == "LF" else ())
+    greatest = greatest_bisimulation(src, dst, mode).pairs
+    for pairs in (frozenset(x for x in universe if rng.random() < 0.5), greatest):
+        relation = PointRelation(pairs)
+        rel, conv = _relation_masks(src.frame, dst.frame, pairs)
+        for pair in universe:
+            i = src.frame.point_index[pair[0]]
+            j = dst.frame.point_index[pair[1]]
+            for kind in kinds:
+                got = _first_failure(kind, src.frame, dst.frame, i, j, rel, conv)
+                assert got == replayed_failure(src, dst, relation, pair, kind), \
+                    (kind, pair)
+
+
+@given(seed=st.integers(0, 10 ** 6), mode=st.sampled_from(("L", "LF")))
+def test_condition_routine_on_map_graphs_matches_map_replayer(seed, mode):
+    src, dst = small_model(seed).frame, small_model(seed + 1).frame
+    rng = random.Random(seed)
+    dst_pts = points(dst)
+    f = PointMap({p: dst_pts[rng.randrange(len(dst_pts))] for p in points(src)})
+    rel, conv = _relation_masks(src, dst, f.mapping.items())
+    kinds = MAP_CONDITIONS + (F_CONDITIONS if mode == "LF" else ())
+    for i, p in enumerate(points(src)):
+        j = dst.point_index[f(p)]
+        for kind in kinds:
+            expected = next(
+                (value for value, witness in map_candidates(src, dst, f, p, kind)
+                 if _replay_map_violation(src, dst, f, Violation(kind, "", witness))),
+                None)
+            assert _first_failure(kind, src, dst, i, j, rel, conv) == expected, \
+                (kind, p)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +262,8 @@ def test_union_of_bisimulations_satisfies_pair_conditions():
 @given(seed=st.integers(0, 60))
 def test_greatest_bisimulation_matches_brute_force(seed):
     # oracle: the union of every relation whose pairs all satisfy the
-    # per-pair conditions, found by enumerating all relations outright
+    # per-pair conditions, found by enumerating all relations outright and
+    # deciding each condition through the suite's witness replayers
     from itertools import combinations
 
     src = gen_random_model(seed, 1 + seed % 3, n_atoms=1)
@@ -174,13 +272,13 @@ def test_greatest_bisimulation_matches_brute_force(seed):
     universe = [(p, q) for p in sp for q in dp]
     if len(universe) > 9:
         return
+    kinds = ("PV",) + PAIR_CONDITIONS + F_CONDITIONS
     satisfying = []
     for size in range(1, len(universe) + 1):
         for chosen in combinations(universe, size):
             rel = PointRelation(frozenset(chosen))
-            anchor = next(iter(chosen))
-            report = check_bisimulation(src, dst, rel, anchor, "LF")
-            if all(v.kind == "B" for v in report.violations):
+            if all(replayed_failure(src, dst, rel, pair, kind) is None
+                   for pair in chosen for kind in kinds):
                 satisfying.append(rel.pairs)
     expected = frozenset().union(*satisfying) if satisfying else frozenset()
     assert greatest_bisimulation(src, dst, "LF").pairs == expected

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from itl.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -33,6 +35,19 @@ def test_validate_malformed_json(tmp_path, capsys):
     path.write_text("{nope")
     code, _ = invoke(capsys, "validate", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["5", "null", "true", "[]"])
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_non_object_document_is_an_input_error(tmp_path, capsys, command, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    extra = ["--formula", "p", "--sat"] if command == "check" else []
+    code = run([command, str(path), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_validate_json_report(capsys):
