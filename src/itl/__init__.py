@@ -13,6 +13,7 @@ from .bisimulation import (
 from .errors import (
     BoundExceededError,
     DocumentError,
+    InvalidBoundError,
     InvalidPointError,
     ItlError,
     LanguageError,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidPointError
-from .formula import And, Atom, F, Formula, G, H, L, Not
+from .formula import AND, ATOM, BOX_G, BOX_H, BOX_L, NOT, WEAK_F, Formula, Program
 from .semantics import Evaluator
 from .structures import Frame, Model, Point, Report, Violation, point_key
 
@@ -229,53 +229,55 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
     ev_dst = Evaluator(dst, mode=mode)
     i = src.frame.point_index[p]
     j = dst.frame.point_index[q]
+    ops = [NOT, BOX_G, BOX_H, BOX_L] + ([WEAK_F] if mode == "LF" else [])
 
-    ops = [Not, G, H, L] + ([F] if mode == "LF" else [])
+    # candidates are emitted straight into a program (no two are equal, so no
+    # hash-consing) and evaluated a batch at a time; only a hit becomes a
+    # Formula
+    program = Program(mode)
+    emit = program.emit
+    levels: list[list[int]] = [[]]
 
-    def signature(phi: Formula) -> tuple[int, int]:
-        return ev_src.extension_mask(phi), ev_dst.extension_mask(phi)
+    def batches():
+        """Emit the candidates in search order, yielding after each batch the
+        level that its new signatures join."""
+        for name in atoms:
+            emit(ATOM, program.atom(name))
+        yield levels[0]
+        for _depth in range(max_depth):
+            prev = levels[-1]
+            shallower = [k for lv in levels[:-1] for k in lv]
+            new: list[int] = []
+            for op in ops:
+                for k in prev:
+                    emit(op, k)
+            yield new
+            for a in prev:
+                for b in prev:
+                    emit(AND, a, b)
+                yield new
+            for a in prev:
+                for b in shallower:
+                    emit(AND, a, b)
+                    emit(AND, b, a)
+                yield new
+            if not new:
+                return
+            levels.append(new)
 
-    def distinguishes(sig: tuple[int, int]) -> bool:
-        return (sig[0] >> i & 1) != (sig[1] >> j & 1)
-
+    src_masks: list[int] = []
+    dst_masks: list[int] = []
     seen: set[tuple[int, int]] = set()
-    levels: list[list[Formula]] = [[]]
-
-    def consider(phi: Formula, level: list[Formula]) -> Formula | None:
-        sig = signature(phi)
-        if distinguishes(sig):
-            return phi
-        if sig not in seen:
-            seen.add(sig)
-            level.append(phi)
-        return None
-
-    for name in atoms:
-        hit = consider(Atom(name), levels[0])
-        if hit is not None:
-            return hit
-
-    for _depth in range(1, max_depth + 1):
-        prev = levels[-1]
-        shallower = [phi for lv in levels[:-1] for phi in lv]
-        new: list[Formula] = []
-        for op in ops:
-            for phi in prev:
-                hit = consider(op(phi), new)
-                if hit is not None:
-                    return hit
-        for a in prev:
-            for b in prev:
-                hit = consider(And(a, b), new)
-                if hit is not None:
-                    return hit
-        for a in prev:
-            for b in shallower:
-                for candidate in (And(a, b), And(b, a)):
-                    hit = consider(candidate, new)
-                    if hit is not None:
-                        return hit
-        if not new:
-            break
-        levels.append(new)
+    for level in batches():
+        start = len(src_masks)
+        ev_src.run(program, masks=src_masks)
+        ev_dst.run(program, masks=dst_masks)
+        for k in range(start, len(program)):
+            if (src_masks[k] >> i & 1) != (dst_masks[k] >> j & 1):
+                sub, (root,) = program.restrict([k])
+                return sub.formulas()[root]
+            sig = (src_masks[k], dst_masks[k])
+            if sig not in seen:
+                seen.add(sig)
+                level.append(k)
     return None

@@ -274,10 +274,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _criterion_number(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        known = suite.Battery.CRITERIA
+        raise ItlError(f"--criteria takes numbers {known[0]}-{known[-1]}, "
+                       f"got {text.strip()!r}") from None
+
+
 def _cmd_suite(args) -> int:
     numbers = None
     if args.criteria:
-        numbers = sorted({int(c) for c in args.criteria.split(",")})
+        numbers = sorted({_criterion_number(c) for c in args.criteria.split(",")})
     battery = suite.Battery(seed=args.seed)
     if args.json:
         results = battery.run_all(numbers=numbers)

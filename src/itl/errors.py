@@ -29,3 +29,7 @@ class InvalidPointError(ItlError):
 
 class BoundExceededError(ItlError):
     """An exhaustive enumeration would exceed the configured bound."""
+
+
+class InvalidBoundError(ItlError):
+    """An enumeration bound is not a nonnegative integer."""

@@ -11,12 +11,19 @@ desugars during parsing:
 
 ``F`` and its dual ``g`` belong only to the extended language (mode "LF");
 mode "L" rejects them.
+
+A :class:`Program` is the compiled form the evaluator runs: formulas as a
+topologically ordered list of ``(op, a, b)`` over integer slots, with equal
+subformulas sharing a slot.  Parsing, printing and compiling walk formulas
+with explicit stacks, so nesting depth is not limited by Python's recursion
+limit.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from array import array
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -35,45 +42,62 @@ class Formula:
     def __str__(self) -> str:
         return format_formula(self)
 
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hc != b._hc:
+                return False
+            for x, y in zip(a.__dict__.values(), b.__dict__.values()):
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
     def __post_init__(self):
-        # Hash once at construction; memoized evaluation keys dicts on
-        # formulas, and the recursive dataclass hash is linear per lookup.
+        # Hash once at construction, from the children's cached hashes: constant
+        # time per node and no recursion, however deep the formula.
         vals = tuple(self.__dict__[f.name] for f in fields(self))
         object.__setattr__(self, "_hc", hash((type(self).__name__,) + vals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class G(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class H(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class L(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class F(Formula):
     sub: Formula
 
@@ -191,58 +215,9 @@ _UNARY_BUILD = {
 }
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse_formula(self) -> Formula:
-        left = self.parse_disjunct()
-        if self.peek().kind == "->":
-            self.take()
-            right = self.parse_formula()  # right-associative
-            return _implies(left, right)
-        return left
-
-    def parse_disjunct(self) -> Formula:
-        out = self.parse_conjunct()
-        while self.peek().kind == "|":
-            self.take()
-            out = _or(out, self.parse_conjunct())
-        return out
-
-    def parse_conjunct(self) -> Formula:
-        out = self.parse_unary()
-        while self.peek().kind == "&":
-            self.take()
-            out = And(out, self.parse_unary())
-        return out
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "op":
-            self.take()
-            return _UNARY_BUILD[tok.text](self.parse_unary())
-        if tok.kind == "atom":
-            self.take()
-            return Atom(tok.text)
-        if tok.kind == "(":
-            self.take()
-            inner = self.parse_formula()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ParseError("expected ')'", closing.pos)
-            self.take()
-            return inner
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+# binary connectives: precedence and builder; '->' alone is right-associative
+_BINARY = {"&": (3, And), "|": (2, _or), "->": (1, _implies)}
+_OPEN = "("
 
 
 def parse(text: str, mode: str = "LF") -> Formula:
@@ -250,14 +225,58 @@ def parse(text: str, mode: str = "LF") -> Formula:
 
     Atoms match [a-z][a-zA-Z0-9_]* except the reserved operator words f, g.
     Unary operators bind tightest, then &, then |, then right-associative ->.
+    Precedence climbing over an explicit stack of pending operators, so
+    nesting depth is unbounded.
     """
     check_mode(mode)
-    parser = _Parser(_tokenize(text, mode))
-    out = parser.parse_formula()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected {trailing.text!r}", trailing.pos)
-    return out
+    tokens = _tokenize(text, mode)
+    operands: list[Formula] = []
+    # pending operators: a unary builder, _OPEN, or a binary token text
+    pending: list = []
+    i = 0
+
+    def reduce_binaries(floor: int) -> None:
+        while pending and pending[-1] in _BINARY and _BINARY[pending[-1]][0] >= floor:
+            build = _BINARY[pending.pop()][1]
+            right = operands.pop()
+            operands.append(build(operands.pop(), right))
+
+    while True:
+        # an operand: prefix operators and '(' until an atom
+        tok = tokens[i]
+        i += 1
+        if tok.kind == "op":
+            pending.append(_UNARY_BUILD[tok.text])
+            continue
+        if tok.kind == "(":
+            pending.append(_OPEN)
+            continue
+        if tok.kind != "atom":
+            raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+        operand: Formula = Atom(tok.text)
+        while True:
+            while pending and callable(pending[-1]):
+                operand = pending.pop()(operand)
+            operands.append(operand)
+            tok = tokens[i]
+            if tok.kind in _BINARY:
+                break
+            # ')' or the end closes everything back to the innermost '('
+            reduce_binaries(0)
+            if _OPEN not in pending[-1:]:
+                if tok.kind != "end":
+                    raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+                return operands.pop()
+            if tok.kind != ")":
+                raise ParseError("expected ')'", tok.pos)
+            i += 1
+            pending.pop()
+            operand = operands.pop()
+        i += 1
+        precedence = _BINARY[tok.kind][0]
+        # left-associative operators reduce their equals; '->' does not
+        reduce_binaries(precedence + (tok.kind == "->"))
+        pending.append(tok.kind)
 
 
 def read_formulas(text: str, mode: str = "LF") -> list[Formula]:
@@ -276,16 +295,26 @@ def read_formulas(text: str, mode: str = "LF") -> list[Formula]:
 
 def format_formula(formula: Formula) -> str:
     """Render a desugared formula; binary output is fully parenthesized."""
-    if isinstance(formula, Atom):
-        return formula.name
-    if isinstance(formula, Not):
-        return "~" + format_formula(formula.sub)
-    if isinstance(formula, And):
-        return f"({format_formula(formula.left)} & {format_formula(formula.right)})"
-    for cls, letter in ((G, "G"), (H, "H"), (L, "L"), (F, "F")):
-        if isinstance(formula, cls):
-            return f"{letter} {format_formula(formula.sub)}"
-    raise TypeError(f"not a formula: {formula!r}")
+    out: list[str] = []
+    stack: list = [formula]  # formulas still to print, and literal pieces
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Atom):
+            out.append(node.name)
+        elif isinstance(node, And):
+            out.append("(")
+            stack += (")", node.right, " & ", node.left)
+        elif type(node) in _PREFIX:
+            out.append(_PREFIX[type(node)])
+            stack.append(node.sub)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(out)
+
+
+_PREFIX = {Not: "~", G: "G ", H: "H ", L: "L ", F: "F "}
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +346,171 @@ def enumerate_formulas(atoms, max_depth: int, mode: str = "LF") -> tuple[Formula
     """Every formula over the given atoms up to the given depth.
 
     Ordered by depth, then operator, then operand order; subformulas are
-    shared objects, so the result is a DAG suitable for memoized evaluation.
+    shared objects, so the result is a DAG.  Formula k is slot k of
+    :func:`corpus_program`.
     """
+    return corpus_program(atoms, max_depth, mode).formulas()
+
+
+def corpus_program(atoms, max_depth: int, mode: str = "LF") -> Program:
+    """The formulas of :func:`enumerate_formulas` as a program, one slot per
+    formula in the same order.  The program is cached and shared: do not add
+    to it."""
     return _enumerate_cached(tuple(atoms), max_depth, check_mode(mode))
 
 
 @lru_cache(maxsize=32)
-def _enumerate_cached(atoms: tuple[str, ...], max_depth: int, mode: str):
-    unary = [Not, G, H, L] + ([F] if mode == "LF" else [])
-    by_depth: list[list[Formula]] = [[Atom(a) for a in atoms]]
+def _enumerate_cached(atoms: tuple[str, ...], max_depth: int, mode: str) -> Program:
+    # emitted straight into the program's arrays: the corpus has no repeated
+    # formula, so it needs neither Formula objects nor hash-consing keys
+    program = Program(mode)
+    unary = [NOT, BOX_G, BOX_H, BOX_L] + ([WEAK_F] if mode == "LF" else [])
+    emit = program.emit
+    by_depth = [[emit(ATOM, program.atom(a)) for a in atoms]]
     for d in range(1, max_depth + 1):
         last = by_depth[d - 1]
-        shallower = [phi for level in by_depth[:d - 1] for phi in level]
-        level: list[Formula] = []
-        for op in unary:
-            level.extend(op(phi) for phi in last)
-        for a in last:
-            for b in last:
-                level.append(And(a, b))
+        shallower = [k for level in by_depth[:d - 1] for k in level]
+        level = [emit(op, k) for op in unary for k in last]
+        level += [emit(AND, a, b) for a in last for b in last]
         for a in last:
             for b in shallower:
-                level.append(And(a, b))
-                level.append(And(b, a))
+                level.append(emit(AND, a, b))
+                level.append(emit(AND, b, a))
         by_depth.append(level)
-    return tuple(phi for level in by_depth for phi in level)
+    return program
+
+
+# ---------------------------------------------------------------------------
+# compiled programs
+# ---------------------------------------------------------------------------
+
+# opcodes: an atom, the two boolean connectives, the three boxes, weak future
+ATOM, NOT, AND, BOX_G, BOX_H, BOX_L, WEAK_F = range(7)
+_UNARY_OPCODES = {Not: NOT, G: BOX_G, H: BOX_H, L: BOX_L, F: WEAK_F}
+_UNARY_CLASSES = {op: cls for cls, op in _UNARY_OPCODES.items()}
+
+
+class Program:
+    """Formulas compiled to straight-line code over integer slots.
+
+    Slot k holds one subformula: ``ops[k]`` is its opcode, ``left[k]`` its
+    operand slot (for ATOM, an index into ``atoms``) and ``right[k]`` the
+    second operand of AND (0 otherwise).  Operands come before the slots
+    that use them, so one pass in slot order evaluates every slot.
+
+    :meth:`add` hash-conses: a node's key is its opcode plus the slots of its
+    operands, so equal subformulas share a slot without comparing formulas.
+    The keys live as long as the program; nothing is interned globally.
+    """
+
+    def __init__(self, mode: str = "LF"):
+        self.mode = check_mode(mode)
+        self.ops = array("B")
+        self.left = array("l")
+        self.right = array("l")
+        self.atoms: list[str] = []
+        self.has_f = False
+        self._atom_index: dict[str, int] = {}
+        self._keys: dict[tuple[int, int, int], int] = {}
+        self._by_id: dict[int, int] = {}  # id of a compiled node -> its slot
+        self._held: list[Formula] = []  # keeps every node in _by_id alive
+        self._formulas: list[Formula] = []  # decompiled slots, see formulas()
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def atom(self, name: str) -> int:
+        index = self._atom_index.get(name)
+        if index is None:
+            index = self._atom_index[name] = len(self.atoms)
+            self.atoms.append(name)
+        return index
+
+    def emit(self, op: int, a: int, b: int = 0) -> int:
+        """Append one slot, without hash-consing; returns it."""
+        if op == WEAK_F:
+            if self.mode == "L":
+                raise LanguageError("'F' is not in language L")
+            self.has_f = True
+        self.ops.append(op)
+        self.left.append(a)
+        self.right.append(b)
+        return len(self.ops) - 1
+
+    def _node(self, op: int, a: int, b: int = 0) -> int:
+        key = (op, a, b)
+        slot = self._keys.get(key)
+        if slot is None:
+            slot = self._keys[key] = self.emit(op, a, b)
+        return slot
+
+    def add(self, formula: Formula) -> int:
+        """Compile a formula into the program; returns its slot."""
+        by_id = self._by_id
+        self._held.append(formula)
+        stack = [formula]
+        while stack:
+            node = stack[-1]
+            if id(node) in by_id:
+                stack.pop()
+                continue
+            cls = type(node)
+            if cls is Atom:
+                slot = self._node(ATOM, self.atom(node.name))
+            elif cls is And:
+                a = by_id.get(id(node.left))
+                b = by_id.get(id(node.right))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(node.right)
+                    if a is None:
+                        stack.append(node.left)
+                    continue
+                slot = self._node(AND, a, b)
+            elif cls in _UNARY_OPCODES:
+                a = by_id.get(id(node.sub))
+                if a is None:
+                    stack.append(node.sub)
+                    continue
+                slot = self._node(_UNARY_OPCODES[cls], a)
+            else:
+                raise TypeError(f"not a formula: {node!r}")
+            stack.pop()
+            by_id[id(node)] = slot
+        return by_id[id(formula)]
+
+    def restrict(self, roots) -> tuple[Program, list[int]]:
+        """The slots the given roots depend on, as a program of their own;
+        returns it and the roots' slots in it."""
+        ops, left, right = self.ops, self.left, self.right
+        need = bytearray(len(ops))
+        for r in roots:
+            need[r] = 1
+        for k in range(len(ops) - 1, -1, -1):
+            if need[k] and ops[k] != ATOM:
+                need[left[k]] = 1
+                if ops[k] == AND:
+                    need[right[k]] = 1
+        out = Program(self.mode)
+        moved: dict[int, int] = {}
+        for k, op in enumerate(ops):
+            if need[k]:
+                if op == ATOM:
+                    moved[k] = out.emit(ATOM, out.atom(self.atoms[left[k]]))
+                else:
+                    moved[k] = out.emit(op, moved[left[k]],
+                                        moved[right[k]] if op == AND else 0)
+        return out, [moved[r] for r in roots]
+
+    def formulas(self) -> tuple[Formula, ...]:
+        """One formula per slot, sharing subformulas as the slots do."""
+        out = self._formulas
+        for k in range(len(out), len(self.ops)):
+            op, a = self.ops[k], self.left[k]
+            if op == ATOM:
+                out.append(Atom(self.atoms[a]))
+            elif op == AND:
+                out.append(And(out[a], out[self.right[k]]))
+            else:
+                out.append(_UNARY_CLASSES[op](out[a]))
+        return tuple(out)

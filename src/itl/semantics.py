@@ -6,108 +6,133 @@ quantifies over the derived point relations instead.  The two provably agree
 on G/H/L; F is always evaluated by its history clause, which is the only one
 given for it.
 
-Extensions (the set of points where a subformula holds) are computed bottom
-up as bitmasks over the frame's canonical point order, which realizes the
-per-(point, subformula) memoization within one evaluation.
+Extensions (the set of points where a subformula holds) are bitmasks over
+the frame's canonical point order.  Formulas are compiled to a
+:class:`~itl.formula.Program` and evaluated by one loop over its slots, so
+every subformula is evaluated once per model, however often it occurs, and
+nesting depth is not limited by recursion.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from . import limits
 from .errors import BoundExceededError, InvalidPointError, LanguageError
-from .formula import And, Atom, F, Formula, G, H, L, Not, atoms_of, check_mode, contains_f
+from .formula import (
+    AND, ATOM, BOX_G, BOX_H, BOX_L, NOT, WEAK_F, Formula, Program, atoms_of,
+    check_mode, contains_f,
+)
 from .structures import Frame, Model, Point
 
 
 class Evaluator:
     """Evaluates formulas on one model under one route (hist or rel)."""
 
-    def __init__(self, model: Model, relational: bool = False, mode: str = "LF",
-                 atom_masks: dict[str, int] | None = None):
+    def __init__(self, model: Model, relational: bool = False, mode: str = "LF"):
         check_mode(mode)
         frame = model.frame
         self.model = model
         self.mode = mode
         self.relational = relational
-        self._n = len(frame.point_list)
-        self._full = frame.full_mask
+        self._full = full = frame.full_mask
         self._index = frame.point_index
         if relational:
-            self._g = frame.rel_successor_masks
-            self._h = frame.rel_predecessor_masks
-            self._l = frame.rel_same_moment_masks
+            g, h, l = (frame.rel_successor_masks, frame.rel_predecessor_masks,
+                       frame.rel_same_moment_masks)
         else:
-            self._g = frame.hist_future_masks
-            self._h = frame.hist_past_masks
-            self._l = frame.hist_class_masks
-        self._chains = frame.future_chains
+            g, h, l = (frame.hist_future_masks, frame.hist_past_masks,
+                       frame.hist_class_masks)
+        self._atom_masks = {
+            atom: frame.mask_of(pts) for atom, pts in model.valuation.items()
+        }
+        # per modal opcode: the operator on masks, and its results so far by
+        # operand mask (they depend on the tables only, not on the atoms)
+        self._modal = {BOX_G: partial(_box, g, full), BOX_H: partial(_box, h, full),
+                       BOX_L: partial(_box, l, full),
+                       WEAK_F: partial(_weak_future, frame.future_chains)}
+        self._modal_memo: dict[int, dict[int, int]] = {op: {} for op in self._modal}
+        # formulas asked for one at a time share one program and its masks
+        self._program = Program(mode)
+        self._masks: list[int] = []
+
+    def run(self, program: Program, atom_masks: dict[str, int] | None = None,
+            masks: list[int] | None = None) -> list[int]:
+        """The extension mask of every slot of a program, in slot order, under
+        the model's valuation or else under the given atom masks.
+
+        Given the masks of an earlier run of the same program, which may have
+        grown since, only the slots after them are evaluated, appended to
+        that list and returned with it."""
+        if program.has_f and self.mode == "L":
+            raise LanguageError("'F' is not in language L")
         if atom_masks is None:
-            atom_masks = {
-                atom: frame.mask_of(pts) for atom, pts in model.valuation.items()
-            }
-        self._atom_masks = atom_masks
-        self._memo: dict[Formula, int] = {}
+            atom_masks = self._atom_masks
+        if masks is None:
+            masks = []
+        start = len(masks)
+        full = self._full
+        atoms = program.atoms
+        modal, memo = self._modal, self._modal_memo
+        append = masks.append
+        for op, a, b in zip(program.ops[start:], program.left[start:],
+                            program.right[start:]):
+            if op == AND:
+                append(masks[a] & masks[b])
+            elif op == NOT:
+                append(full ^ masks[a])
+            elif op == ATOM:
+                append(atom_masks.get(atoms[a], 0))
+            else:
+                sub = masks[a]
+                seen = memo[op]
+                out = seen.get(sub)
+                if out is None:
+                    out = seen[sub] = modal[op](sub)
+                append(out)
+        return masks
 
     def extension_mask(self, formula: Formula) -> int:
-        memo = self._memo
-        cached = memo.get(formula)
-        if cached is not None:
-            return cached
-        if isinstance(formula, Atom):
-            out = self._atom_masks.get(formula.name, 0)
-        elif isinstance(formula, Not):
-            out = self._full ^ self.extension_mask(formula.sub)
-        elif isinstance(formula, And):
-            out = self.extension_mask(formula.left) & self.extension_mask(formula.right)
-        elif isinstance(formula, G):
-            out = self._box(self._g, self.extension_mask(formula.sub))
-        elif isinstance(formula, H):
-            out = self._box(self._h, self.extension_mask(formula.sub))
-        elif isinstance(formula, L):
-            out = self._box(self._l, self.extension_mask(formula.sub))
-        elif isinstance(formula, F):
-            if self.mode == "L":
-                raise LanguageError("'F' is not in language L")
-            out = self._weak_future(self.extension_mask(formula.sub))
-        else:
-            raise TypeError(f"not a formula: {formula!r}")
-        memo[formula] = out
-        return out
-
-    def _box(self, targets, sub_mask: int) -> int:
-        missing = self._full ^ sub_mask
-        out = 0
-        bit = 1
-        for i in range(self._n):
-            if targets[i] & missing == 0:
-                out |= bit
-            bit <<= 1
-        return out
-
-    def _weak_future(self, sub_mask: int) -> int:
-        out = 0
-        bit = 1
-        for i in range(self._n):
-            for chain in self._chains[i]:
-                if chain & sub_mask == 0:
-                    break
-            else:
-                out |= bit
-            bit <<= 1
-        return out
+        slot = self._program.add(formula)
+        return self.run(self._program, masks=self._masks)[slot]
 
     def extension(self, formula: Formula) -> frozenset[Point]:
         mask = self.extension_mask(formula)
         pts = self.model.frame.point_list
-        return frozenset(pts[i] for i in range(self._n) if mask >> i & 1)
+        return frozenset(pts[i] for i in range(len(pts)) if mask >> i & 1)
 
     def holds(self, point: Point, formula: Formula) -> bool:
         i = self._index.get(point)
         if i is None:
             raise InvalidPointError(f"{point.text()} is not a point of the model")
         return bool(self.extension_mask(formula) >> i & 1)
+
+
+def _box(targets, full: int, sub_mask: int) -> int:
+    """Points all of whose targets lie in sub_mask."""
+    missing = full ^ sub_mask
+    out = 0
+    bit = 1
+    for target in targets:
+        if target & missing == 0:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+def _weak_future(chains, sub_mask: int) -> int:
+    """Points each of whose future chains meets sub_mask."""
+    out = 0
+    bit = 1
+    for point_chains in chains:
+        for chain in point_chains:
+            if chain & sub_mask == 0:
+                break
+        else:
+            out |= bit
+        bit <<= 1
+    return out
 
 
 def _check_formula_mode(formula: Formula, mode: str) -> None:
@@ -157,23 +182,25 @@ def _valuation_space(frame: Frame, formula: Formula, max_enum: int | None):
     return atoms, n
 
 
-def _extension_under(frame: Frame, atom_masks: dict[str, int],
-                     formula: Formula, mode: str) -> int:
-    ev = Evaluator(Model(frame, {}), mode=mode, atom_masks=atom_masks)
-    return ev.extension_mask(formula)
+def _extensions(frame: Frame, formula: Formula, mode: str,
+                max_enum: int | None):
+    """Per valuation of the formula's atoms, in increasing order of the atom
+    masks: the atom masks and the formula's extension under them."""
+    atoms, n = _valuation_space(frame, formula, max_enum)
+    program = Program(mode)
+    root = program.add(formula)
+    ev = Evaluator(Model(frame, {}), mode=mode)
+    for assignment in product(range(1 << n), repeat=len(atoms)):
+        masks = dict(zip(atoms, assignment))
+        yield masks, ev.run(program, masks)[root]
 
 
 def frame_valid(frame: Frame, formula: Formula, mode: str = "LF",
                 max_enum: int | None = None) -> bool:
     """Exact frame validity by enumerating all valuations of the formula's atoms."""
     _check_formula_mode(formula, mode)
-    atoms, n = _valuation_space(frame, formula, max_enum)
     full = frame.full_mask
-    for assignment in product(range(1 << n), repeat=len(atoms)):
-        masks = dict(zip(atoms, assignment))
-        if _extension_under(frame, masks, formula, mode) != full:
-            return False
-    return True
+    return all(ext == full for _, ext in _extensions(frame, formula, mode, max_enum))
 
 
 def frame_sat(frame: Frame, formula: Formula, mode: str = "LF",
@@ -184,11 +211,9 @@ def frame_sat(frame: Frame, formula: Formula, mode: str = "LF",
     canonical point order, so the witness is deterministic.
     """
     _check_formula_mode(formula, mode)
-    atoms, n = _valuation_space(frame, formula, max_enum)
     pts = frame.point_list
-    for assignment in product(range(1 << n), repeat=len(atoms)):
-        masks = dict(zip(atoms, assignment))
-        ext = _extension_under(frame, masks, formula, mode)
+    n = len(pts)
+    for masks, ext in _extensions(frame, formula, mode, max_enum):
         if ext:
             point = next(pts[i] for i in range(n) if ext >> i & 1)
             valuation = {

@@ -26,7 +26,7 @@ from .documents import (
     dumps, is_model_doc, model_to_doc, resolve_point, validate_frame_doc,
     validate_model_doc,
 )
-from .formula import enumerate_formulas, format_formula, parse
+from .formula import Program, corpus_program, enumerate_formulas, format_formula, parse
 from .generate import gen_random_model
 from .morphisms import (
     PointMap, check_frame_pmorphism, check_model_pmorphism,
@@ -39,6 +39,21 @@ from .structures import (
 
 CORPUS_ATOMS = ("p", "q")
 CORPUS_DEPTH = 3
+
+# per bit of a byte, a bytes.translate table taking each byte to '1' where
+# that bit is set and to '0' elsewhere
+_BIT_CHARS = [(b"0" * (1 << bit) + b"1" * (1 << bit)) * (128 >> bit)
+              for bit in range(8)]
+
+
+def _point_columns(masks: list[int], n: int) -> list[str]:
+    """Per point i < n, the string of its bits over the masks: '1' where
+    mask k has bit i, '0' elsewhere."""
+    width = (n + 7) // 8
+    data = bytes(masks) if width == 1 else b"".join(
+        m.to_bytes(width, "little") for m in masks)
+    return [data[i // 8::width].translate(_BIT_CHARS[i % 8]).decode("ascii")
+            for i in range(n)]
 
 
 @dataclass
@@ -66,6 +81,7 @@ def _timed(number: int, name: str, body) -> CriterionResult:
 
 
 class Battery:
+    CRITERIA = range(1, 11)
     N_MODELS = 200
     N_FORMULAS = 1000
     MAX_POINTS = 8
@@ -116,20 +132,17 @@ class Battery:
     def corpus(self, mode: str):
         return enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, mode)
 
+    def corpus_program(self, mode: str) -> Program:
+        """The corpus as a program: slot k is formula k of corpus(mode)."""
+        return corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, mode)
+
     def signatures(self, model: Model, mode: str) -> list[str]:
         """Per point, the bit-string of truth values over the whole corpus."""
         key = ("sig", dumps(model_to_doc(model)), mode)
 
         def build():
-            corpus = self.corpus(mode)
-            ev = Evaluator(model, mode=mode)
-            n = len(points(model.frame))
-            cols: list[list[str]] = [[] for _ in range(n)]
-            for phi in corpus:
-                mask = ev.extension_mask(phi)
-                for i in range(n):
-                    cols[i].append("1" if mask >> i & 1 else "0")
-            return ["".join(c) for c in cols]
+            masks = Evaluator(model, mode=mode).run(self.corpus_program(mode))
+            return _point_columns(masks, len(model.frame.point_list))
 
         return self._memoized(key, build)
 
@@ -141,13 +154,13 @@ class Battery:
         def body():
             models = self.battery_models()
             formulas = self.battery_formulas()
+            program = Program("L")
+            roots = [program.add(phi) for phi in formulas]
             disagreements = 0
             for model in models:
-                by_clauses = Evaluator(model, relational=False, mode="L")
-                by_relations = Evaluator(model, relational=True, mode="L")
-                for phi in formulas:
-                    if by_clauses.extension_mask(phi) != by_relations.extension_mask(phi):
-                        disagreements += 1
+                by_clauses = Evaluator(model, relational=False, mode="L").run(program)
+                by_relations = Evaluator(model, relational=True, mode="L").run(program)
+                disagreements += sum(by_clauses[r] != by_relations[r] for r in roots)
             detail = (f"{len(models)} models x {len(formulas)} formulas x all "
                       f"points, {disagreements} disagreements")
             return disagreements == 0, detail
@@ -163,22 +176,19 @@ class Battery:
             models = self.battery_models()
             formulas = self.battery_formulas()
             wrappers = (("P", "~H ~"), ("f", "~G ~"), ("M", "~L ~"), ("g", "~F ~"))
+            # hash-consed: two formulas share a slot exactly when they are equal
+            program = Program("LF")
             pairs = []
-            structural_mismatches = 0
             for phi in formulas:
                 s = format_formula(phi)
                 for surface, expansion in wrappers:
-                    a = parse(f"{surface} ({s})", "LF")
-                    b = parse(f"{expansion}({s})", "LF")
-                    if a != b:
-                        structural_mismatches += 1
-                    pairs.append((a, b))
+                    pairs.append((program.add(parse(f"{surface} ({s})", "LF")),
+                                  program.add(parse(f"{expansion}({s})", "LF"))))
+            structural_mismatches = sum(a != b for a, b in pairs)
             disagreements = 0
             for model in models:
-                ev = Evaluator(model, mode="LF")
-                for a, b in pairs:
-                    if ev.extension_mask(a) != ev.extension_mask(b):
-                        disagreements += 1
+                masks = Evaluator(model, mode="LF").run(program)
+                disagreements += sum(masks[a] != masks[b] for a, b in pairs)
             detail = (f"{len(pairs)} abbreviation pairs x {len(models)} models: "
                       f"{structural_mismatches} parse mismatches, "
                       f"{disagreements} evaluation disagreements")
@@ -309,7 +319,8 @@ class Battery:
     def criterion_5(self) -> CriterionResult:
         def body():
             data = self._c5_data()
-            corpus_sizes = (len(self.corpus("L")), len(self.corpus("LF")))
+            corpus_sizes = (len(self.corpus_program("L")),
+                            len(self.corpus_program("LF")))
             detail = (f"{data['maps_found']} maps found (both modes), "
                       f"{len(data['triples'])} model p-morphisms x corpus "
                       f"{corpus_sizes} x all points, "
@@ -324,21 +335,25 @@ class Battery:
 
     def valid_corpus_formulas(self, frame: Frame) -> set[int]:
         """Indices of corpus (mode L) formulas valid in the frame, computed by
-        filtering over every valuation of the corpus atoms."""
+        filtering over every valuation of the corpus atoms.  Each valuation
+        evaluates only what the formulas still valid depend on."""
         key = ("valid", self._frame_key(frame))
 
         def build():
-            corpus = self.corpus("L")
-            n = len(points(frame))
+            ev = Evaluator(Model(frame, {}), mode="L")
+            n = len(frame.point_list)
             full = frame.full_mask
-            alive = list(range(len(corpus)))
+            program = self.corpus_program("L")
+            alive = list(range(len(program)))  # corpus indices still valid
+            roots = alive  # their slots in program
             for assignment in product(range(1 << n), repeat=len(CORPUS_ATOMS)):
-                masks = dict(zip(CORPUS_ATOMS, assignment))
-                ev = Evaluator(Model(frame, {}), mode="L", atom_masks=masks)
-                alive = [idx for idx in alive
-                         if ev.extension_mask(corpus[idx]) == full]
-                if not alive:
-                    break
+                masks = ev.run(program, dict(zip(CORPUS_ATOMS, assignment)))
+                kept = [k for k, r in enumerate(roots) if masks[r] == full]
+                if len(kept) < len(roots):
+                    alive = [alive[k] for k in kept]
+                    if not alive:
+                        break
+                    program, roots = program.restrict([roots[k] for k in kept])
             return set(alive)
 
         return self._memoized(key, build)
@@ -379,7 +394,7 @@ class Battery:
         def body():
             data = self._c6_data()
             detail = (f"{len(data['maps'])} surjective maps on frames <= 4 "
-                      f"points, corpus {len(self.corpus('L'))}: "
+                      f"points, corpus {len(self.corpus_program('L'))}: "
                       f"{data['violations']} validity-preservation violations, "
                       f"{data['pv_failures']} pullback PV failures")
             return data["violations"] == 0 and data["pv_failures"] == 0, detail
@@ -593,16 +608,14 @@ class Battery:
     # ------------------------------------------------------------------
 
     def run_all(self, numbers=None, log=None) -> list[CriterionResult]:
-        methods = {
-            1: self.criterion_1, 2: self.criterion_2, 3: self.criterion_3,
-            4: self.criterion_4, 5: self.criterion_5, 6: self.criterion_6,
-            7: self.criterion_7, 8: self.criterion_8, 9: self.criterion_9,
-            10: self.criterion_10,
-        }
-        numbers = sorted(numbers or methods)
+        numbers = sorted(numbers or self.CRITERIA)
+        for n in numbers:
+            if n not in self.CRITERIA:
+                raise ValueError(f"no criterion {n!r}; criteria are numbered "
+                                 f"{self.CRITERIA[0]}-{self.CRITERIA[-1]}")
         results = []
         for n in numbers:
-            result = methods[n]()
+            result = getattr(self, f"criterion_{n}")()
             results.append(result)
             if log is not None:
                 log(result.line())

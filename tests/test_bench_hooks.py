@@ -1,8 +1,10 @@
-"""The library names that the benchmark in ``perfbench/`` wraps from outside.
+"""The library names that the benchmark in ``perfbench/`` wraps or calls
+from outside.
 
 ``perfbench/spans.py`` replaces these callables and frame table properties
 by span-recording wrappers; a rename here would break the benchmark only
 when it runs.  This test installs and removes the wrappers on a tiny input.
+The workloads also call the evaluator and the corpus cache directly.
 """
 
 import importlib.util
@@ -73,3 +75,19 @@ def test_benchmark_hooks_install_and_remove():
     finally:
         instrumentation.remove()
     assert library_state() == before
+
+
+def test_benchmark_contract_names():
+    # perfbench/battery.py reads and drops the per-process corpus cache
+    cache = itl.formula._enumerate_cached
+    assert callable(cache.cache_info) and callable(cache.cache_clear)
+    assert cache.cache_info().maxsize
+    # perfbench/large_models.py evaluates through these, and spans.py names
+    # its evaluation spans after the route
+    model = documents.model_from_doc(catalog.F1_MODEL_DOC)
+    ev = Evaluator(model, relational=True)
+    assert ev.relational is True
+    assert ev.extension_mask(itl.parse("p")) == model.frame.mask_of(model.valuation["p"])
+    # perfbench/spans.py:dag_size walks formula nodes through vars()
+    phi = itl.parse("G (p & q)")
+    assert [v for v in vars(phi).values() if isinstance(v, itl.Formula)] == [phi.sub]

@@ -1,10 +1,14 @@
 """Golden tests for the command line; every example in the README runs here."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import itl
 from itl.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -87,6 +91,12 @@ def test_eval_mode_l_rejects_weak_future(capsys):
     assert code == 2
 
 
+def test_eval_deeply_nested_formula(capsys):
+    code, out = invoke(capsys, "eval", F1, "--at", "r/a",
+                       "--formula", "~" * 3001 + "p", "--semantics", "both")
+    assert (code, out) == (0, "hist: true\nrel: true\n")
+
+
 def test_eval_bad_point(capsys):
     code, _ = invoke(capsys, "eval", F1, "--at", "zz/a", "--formula", "p")
     assert code == 2
@@ -120,6 +130,26 @@ def test_check_frame_sat(capsys):
     code, out = invoke(capsys, "check", FORK, "--formula", "F p", "--sat")
     assert code == 0
     assert out.startswith("sat ")
+
+
+@pytest.mark.parametrize("bound, message", [
+    ("-1", "error: the enumeration bound must be a nonnegative integer, got -1"),
+    ("1.5", "usage:"),  # not an int: argparse rejects it
+    ("x", "usage:"),
+])
+def test_check_rejects_malformed_max_enum(capsys, bound, message):
+    code = run(["check", FORK, "--formula", "p", "--sat", "--max-enum", bound])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("value", ["-1", "x", "1.5", "", "²"])
+def test_check_rejects_malformed_env_bound(monkeypatch, capsys, value):
+    monkeypatch.setenv("ITL_MAX_ENUM", value)
+    code = run(["check", FORK, "--formula", "p", "--sat"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ITL_MAX_ENUM must be a nonnegative integer")
 
 
 def test_check_bound_error(capsys):
@@ -295,6 +325,23 @@ def test_bisim_check_json_reports_every_condition(tmp_path, capsys):
     assert doc["conditions"] == {c: True for c in
                                  ("PV", "G-f", "G-b", "H-f", "H-b",
                                   "L-f", "L-b", "F-f", "F-b", "B")}
+
+
+@pytest.mark.parametrize("criteria", ["11", "0", "x", "3,11", "-1"])
+def test_suite_rejects_unknown_criteria(capsys, criteria):
+    code = run(["suite", "--criteria", criteria])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "1-10" in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(itl.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "itl", "points", FORK],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (done.returncode, done.stdout) == (0, "a/a\nb/b\nr/a\n")
 
 
 def test_suite_subset(capsys):

@@ -8,7 +8,7 @@ from itl.catalog import (
     frame_fork_split, frame_single,
 )
 from itl.documents import map_from_doc, map_to_doc, resolve_point
-from itl.errors import BoundExceededError
+from itl.errors import BoundExceededError, InvalidBoundError
 from itl.formula import enumerate_formulas
 from itl.morphisms import (
     PointMap, check_frame_pmorphism, check_model_pmorphism,
@@ -184,6 +184,12 @@ def test_search_finds_the_collapse():
 def test_search_chain_to_antichain_is_empty():
     found = list(search_pmorphisms(frame_chain2(), frame_antichain2(), "L"))
     assert found == []
+
+
+@pytest.mark.parametrize("bound", [-1, 2.5, True])
+def test_search_rejects_malformed_bound(bound):
+    with pytest.raises(InvalidBoundError):
+        list(search_pmorphisms(frame_fork(), frame_chain2(), "L", bound=bound))
 
 
 def test_search_respects_bound():

@@ -1,19 +1,25 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from itl.catalog import (
     catalog_frames, f1_model, frame_fork, frame_fork_split,
     random_valuation, small_catalog_frames,
 )
 from itl.documents import resolve_point
-from itl.errors import BoundExceededError, InvalidPointError, LanguageError
-from itl.formula import parse, random_formula
+from itl.errors import (
+    BoundExceededError, InvalidBoundError, InvalidPointError, LanguageError,
+)
+from itl.formula import (
+    Program, corpus_program, enumerate_formulas, format_formula, parse,
+    random_formula,
+)
 from itl.generate import gen_random_model
 from itl.semantics import (
     Evaluator, eval_hist, eval_rel, frame_sat, frame_valid, model_sat,
     model_valid,
 )
 from itl.structures import Model, Point, points
+from itl.suite import CORPUS_ATOMS, CORPUS_DEPTH, Battery
 from oracles import naive_eval
 
 
@@ -167,6 +173,12 @@ def test_frame_valid_bound_env_override(monkeypatch):
     assert not frame_valid(frame, phi, max_enum=30)
 
 
+@pytest.mark.parametrize("bound", [-1, 1.5, "3", False])
+def test_frame_valid_rejects_malformed_bound(bound):
+    with pytest.raises(InvalidBoundError):
+        frame_valid(frame_fork(), parse("p"), max_enum=bound)
+
+
 def test_frame_valid_no_atoms_edge_case():
     frame = frame_fork()
     assert frame_valid(frame, parse("G (p | ~p) & H (p | ~p)"))
@@ -189,3 +201,74 @@ def test_points_without_successors_satisfy_all_boxes():
                 model.frame.point_index[point]] >> i & 1
                 for i in range(len(points(model.frame)))):
             assert eval_hist(model, point, parse("G (p & ~p)"))
+
+
+# ---------------------------------------------------------------------------
+# the compiled program against the oracle
+# ---------------------------------------------------------------------------
+
+@given(seed=st.integers(0, 10_000), mode=st.sampled_from(["L", "LF"]))
+def test_program_matches_naive_eval_on_larger_models(seed, mode):
+    model = gen_random_model(seed, 16 + seed % 14, branching=2 + seed % 2,
+                             indist_policy=("coarsened", "undividedness")[seed % 2],
+                             n_atoms=2)
+    pts = model.frame.point_list
+    assume(20 <= len(pts) <= 40)
+    formulas = [random_formula(seed * 7 + k, 6, ("p0", "p1"), mode=mode)
+                for k in range(8)]
+    program = Program(mode)
+    roots = [program.add(phi) for phi in formulas]
+    for relational in (False, True):
+        masks = Evaluator(model, relational=relational, mode=mode).run(program)
+        one_by_one = Evaluator(model, relational=relational, mode=mode)
+        for phi, root in zip(formulas, roots):
+            assert one_by_one.extension_mask(phi) == masks[root]
+            for i, point in enumerate(pts):
+                assert bool(masks[root] >> i & 1) == naive_eval(model, point, phi)
+
+
+def test_corpus_program_slots_follow_enumeration_order():
+    battery = Battery(seed=0)
+    models = battery.battery_models()[:3]
+    for mode in ("L", "LF"):
+        program = corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, mode)
+        corpus = enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, mode)
+        assert len(program) == len(corpus)
+        for model in models:
+            model = Model(model.frame, {"p": model.valuation.get("p0", frozenset()),
+                                        "q": model.valuation.get("p1", frozenset())})
+            masks = Evaluator(model, mode=mode).run(program)
+            ev = Evaluator(model, mode=mode)
+            assert masks == [ev.extension_mask(phi) for phi in corpus]
+
+
+def test_equal_subformulas_share_a_slot():
+    program = Program("LF")
+    a = program.add(parse("G (p & q) -> F p"))
+    b = program.add(parse("G (p & q) -> F p"))
+    assert a == b
+    size = len(program)
+    program.add(parse("~F p & G (p & q)"))
+    assert len(program) == size + 1  # only the conjunction in the other order is new
+
+
+def test_weak_future_rejected_in_mode_l_leaves_evaluator_usable():
+    model = f1_model()
+    ev = Evaluator(model, mode="L")
+    with pytest.raises(LanguageError):
+        ev.extension_mask(parse("G F p"))
+    assert ev.extension_mask(parse("G p")) == \
+        Evaluator(model, mode="L").extension_mask(parse("G p"))
+    with pytest.raises(LanguageError):
+        ev.run(corpus_program(("p",), 1, "LF"))
+
+
+@pytest.mark.parametrize("text", ["~" * 100_000 + "p",
+                                  "(" * 100_000 + "G p" + ")" * 100_000],
+                         ids=["negations", "parentheses"])
+def test_deeply_nested_formulas_parse_evaluate_and_print(text):
+    model = f1_model()
+    point = fork_point(model, "r", "a")
+    phi = parse(text)
+    assert eval_hist(model, point, phi) == eval_rel(model, point, phi)
+    assert parse(format_formula(phi)) == phi
