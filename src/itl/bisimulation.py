@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import limits
 from .errors import InvalidPointError
 from .formula import AND, ATOM, BOX_G, BOX_H, BOX_L, NOT, WEAK_F, Formula, Program
 from .semantics import Evaluator
@@ -223,6 +224,7 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
     representative does not, so the collapse preserves completeness per
     depth).  Returns None when depth max_depth cannot distinguish the points.
     """
+    limits.nonnegative(max_depth, "max_depth")
     _require_valid_pairs(src, dst, [(p, q)])
     atoms = sorted(set(src.valuation) | set(dst.valuation))[:2] or ["p"]
     ev_src = Evaluator(src, mode=mode)

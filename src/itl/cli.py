@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import documents, limits, suite
 from .bisimulation import (
@@ -26,7 +27,7 @@ from .morphisms import (
     conditions_for as morphism_conditions, search_pmorphisms,
 )
 from .semantics import Evaluator, frame_sat, model_sat
-from .structures import histories, points, validate_frame
+from .structures import points, validate_frame
 
 
 def _read_doc(path: str):
@@ -37,6 +38,8 @@ def _read_doc(path: str):
         raise ItlError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ItlError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ItlError(f"{path} nests too deeply to read") from None
 
 
 def _require_ok(report, what: str) -> None:
@@ -100,11 +103,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_histories(args) -> int:
     frame = _load_frame(args.document)
-    rows = []
-    for history in histories(frame.tree):
-        chain = sorted(history.moments,
-                       key=lambda m: len(frame.tree.ancestors[m]))
-        rows.append({"leaf": history.leaf, "moments": chain})
+    rows = [{"leaf": leaf, "moments": list(chain)}
+            for leaf, chain in frame.tree.chains.items()]
     if args.json:
         print(dumps(rows))
     else:
@@ -212,12 +212,9 @@ def _cmd_pmorph(args) -> int:
 def _cmd_pmorph_search(args) -> int:
     src = _load_frame(args.src_frame)
     dst = _load_frame(args.dst_frame)
-    found = []
-    for point_map in search_pmorphisms(src, dst, mode=args.mode,
-                                       surjective=args.surjective):
-        found.append(documents.map_to_doc(point_map))
-        if args.limit is not None and len(found) >= args.limit:
-            break
+    limit = None if args.limit is None else limits.nonnegative(args.limit, "--limit")
+    maps = search_pmorphisms(src, dst, mode=args.mode, surjective=args.surjective)
+    found = [documents.map_to_doc(point_map) for point_map in islice(maps, limit)]
     if args.json:
         print(dumps(found))
     else:

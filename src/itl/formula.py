@@ -59,6 +59,27 @@ class Formula:
                     return False
         return True
 
+    def __hash__(self) -> int:
+        return self._hc
+
+    def __repr__(self) -> str:
+        """The dataclass-style text, e.g. ``Not(sub=Atom(name='p'))``, built
+        without recursion."""
+        out: list[str] = []
+        stack: list = [self]  # formulas still to print, and literal pieces
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, Formula):
+                out.append(node)
+                continue
+            pieces = [f"{type(node).__qualname__}("]
+            for k, field in enumerate(fields(node)):
+                value = getattr(node, field.name)
+                pieces += (", " * (k > 0) + f"{field.name}=",
+                           value if isinstance(value, Formula) else repr(value))
+            stack += reversed(pieces + [")"])
+        return "".join(out)
+
     def __post_init__(self):
         # Hash once at construction, from the children's cached hashes: constant
         # time per node and no recursion, however deep the formula.
@@ -66,48 +87,40 @@ class Formula:
         object.__setattr__(self, "_hc", hash((type(self).__name__,) + vals))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class G(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class H(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class L(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class F(Formula):
     sub: Formula
-
-
-def _cached_hash(self) -> int:
-    return self._hc
-
-
-for _cls in (Atom, Not, And, G, H, L, F):
-    _cls.__hash__ = _cached_hash
 
 
 def atoms_of(formula: Formula) -> frozenset[str]:

@@ -2,7 +2,8 @@
 
 The environment variable ``ITL_MAX_ENUM`` overrides both defaults; an
 explicit argument overrides the environment.  A bound from either must be a
-nonnegative integer.
+nonnegative integer, as must the bounds that only an argument sets (the
+number of maps listed, the depth of a distinguishing search).
 """
 
 import os
@@ -20,12 +21,17 @@ DEFAULT_VALUATION_BOUND = 20
 DEFAULT_SEARCH_BOUND = 7
 
 
+def nonnegative(value, name: str) -> int:
+    """The value, if it is a nonnegative integer (not a bool); else
+    InvalidBoundError naming the bound."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InvalidBoundError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def resolve(explicit: int | None, default: int) -> int:
     if explicit is not None:
-        if isinstance(explicit, bool) or not isinstance(explicit, int) or explicit < 0:
-            raise InvalidBoundError(
-                f"the enumeration bound must be a nonnegative integer, got {explicit!r}")
-        return explicit
+        return nonnegative(explicit, "the enumeration bound")
     env = os.environ.get(ENV_VAR)
     if env is not None:
         if not env.strip().isdecimal():

@@ -21,8 +21,7 @@ from itertools import product
 from . import limits
 from .errors import BoundExceededError, InvalidPointError, LanguageError
 from .formula import (
-    AND, ATOM, BOX_G, BOX_H, BOX_L, NOT, WEAK_F, Formula, Program, atoms_of,
-    check_mode, contains_f,
+    AND, ATOM, BOX_G, BOX_H, BOX_L, NOT, WEAK_F, Formula, Program, check_mode,
 )
 from .structures import Frame, Model, Point
 
@@ -135,34 +134,24 @@ def _weak_future(chains, sub_mask: int) -> int:
     return out
 
 
-def _check_formula_mode(formula: Formula, mode: str) -> None:
-    check_mode(mode)
-    if mode == "L" and contains_f(formula):
-        raise LanguageError("'F' is not in language L")
-
-
 def eval_hist(model: Model, point: Point, formula: Formula, mode: str = "LF") -> bool:
     """Truth at a point by the history-quantifying clauses."""
-    _check_formula_mode(formula, mode)
     return Evaluator(model, relational=False, mode=mode).holds(point, formula)
 
 
 def eval_rel(model: Model, point: Point, formula: Formula, mode: str = "LF") -> bool:
     """Truth at a point quantifying over the derived point relations."""
-    _check_formula_mode(formula, mode)
     return Evaluator(model, relational=True, mode=mode).holds(point, formula)
 
 
 def model_valid(model: Model, formula: Formula, mode: str = "LF") -> bool:
     """True when the formula holds at every point of the model."""
-    _check_formula_mode(formula, mode)
     ev = Evaluator(model, mode=mode)
     return ev.extension_mask(formula) == model.frame.full_mask
 
 
 def model_sat(model: Model, formula: Formula, mode: str = "LF") -> Point | None:
     """The canonically first point satisfying the formula, if any."""
-    _check_formula_mode(formula, mode)
     ev = Evaluator(model, mode=mode)
     mask = ev.extension_mask(formula)
     for i, p in enumerate(model.frame.point_list):
@@ -171,24 +160,21 @@ def model_sat(model: Model, formula: Formula, mode: str = "LF") -> Point | None:
     return None
 
 
-def _valuation_space(frame: Frame, formula: Formula, max_enum: int | None):
-    atoms = sorted(atoms_of(formula))
+def _extensions(frame: Frame, formula: Formula, mode: str,
+                max_enum: int | None):
+    """Per valuation of the formula's atoms, in increasing order of the atom
+    masks: the atom masks and the formula's extension under them."""
+    # compiled first, so that a formula outside the language is reported
+    # before an enumeration above the bound
+    program = Program(mode)
+    root = program.add(formula)
+    atoms = sorted(program.atoms)
     n = len(frame.point_list)
     bound = limits.resolve(max_enum, limits.DEFAULT_VALUATION_BOUND)
     if n * len(atoms) > bound:
         raise BoundExceededError(
             f"enumerating valuations needs 2**{n * len(atoms)} cases, "
             f"above the bound 2**{bound}")
-    return atoms, n
-
-
-def _extensions(frame: Frame, formula: Formula, mode: str,
-                max_enum: int | None):
-    """Per valuation of the formula's atoms, in increasing order of the atom
-    masks: the atom masks and the formula's extension under them."""
-    atoms, n = _valuation_space(frame, formula, max_enum)
-    program = Program(mode)
-    root = program.add(formula)
     ev = Evaluator(Model(frame, {}), mode=mode)
     for assignment in product(range(1 << n), repeat=len(atoms)):
         masks = dict(zip(atoms, assignment))
@@ -198,7 +184,6 @@ def _extensions(frame: Frame, formula: Formula, mode: str,
 def frame_valid(frame: Frame, formula: Formula, mode: str = "LF",
                 max_enum: int | None = None) -> bool:
     """Exact frame validity by enumerating all valuations of the formula's atoms."""
-    _check_formula_mode(formula, mode)
     full = frame.full_mask
     return all(ext == full for _, ext in _extensions(frame, formula, mode, max_enum))
 
@@ -210,7 +195,6 @@ def frame_sat(frame: Frame, formula: Formula, mode: str = "LF",
     Valuations are enumerated in increasing order of the atom masks over the
     canonical point order, so the witness is deterministic.
     """
-    _check_formula_mode(formula, mode)
     pts = frame.point_list
     n = len(pts)
     for masks, ext in _extensions(frame, formula, mode, max_enum):

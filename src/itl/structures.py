@@ -4,10 +4,14 @@ Trees are given by their immediate-successor edges; the strict order on
 moments is the transitive closure of the edges.  A history is a maximal
 linearly ordered set of moments; on a finite tree histories correspond
 one-to-one with the order-maximal moments ("leaves"), so a history is
-identified by its leaf and materialized as the leaf's down-set.  An
-indistinguishability assignment partitions, at every moment, the histories
-passing through it, and may only merge classes when moving down the tree.
-An evaluation point is a pair of a moment and one class of histories at it.
+identified by its leaf.  An indistinguishability assignment partitions, at
+every moment, the histories passing through it, and may only merge classes
+when moving down the tree.  An evaluation point is a pair of a moment and
+one class of histories at it.
+
+Each history is walked once: ``Tree.chains`` lists per leaf the moments of
+its history from the root up, ``Tree.through`` the leaves through each moment,
+and all history-based views, the "hist" tables included, are read off them.
 """
 
 from __future__ import annotations
@@ -41,59 +45,67 @@ class Tree:
         extra = {m for e in self.edges for m in e} - self.moment_set
         return tuple(sorted(self.moment_set | extra))
 
+    def _adjacency(self, a: int) -> dict[str, tuple[str, ...]]:
+        """Per node, the sorted nodes at the other end of the edges that have
+        it at end ``a`` (0 for the parent, 1 for the child)."""
+        out: dict[str, set[str]] = {m: set() for m in self._nodes}
+        for edge in self.edges:
+            out[edge[a]].add(edge[1 - a])
+        return {m: tuple(sorted(ns)) for m, ns in out.items()}
+
+    def _closure(self, step: dict[str, tuple[str, ...]]) -> dict[str, frozenset[str]]:
+        """Per node, the nodes reachable in one or more steps (cycle-tolerant)."""
+        out = {}
+        for start in self._nodes:
+            seen: set[str] = set()
+            stack = list(step[start])
+            while stack:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    stack.extend(step[node])
+            out[start] = frozenset(seen)
+        return out
+
     @cached_property
     def children_map(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {m: [] for m in self._nodes}
-        for parent, child in self.edges:
-            if child not in out[parent]:
-                out[parent].append(child)
-        return {m: tuple(sorted(cs)) for m, cs in out.items()}
+        return self._adjacency(0)
 
     @cached_property
     def parents_map(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {m: [] for m in self._nodes}
-        for parent, child in self.edges:
-            if parent not in out[child]:
-                out[child].append(parent)
-        return {m: tuple(sorted(ps)) for m, ps in out.items()}
+        return self._adjacency(1)
 
     @cached_property
     def descendants(self) -> dict[str, frozenset[str]]:
-        """Strict descendants of each node (cycle-tolerant closure)."""
-        out = {}
-        children = self.children_map
-        for start in self._nodes:
-            seen: set[str] = set()
-            stack = list(children[start])
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(children[node])
-            out[start] = frozenset(seen)
-        return out
+        """Strict descendants of each node."""
+        return self._closure(self.children_map)
 
     @cached_property
     def ancestors(self) -> dict[str, frozenset[str]]:
-        out = {}
-        parents = self.parents_map
-        for start in self._nodes:
-            seen: set[str] = set()
-            stack = list(parents[start])
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(parents[node])
-            out[start] = frozenset(seen)
-        return out
+        """Strict ancestors of each node."""
+        return self._closure(self.parents_map)
 
     @cached_property
     def leaves(self) -> tuple[str, ...]:
         """Order-maximal moments, sorted."""
         return tuple(m for m in sorted(self.moment_set) if not self.children_map[m])
+
+    @cached_property
+    def chains(self) -> dict[str, tuple[str, ...]]:
+        """Per leaf, the moments of its history from the root up."""
+        ancestors = self.ancestors
+        return {leaf: tuple(sorted(ancestors[leaf],
+                                   key=lambda m: (len(ancestors[m]), m))) + (leaf,)
+                for leaf in self.leaves}
+
+    @cached_property
+    def through(self) -> dict[str, tuple[str, ...]]:
+        """Per node, the sorted leaves of the histories containing it."""
+        out: dict[str, list[str]] = {m: [] for m in self._nodes}
+        for leaf, chain in self.chains.items():
+            for m in chain:
+                out[m].append(leaf)
+        return {m: tuple(ls) for m, ls in out.items()}
 
     def lt(self, a: str, b: str) -> bool:
         """The strict order: a < b."""
@@ -175,11 +187,10 @@ class Frame:
 
     @cached_property
     def histories_through_map(self) -> dict[str, tuple[History, ...]]:
-        out: dict[str, list[History]] = {m: [] for m in self.tree.moment_set}
-        for h in histories(self.tree):
-            for m in h.moments:
-                out[m].append(h)
-        return {m: tuple(hs) for m, hs in out.items()}
+        by_leaf = {h.leaf: h for h in histories(self.tree)}
+        through = self.tree.through
+        return {m: tuple(by_leaf[leaf] for leaf in through[m])
+                for m in self.tree.moment_set}
 
     @cached_property
     def point_list(self) -> tuple[Point, ...]:
@@ -220,33 +231,30 @@ class Frame:
         return tuple(reduce(or_, chains, 0) for chains in self.future_chains)
 
     @cached_property
+    def _history_bits(self) -> dict[str, list[int]]:
+        """Per leaf, the bit of the point on each moment of its history, from
+        the root up: a moment's position in the list is its depth."""
+        bit = {(p.moment, leaf): 1 << i
+               for i, p in enumerate(self.point_list) for leaf in p.block}
+        return {leaf: [bit[(m, leaf)] for m in chain]
+                for leaf, chain in self.tree.chains.items()}
+
+    @cached_property
     def future_chains(self) -> tuple[tuple[int, ...], ...]:
         """Per point, per history of its class: later points along it."""
-        tree, index = self.tree, self.point_index
-        out = []
-        for p in self.point_list:
-            chains = []
-            for leaf in sorted(p.block):
-                chain = 0
-                for s in tree.down_set(leaf):
-                    if tree.lt(p.moment, s):
-                        chain |= 1 << index[Point(s, self.block_of[(s, leaf)])]
-                chains.append(chain)
-            out.append(tuple(chains))
-        return tuple(out)
+        bits, ancestors = self._history_bits, self.tree.ancestors
+        return tuple(
+            tuple(reduce(or_, bits[leaf][len(ancestors[p.moment]) + 1:], 0)
+                  for leaf in sorted(p.block))
+            for p in self.point_list)
 
     @cached_property
     def hist_past_masks(self) -> tuple[int, ...]:
-        tree, index = self.tree, self.point_index
-        out = []
-        for p in self.point_list:
-            mask = 0
-            for leaf in p.block:
-                for s in tree.down_set(leaf):
-                    if tree.lt(s, p.moment):
-                        mask |= 1 << index[Point(s, self.block_of[(s, leaf)])]
-            out.append(mask)
-        return tuple(out)
+        bits, ancestors = self._history_bits, self.tree.ancestors
+        return tuple(
+            reduce(or_, (b for leaf in p.block
+                         for b in bits[leaf][:len(ancestors[p.moment])]), 0)
+            for p in self.point_list)
 
     @cached_property
     def hist_class_masks(self) -> tuple[int, ...]:
@@ -417,14 +425,10 @@ def _indist_violations(frame: Frame) -> list[Violation]:
             f"no indistinguishability partition is declared at moment {m!r}",
             {"moment": m}))
 
-    through: dict[str, set[str]] = {m: set() for m in declared}
-    for leaf in tree.leaves:
-        for m in tree.down_set(leaf):
-            through[m].add(leaf)
-
     partitions_ok = True
     for m in sorted(declared):
         blocks = classes_at.get(m, ())
+        through = set(tree.through[m])
         placed: set[str] = set()
         for block in blocks:
             if not block:
@@ -432,7 +436,7 @@ def _indist_violations(frame: Frame) -> list[Violation]:
                 out.append(Violation(
                     "empty-block", f"empty class at moment {m!r}", {"moment": m}))
             for leaf in block:
-                if leaf not in through[m]:
+                if leaf not in through:
                     partitions_ok = False
                     out.append(Violation(
                         "partition-coverage",
@@ -445,7 +449,7 @@ def _indist_violations(frame: Frame) -> list[Violation]:
                         f"history {leaf!r} appears in two classes at {m!r}",
                         {"moment": m, "leaf": leaf}))
                 placed.add(leaf)
-        for leaf in sorted(through[m] - placed):
+        for leaf in sorted(through - placed):
             partitions_ok = False
             out.append(Violation(
                 "partition-coverage",
@@ -503,7 +507,7 @@ def validate_model(model: Model) -> Report:
 
 def histories(tree: Tree) -> tuple[History, ...]:
     """All maximal chains, one per order-maximal moment, sorted by leaf."""
-    return tuple(History(leaf, tree.down_set(leaf)) for leaf in tree.leaves)
+    return tuple(History(leaf, frozenset(chain)) for leaf, chain in tree.chains.items())
 
 
 def histories_through(frame: Frame, moment: str) -> tuple[History, ...]:
@@ -544,17 +548,6 @@ def undividedness_indist(tree: Tree) -> IndistFunction:
     Through a moment with children, histories group by the child they pass
     through; a childless moment carries the single history it ends.
     """
-    classes: dict[str, tuple[tuple[str, ...], ...]] = {}
-    leaves = tree.leaves
-    for m in sorted(tree.moment_set):
-        children = tree.children_map[m]
-        if not children:
-            classes[m] = ((m,),)
-            continue
-        blocks = []
-        for child in children:
-            under = tuple(sorted(
-                l for l in leaves if l == child or child in tree.ancestors[l]))
-            blocks.append(under)
-        classes[m] = tuple(blocks)
-    return IndistFunction(classes)
+    through, children = tree.through, tree.children_map
+    return IndistFunction({m: tuple(through[c] for c in children[m]) or (through[m],)
+                           for m in sorted(tree.moment_set)})

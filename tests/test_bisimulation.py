@@ -12,7 +12,7 @@ from itl.catalog import (
     random_valuation,
 )
 from itl.documents import resolve_point
-from itl.errors import InvalidPointError
+from itl.errors import InvalidBoundError, InvalidPointError
 from itl.formula import G, Atom, enumerate_formulas
 from itl.generate import gen_random_model
 from itl.morphisms import PointMap, pullback_valuation
@@ -315,6 +315,16 @@ def test_root_vs_leaf_distinguished_by_successor_formula():
     assert phi == G(Atom("p"))
     assert eval_hist(model, pt(model, "r", "a"), phi) != \
         eval_hist(model, pt(model, "a", "a"), phi)
+
+
+@pytest.mark.parametrize("depth", [-1, True, 1.5, "2"])
+def test_distinguishing_search_rejects_malformed_depth(depth):
+    frame = frame_fork()
+    a = pt(frame, "a", "a")
+    model = Model(frame, {"p": frozenset({a})})
+    with pytest.raises(InvalidBoundError, match="max_depth"):
+        find_distinguishing_formula(model, a, model, pt(frame, "b", "b"),
+                                    max_depth=depth)
 
 
 def test_atom_difference_found_at_depth_zero():

@@ -54,6 +54,14 @@ def test_non_object_document_is_an_input_error(tmp_path, capsys, command, text):
     assert captured.err.startswith("error: ")
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = run(["validate", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path} nests too deeply to read\n"
+
+
 def test_validate_json_report(capsys):
     code, out = invoke(capsys, "validate", F1, "--json")
     assert code == 0
@@ -232,6 +240,29 @@ def test_distinguish(capsys):
     code, out = invoke(capsys, "distinguish", F1, F1,
                        "--anchors", "r/a", "r/a", "--max-depth", "3")
     assert (code, out) == (1, "indistinguishable up to depth 3\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["pmorph-search", FORK, FORK, "--limit", "-3"],
+    ["distinguish", F1, F1, "--anchors", "r/a", "r/a", "--max-depth", "-1"],
+])
+def test_negative_search_bounds_are_input_errors(capsys, command):
+    code = run(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "must be a nonnegative integer, got -" in captured.err
+
+
+def test_pmorph_search_limit(capsys):
+    code, out = invoke(capsys, "pmorph-search", FORK, FORK, "--limit", "0")
+    assert (code, out) == (1, "found 0 p-morphism(s)\n")
+    code, out = invoke(capsys, "pmorph-search", FORK, FORK, "--limit", "1", "--json")
+    assert code == 0
+    assert len(json.loads(out)) == 1
+    _, out = invoke(capsys, "pmorph-search", FORK, FORK, "--json")
+    assert len(json.loads(out)) == 2
 
 
 def test_gen_deterministic_and_valid(tmp_path, capsys):

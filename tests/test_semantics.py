@@ -263,12 +263,33 @@ def test_weak_future_rejected_in_mode_l_leaves_evaluator_usable():
         ev.run(corpus_program(("p",), 1, "LF"))
 
 
-@pytest.mark.parametrize("text", ["~" * 100_000 + "p",
-                                  "(" * 100_000 + "G p" + ")" * 100_000],
-                         ids=["negations", "parentheses"])
-def test_deeply_nested_formulas_parse_evaluate_and_print(text):
+@pytest.mark.parametrize("text, shown", [
+    ("~" * 100_000 + "p", "Not(sub=" * 100_000 + "Atom(name='p')" + ")" * 100_000),
+    ("(" * 100_000 + "G p" + ")" * 100_000, "G(sub=Atom(name='p'))"),
+], ids=["negations", "parentheses"])
+def test_deeply_nested_formulas_parse_evaluate_and_print(text, shown):
     model = f1_model()
     point = fork_point(model, "r", "a")
     phi = parse(text)
     assert eval_hist(model, point, phi) == eval_rel(model, point, phi)
     assert parse(format_formula(phi)) == phi
+    assert repr(phi) == shown
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(parse("p & G q")) == \
+        "And(left=Atom(name='p'), right=G(sub=Atom(name='q')))"
+    assert repr(parse("~F H L p1")) == \
+        "Not(sub=F(sub=H(sub=L(sub=Atom(name='p1')))))"
+
+
+def test_language_error_comes_before_the_enumeration_bound():
+    frame = catalog_frames()["wide"]  # 5 points
+    phi = parse("F (p & q & r & s & t)")  # 25 > 20, and F is not in L
+    with pytest.raises(BoundExceededError):
+        frame_valid(frame, phi, mode="LF")
+    for check in (frame_valid, frame_sat):
+        with pytest.raises(LanguageError):
+            check(frame, phi, mode="L")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            check(frame, phi, mode="X")

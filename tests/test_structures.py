@@ -11,8 +11,8 @@ from itl.errors import InvalidPointError
 from itl.generate import gen_random_frame
 from itl.structures import (
     Frame, History, IndistFunction, Model, Point, Tree,
-    histories, histories_through, points, precedes, same_moment,
-    undividedness_indist, validate_frame, validate_model,
+    future_points, histories, histories_through, points, precedes,
+    same_moment, undividedness_indist, validate_frame, validate_model,
 )
 from oracles import maximal_chains, undivided_pairs
 
@@ -117,6 +117,55 @@ def test_histories_through():
     assert {h.leaf for h in histories_through(chain, "a")} == {"b"}
     with pytest.raises(InvalidPointError):
         histories_through(frame, "nope")
+
+
+def _table_frames():
+    """Every catalogue frame, and generated frames of up to about 60 points
+    under both assignment policies."""
+    frames = [pytest.param(frame, id=name)
+              for name, frame in catalog_frames().items()]
+    for seed in range(12):
+        for policy in ("undividedness", "coarsened"):
+            n = (1, 4, 9, 20, 33, 45)[seed % 6]
+            frames.append(pytest.param(gen_random_frame(
+                seed, n, branching=2 + seed % 2, indist_policy=policy),
+                id=f"gen-{seed}-{policy}"))
+    return frames
+
+
+@pytest.mark.parametrize("frame", _table_frames())
+def test_hist_tables_and_histories_match_their_definitions(frame):
+    # the per-leaf chains feed every table checked here; each expectation is
+    # recomputed from down_set / lt / future_points or the oracles instead
+    tree = frame.tree
+    assert validate_frame(frame).ok
+    pts, mask_of = frame.point_list, frame.mask_of
+    for i, p in enumerate(pts):
+        later = tuple(mask_of(future_points(frame, p.moment, leaf))
+                      for leaf in sorted(p.block))
+        assert frame.future_chains[i] == later
+        assert frame.hist_future_masks[i] == mask_of(
+            q for leaf in p.block for q in future_points(frame, p.moment, leaf))
+        assert frame.hist_past_masks[i] == mask_of(
+            Point(s, frame.block_of[(s, leaf)]) for leaf in p.block
+            for s in tree.down_set(leaf) if tree.lt(s, p.moment))
+
+    hs = histories(tree)
+    assert [h.leaf for h in hs] == list(tree.leaves)
+    assert all(h.moments == tree.down_set(h.leaf) for h in hs)
+    if len(tree.moments) <= 10:
+        assert {h.moments for h in hs} == maximal_chains(tree.moment_set, tree.lt)
+    for chain in tree.chains.values():
+        assert all(tree.lt(a, b) for a, b in zip(chain, chain[1:]))
+
+    canonical = undividedness_indist(tree)
+    for moment in sorted(tree.moment_set):
+        pairs = undivided_pairs(tree, moment)
+        through = sorted(a for a, b in pairs if a == b)
+        assert [h.leaf for h in histories_through(frame, moment)] == through
+        got = {(a, b) for block in canonical.classes_at[moment]
+               for a in block for b in block}
+        assert got == pairs
 
 
 # ---------------------------------------------------------------------------
