@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import limits
 from .errors import InvalidPointError
-from .formula import AND, ATOM, BOX_G, BOX_H, BOX_L, NOT, WEAK_F, Formula, Program
+from .formula import Atom, Formula, Program, _emit_by_depth
 from .semantics import Evaluator
 from .structures import Frame, Model, Point, Report, Violation, point_key
 
@@ -150,6 +150,7 @@ def _pair_violations(src: Model, dst: Model, pair: tuple[Point, Point],
 
 
 def _require_valid_pairs(src: Model, dst: Model, pairs) -> None:
+    """Raise for the first foreign point, in the order of ``pairs``."""
     src_index = src.frame.point_index
     dst_index = dst.frame.point_index
     for p, q in pairs:
@@ -164,11 +165,12 @@ def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
     """Check every related pair, then (last) that the anchors are linked, so
     the report separates "not a bisimulation" from "does not link the anchors".
     """
-    _require_valid_pairs(src, dst, relation.pairs)
+    pairs = relation.sorted_pairs()
+    _require_valid_pairs(src, dst, pairs)
     _require_valid_pairs(src, dst, [anchor])
-    rel, conv = _relation_masks(src.frame, dst.frame, relation.pairs)
+    rel, conv = _relation_masks(src.frame, dst.frame, pairs)
     violations = []
-    for pair in relation.sorted_pairs():
+    for pair in pairs:
         violations.extend(_pair_violations(src, dst, pair, rel, conv, mode))
     if anchor not in relation.pairs:
         violations.append(Violation(
@@ -218,11 +220,14 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
                                 mode: str = "LF", max_depth: int = 4) -> Formula | None:
     """Breadth-first search for a formula the two points disagree on.
 
-    Searches depth by depth over formulas built from at most two atoms drawn
-    from the valuations, collapsing formulas that already have the same
-    extensions on both models (such formulas distinguish nothing a shallower
-    representative does not, so the collapse preserves completeness per
-    depth).  Returns None when depth max_depth cannot distinguish the points.
+    Returns the first atom of the valuations on which the points disagree, if
+    any.  Otherwise searches depth by depth, in the order of
+    :func:`~itl.formula.corpus_program`, over formulas built from at most two
+    atoms drawn from the valuations, collapsing formulas that already have
+    the same extensions on both models (such formulas distinguish nothing a
+    shallower representative does not, so the collapse preserves
+    completeness per depth).  Returns None when depth max_depth cannot
+    distinguish the points.
     """
     limits.nonnegative(max_depth, "max_depth")
     _require_valid_pairs(src, dst, [(p, q)])
@@ -231,47 +236,17 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
     ev_dst = Evaluator(dst, mode=mode)
     i = src.frame.point_index[p]
     j = dst.frame.point_index[q]
-    ops = [NOT, BOX_G, BOX_H, BOX_L] + ([WEAK_F] if mode == "LF" else [])
+    atom = _pv_failure(src, dst, p, q)
+    if atom is not None:
+        return Atom(atom)
 
-    # candidates are emitted straight into a program (no two are equal, so no
-    # hash-consing) and evaluated a batch at a time; only a hit becomes a
-    # Formula
+    # candidates are evaluated a batch at a time; only a hit becomes a
+    # Formula, and a depth keeps only the slots whose signature is new
     program = Program(mode)
-    emit = program.emit
-    levels: list[list[int]] = [[]]
-
-    def batches():
-        """Emit the candidates in search order, yielding after each batch the
-        level that its new signatures join."""
-        for name in atoms:
-            emit(ATOM, program.atom(name))
-        yield levels[0]
-        for _depth in range(max_depth):
-            prev = levels[-1]
-            shallower = [k for lv in levels[:-1] for k in lv]
-            new: list[int] = []
-            for op in ops:
-                for k in prev:
-                    emit(op, k)
-            yield new
-            for a in prev:
-                for b in prev:
-                    emit(AND, a, b)
-                yield new
-            for a in prev:
-                for b in shallower:
-                    emit(AND, a, b)
-                    emit(AND, b, a)
-                yield new
-            if not new:
-                return
-            levels.append(new)
-
     src_masks: list[int] = []
     dst_masks: list[int] = []
     seen: set[tuple[int, int]] = set()
-    for level in batches():
-        start = len(src_masks)
+    for start, level in _emit_by_depth(program, atoms, max_depth):
         ev_src.run(program, masks=src_masks)
         ev_dst.run(program, masks=dst_masks)
         for k in range(start, len(program)):

@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 
 from .errors import DocumentError, InvalidPointError
+from .formula import _is_atom_name
 from .structures import (
     Frame, IndistFunction, Model, Point, Report, Tree, Violation,
-    point_key, validate_frame,
+    _invalid_atom, point_key, validate_frame,
 )
 
 
@@ -100,6 +101,8 @@ def parse_point(frame: Frame, text: str) -> Point:
 def _valuation_violations(frame: Frame, valuation_data) -> list[Violation]:
     out = []
     for atom in sorted(valuation_data):
+        if not _is_atom_name(atom):
+            out.append(_invalid_atom(atom))
         entries = valuation_data[atom]
         _expect(isinstance(entries, list), f"valuation[{atom!r}] must be an array")
         for i, entry in enumerate(entries):
@@ -144,7 +147,7 @@ def model_from_doc(data) -> Model:
     report, model = read_model_doc(data)
     if model is None:
         first = report.violations[0]
-        if first.kind == "valuation-invalid-point":
+        if first.kind.startswith("valuation-"):
             raise DocumentError(f"invalid valuation: {first.message}")
         raise DocumentError(f"invalid frame: {first.kind}: {first.message}")
     return model

@@ -162,6 +162,12 @@ _UPPER_OPS = {"G", "H", "L", "F", "P", "M"}
 _LF_ONLY = {"F", "g"}
 
 
+def _is_atom_name(name) -> bool:
+    """Whether the parser reads ``name`` back as an atom."""
+    return (isinstance(name, str) and _ATOM_RE.fullmatch(name) is not None
+            and name not in _RESERVED)
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str  # "op", "atom", "(", ")", "&", "|", "->", "end"
@@ -374,23 +380,51 @@ def corpus_program(atoms, max_depth: int, mode: str = "LF") -> Program:
 
 @lru_cache(maxsize=32)
 def _enumerate_cached(atoms: tuple[str, ...], max_depth: int, mode: str) -> Program:
+    program = Program(mode)
+    for start, level in _emit_by_depth(program, atoms, max_depth):
+        level.extend(range(start, len(program)))
+    return program
+
+
+def _emit_by_depth(program: Program, atoms, max_depth: int):
+    """Emit the corpus over ``atoms`` up to ``max_depth`` into ``program`` a
+    batch at a time: depth d is the unary operators over depth d - 1, then
+    ``a & b`` over it, then it against every shallower depth in both orders.
+    After each batch, yields its first slot and the list of its depth, to
+    which the caller appends the slots deeper depths build on; stops after a
+    depth whose list stays empty."""
     # emitted straight into the program's arrays: the corpus has no repeated
     # formula, so it needs neither Formula objects nor hash-consing keys
-    program = Program(mode)
-    unary = [NOT, BOX_G, BOX_H, BOX_L] + ([WEAK_F] if mode == "LF" else [])
+    unary = [NOT, BOX_G, BOX_H, BOX_L] + ([WEAK_F] if program.mode == "LF" else [])
     emit = program.emit
-    by_depth = [[emit(ATOM, program.atom(a)) for a in atoms]]
-    for d in range(1, max_depth + 1):
-        last = by_depth[d - 1]
-        shallower = [k for level in by_depth[:d - 1] for k in level]
-        level = [emit(op, k) for op in unary for k in last]
-        level += [emit(AND, a, b) for a in last for b in last]
+    levels: list[list[int]] = [[]]
+    start = len(program)
+    for name in atoms:
+        emit(ATOM, program.atom(name))
+    yield start, levels[0]
+    for _depth in range(max_depth):
+        last = levels[-1]
+        shallower = [k for level in levels[:-1] for k in level]
+        new: list[int] = []
+        start = len(program)
+        for op in unary:
+            for k in last:
+                emit(op, k)
+        yield start, new
         for a in last:
+            start = len(program)
+            for b in last:
+                emit(AND, a, b)
+            yield start, new
+        for a in last:
+            start = len(program)
             for b in shallower:
-                level.append(emit(AND, a, b))
-                level.append(emit(AND, b, a))
-        by_depth.append(level)
-    return program
+                emit(AND, a, b)
+                emit(AND, b, a)
+            yield start, new
+        if not new:
+            return
+        levels.append(new)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ the histories of its image class, matching the weak-future operator.
 These are the bisimulation conditions on the graph of the map, and a map is
 checked as its graph by the condition routine of ``bisimulation``, over the
 frames' relation masks.  The forward condition for the converse order (H-f)
-is left out: for a function it follows from G-f.
+is left out: for a function it follows from G-f.  The search grows the
+graph masks as it assigns, and prunes and gates with the same routine.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .bisimulation import _TABLES, _first_failure, _pv_failure, _relation_masks
+from .bisimulation import (_TABLES, _first_failure, _first_unlinked, _pv_failure,
+                           _relation_masks)
 from .errors import BoundExceededError
 from .structures import (
     Frame, Model, Point, Report, Violation,
@@ -98,20 +100,27 @@ def _violation(kind: str, p: Point, f: PointMap, w) -> Violation:
     return Violation(kind, message, {"point": p.text(), "target": w.text()})
 
 
+def _map_failures(src: Frame, dst: Frame, images, rel, conv, mode: str):
+    """Per condition in ``conditions_for(mode)``, the first failing source
+    point index and its witness, for the map ``images`` with graph masks
+    ``rel`` / ``conv``."""
+    for kind in conditions_for(mode):
+        for i, j in enumerate(images):
+            w = _first_failure(kind, src, dst, i, j, rel, conv)
+            if w is not None:
+                yield kind, i, w
+                break
+
+
 def check_frame_pmorphism(src: Frame, dst: Frame, f: PointMap,
                           mode: str = "LF") -> Report:
     """Per-condition check; at most one minimal witness per failed condition."""
     _require_total(src, dst, f)
     rel, conv = _relation_masks(src, dst, f.mapping.items())
     images = [dst.point_index[f(p)] for p in src.point_list]
-    violations = []
-    for kind in conditions_for(mode):
-        for i, p in enumerate(src.point_list):
-            w = _first_failure(kind, src, dst, i, images[i], rel, conv)
-            if w is not None:
-                violations.append(_violation(kind, p, f, w))
-                break
-    return Report(tuple(violations))
+    return Report(tuple(
+        _violation(kind, src.point_list[i], f, w)
+        for kind, i, w in _map_failures(src, dst, images, rel, conv, mode)))
 
 
 def check_model_pmorphism(src: Model, dst: Model, f: PointMap,
@@ -159,9 +168,10 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
                       surjective: bool = False, bound: int | None = None):
     """Enumerate the total maps passing check_frame_pmorphism, in canonical order.
 
-    Backtracks over assignments in canonical point order, pruning as soon as
-    an already-assigned pair violates a forward condition, read from the
-    frames' relation masks.
+    Backtracks over assignments in canonical point order, growing the graph
+    masks of the partial map.  A target point is tried only if every assigned
+    neighbour of the source point maps to a neighbour of the same kind; a
+    complete map passes when the condition routine finds no failure.
     """
     bound = limits.resolve(bound, limits.DEFAULT_SEARCH_BOUND)
     src_pts, dst_pts = src.point_list, dst.point_list
@@ -172,40 +182,26 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
 
     n = len(src_pts)
     images: list[int] = []  # target point indices, by source point index
+    rel, conv = [0] * n, [0] * len(dst_pts)
     tables = [(getattr(src, t), getattr(dst, t)) for t in _TABLES.values()]
 
-    def compatible(i: int, c: int) -> bool:
-        # each assigned point related to p must map to one related to c
-        for near, far in tables:
-            todo = near[i] & ((1 << i) - 1)
-            while todo:
-                low = todo & -todo
-                if not far[c] >> images[low.bit_length() - 1] & 1:
-                    return False
-                todo ^= low
-        return True
-
-    def emit():
-        candidate = PointMap(dict(zip(src_pts, (dst_pts[c] for c in images))))
-        if surjective and not candidate.is_surjective_onto(dst):
-            return None
-        if check_frame_pmorphism(src, dst, candidate, mode).ok:
-            return candidate
-        return None
-
     def walk(i: int):
-        if i == n:
-            found = emit()
-            if found is not None:
-                yield found
+        if surjective and conv.count(0) > n - i:
             return
-        if surjective:
-            if len(dst_pts) - len(set(images)) > n - i:
-                return
+        if i == n:
+            if next(_map_failures(src, dst, images, rel, conv, mode), None) is None:
+                yield PointMap(dict(zip(src_pts, (dst_pts[c] for c in images))))
+            return
+        below = (1 << i) - 1
         for c in range(len(dst_pts)):
-            if compatible(i, c):
+            if all(_first_unlinked(near[i] & below, far[c], rel) is None
+                   for near, far in tables):
                 images.append(c)
+                rel[i] = 1 << c
+                conv[c] |= 1 << i
                 yield from walk(i + 1)
+                conv[c] ^= 1 << i
+                rel[i] = 0
                 images.pop()
 
     yield from walk(0)

@@ -21,6 +21,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .errors import InvalidPointError
+from .formula import _is_atom_name
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,6 +360,11 @@ def _tree_violations(tree: Tree) -> list[Violation]:
             out.append(Violation(
                 "duplicate-moment", f"moment {m!r} is declared twice",
                 {"moment": m}))
+        elif not m or "/" in m:
+            out.append(Violation(
+                "moment-name", f"moment name {m!r} is empty or contains '/', so "
+                               f"its points cannot be written moment/classRep",
+                {"moment": m}))
         seen_moments.add(m)
 
     seen_edges: set[tuple[str, str]] = set()
@@ -486,11 +492,20 @@ def validate_frame(frame: Frame) -> Report:
     return Report(tuple(violations))
 
 
+def _invalid_atom(atom: str) -> Violation:
+    return Violation(
+        "valuation-invalid-atom",
+        f"valuation names atom {atom!r}, which formulas cannot name",
+        {"atom": atom})
+
+
 def validate_model(model: Model) -> Report:
     violations = list(validate_frame(model.frame).violations)
     if not violations:
         index = model.frame.point_index
         for atom in sorted(model.valuation):
+            if not _is_atom_name(atom):
+                violations.append(_invalid_atom(atom))
             for p in sorted(model.valuation[atom], key=point_key):
                 if p not in index:
                     violations.append(Violation(

@@ -65,7 +65,10 @@ def test_benchmark_hooks_install_and_remove():
     try:
         assert library_state() != before
         fork, chain = catalog.frame_fork(), catalog.frame_chain2()
-        assert list(itl.search_pmorphisms(fork, chain, "LF"))
+        maps = list(itl.search_pmorphisms(fork, chain, "LF"))
+        assert maps
+        # the search gates with the condition routine, not the public checker
+        assert itl.check_frame_pmorphism(fork, chain, maps[0], "LF").ok
         model = documents.model_from_doc(catalog.F1_MODEL_DOC)
         Evaluator(model).holds(model.frame.point_list[0], itl.parse("G p"))
         names = {span[0] for span in tracer.spans}

@@ -208,6 +208,17 @@ def test_invalid_points_rejected():
         check_bisimulation(model, model, relation, (foreign, foreign), "L")
 
 
+def test_invalid_point_error_names_the_canonically_first_foreign_point():
+    # a relation's pairs form a frozenset, whose order follows string hashing
+    model = f1_model()
+    names = [f"z{c}" for c in "tsrqponmlkjihgfedcba"]
+    foreign = [Point(m, frozenset({m})) for m in names]
+    relation = PointRelation(frozenset((p, p) for p in foreign))
+    with pytest.raises(InvalidPointError,
+                       match="^za/za is not a point of the source model$"):
+        check_bisimulation(model, model, relation, (foreign[0], foreign[0]), "L")
+
+
 # ---------------------------------------------------------------------------
 # the greatest bisimulation
 # ---------------------------------------------------------------------------
@@ -334,6 +345,15 @@ def test_atom_difference_found_at_depth_zero():
     dst = Model(frame, {"p": frozenset()})
     phi = find_distinguishing_formula(src, a, dst, a, mode="L", max_depth=3)
     assert phi == Atom("p")
+    # an atom beyond the two the breadth-first search builds from
+    single = frame_single()
+    r = pt(single, "r", "r")
+    src = Model(single, {"p": frozenset(), "q": frozenset(), "r": frozenset({r})})
+    dst = Model(single, {"p": frozenset(), "q": frozenset(), "r": frozenset()})
+    assert not greatest_bisimulation(src, dst, "LF").pairs
+    for depth in (0, 4):
+        phi = find_distinguishing_formula(src, r, dst, r, mode="LF", max_depth=depth)
+        assert phi == Atom("r")
 
 
 @given(seed=st.integers(0, 300))

@@ -242,6 +242,43 @@ def test_distinguish(capsys):
     assert (code, out) == (1, "indistinguishable up to depth 3\n")
 
 
+def test_distinguish_finds_a_third_atom(tmp_path, capsys):
+    paths = []
+    for name, r in (("with_r", [["a", "a"]]), ("without_r", [])):
+        path = tmp_path / f"{name}.model.json"
+        path.write_text(json.dumps({
+            "moments": ["a"], "edges": [], "indist": {"a": [["a"]]},
+            "valuation": {"p": [], "q": [], "r": r}}))
+        paths.append(str(path))
+    code, out = invoke(capsys, "bisim-max", *paths)
+    assert (code, json.loads(out)) == (0, [])
+    code, out = invoke(capsys, "distinguish", *paths, "--anchors", "a/a", "a/a")
+    assert (code, out) == (0, "r\n")
+
+
+def test_unwritable_names_are_violations(tmp_path, capsys):
+    frame = tmp_path / "slash.frame.json"
+    frame.write_text(json.dumps({
+        "moments": ["r", "a/x"], "edges": [["r", "a/x"]],
+        "indist": {"r": [["a/x"]], "a/x": [["a/x"]]}}))
+    code, out = invoke(capsys, "validate", str(frame))
+    assert code == 1 and "moment-name" in out
+    code = run(["points", str(frame)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "moment-name" in captured.err
+
+    model = tmp_path / "bad_atom.model.json"
+    model.write_text(json.dumps({**json.loads(Path(F1).read_text()),
+                                 "valuation": {"Bad Atom": [["a", "a"]]}}))
+    code, out = invoke(capsys, "validate", str(model))
+    assert code == 1 and "valuation-invalid-atom" in out
+    code = run(["distinguish", str(model), str(model), "--anchors", "a/a", "b/b"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "valuation-invalid-atom" in captured.err
+
+
 @pytest.mark.parametrize("command", [
     ["pmorph-search", FORK, FORK, "--limit", "-3"],
     ["distinguish", F1, F1, "--anchors", "r/a", "r/a", "--max-depth", "-1"],

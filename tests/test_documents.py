@@ -8,6 +8,7 @@ from itl.documents import (
 )
 from itl.errors import DocumentError, InvalidPointError
 from itl.morphisms import PointMap
+from itl.structures import Model, validate_model
 from itl.bisimulation import PointRelation
 
 
@@ -54,6 +55,36 @@ def test_model_from_doc_rejects_invalid():
         model_from_doc(bad)
     report = validate_model_doc(bad)
     assert report.kinds() == ("valuation-invalid-point",)
+
+
+@pytest.mark.parametrize("moment", ["a/x", "", "/"])
+def test_moment_names_that_cannot_be_written_are_violations(moment):
+    doc = {"moments": ["r", moment], "edges": [["r", moment]],
+           "indist": {"r": [[moment]], moment: [[moment]]}}
+    report = validate_frame_doc(doc)
+    assert report.kinds() == ("moment-name",)
+    assert report.violations[0].witness == {"moment": moment}
+
+
+@pytest.mark.parametrize("atom", ["Bad Atom", "f", "g", "P", "", "1p", "p-q"])
+def test_valuation_atoms_outside_the_grammar_are_violations(atom):
+    doc = {**F1_MODEL_DOC, "valuation": {atom: [["a", "a"]], "zz": [["r", "zz"]]}}
+    assert validate_model_doc(doc).kinds() == (
+        "valuation-invalid-atom", "valuation-invalid-point")
+    del doc["valuation"]["zz"]
+    report = validate_model_doc(doc)
+    assert report.kinds() == ("valuation-invalid-atom",)
+    assert report.violations[0].witness == {"atom": atom}
+    with pytest.raises(DocumentError, match="^invalid valuation: "):
+        model_from_doc(doc)
+    model = Model(frame_fork(), {atom: frozenset()})
+    assert validate_model(model).kinds() == ("valuation-invalid-atom",)
+
+
+@pytest.mark.parametrize("atom", ["p", "q0", "fg", "gamma", "a_B9"])
+def test_valuation_atoms_of_the_grammar_pass(atom):
+    assert validate_model_doc({**F1_MODEL_DOC, "valuation": {atom: []}}).ok
+    assert validate_model(Model(frame_fork(), {atom: frozenset()})).ok
 
 
 def test_point_parsing():

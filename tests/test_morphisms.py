@@ -10,6 +10,7 @@ from itl.catalog import (
 from itl.documents import map_from_doc, map_to_doc, resolve_point
 from itl.errors import BoundExceededError, InvalidBoundError
 from itl.formula import enumerate_formulas
+from itl.generate import INDIST_POLICIES, gen_random_frame
 from itl.morphisms import (
     PointMap, check_frame_pmorphism, check_model_pmorphism,
     check_set_characterization, pullback_valuation, search_pmorphisms,
@@ -208,15 +209,29 @@ def test_search_results_pass_and_are_deterministic():
         assert check_frame_pmorphism(split, fork, f, "L").ok
 
 
-@given(seed=st.integers(0, 40))
-def test_search_matches_brute_force_enumeration(seed):
+def small_generated_frames():
+    """Generated frames of at most 5 points, under both indist policies."""
+    out = []
+    for seed in range(40):
+        frame = gen_random_frame(seed, 2 + seed % 4, 2 + seed % 2,
+                                 INDIST_POLICIES[seed % len(INDIST_POLICIES)])
+        if len(points(frame)) <= 5:
+            out.append(frame)
+    return out
+
+
+SEARCH_FRAMES = list(catalog_frames().values()) + small_generated_frames()
+
+
+@given(seed=st.integers(0, 400), mode=st.sampled_from(("L", "LF")),
+       surjective=st.booleans())
+def test_search_matches_brute_force_enumeration(seed, mode, surjective):
     # oracle: filter every total map through the public checker
     from itertools import product as iproduct
 
-    frames = list(catalog_frames().values())
     rng = random.Random(seed)
-    src = frames[rng.randrange(len(frames))]
-    dst = frames[rng.randrange(len(frames))]
+    src = SEARCH_FRAMES[rng.randrange(len(SEARCH_FRAMES))]
+    dst = SEARCH_FRAMES[rng.randrange(len(SEARCH_FRAMES))]
     src_pts = sorted(points(src), key=point_key)
     dst_pts = sorted(points(dst), key=point_key)
     if len(dst_pts) ** len(src_pts) > 5000:
@@ -224,9 +239,11 @@ def test_search_matches_brute_force_enumeration(seed):
     expected = []
     for assignment in iproduct(dst_pts, repeat=len(src_pts)):
         f = PointMap(dict(zip(src_pts, assignment)))
-        if check_frame_pmorphism(src, dst, f, "LF").ok:
+        if surjective and not f.is_surjective_onto(dst):
+            continue
+        if check_frame_pmorphism(src, dst, f, mode).ok:
             expected.append(f.mapping)
-    got = [f.mapping for f in search_pmorphisms(src, dst, "LF")]
+    got = [f.mapping for f in search_pmorphisms(src, dst, mode, surjective)]
     assert got == expected
 
 
@@ -235,6 +252,13 @@ def test_surjective_search():
     onto = list(search_pmorphisms(fork, chain, "L", surjective=True))
     assert all(f.is_surjective_onto(chain) for f in onto)
     assert collapse_map(fork, chain).mapping in [f.mapping for f in onto]
+    # the last assignment decides surjectivity: two of the four maps collapse
+    pair = frame_antichain2()
+    maps = list(search_pmorphisms(pair, pair, "LF"))
+    onto = list(search_pmorphisms(pair, pair, "LF", surjective=True))
+    assert (len(maps), len(onto)) == (4, 2)
+    assert [f.mapping for f in onto] == [
+        f.mapping for f in maps if f.is_surjective_onto(pair)]
 
 
 # ---------------------------------------------------------------------------
