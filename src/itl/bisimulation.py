@@ -12,10 +12,13 @@ point relations from the frames' masks (``rel_*_masks``, ``future_chains``)
 and the checked relation from per-point masks and their converse.  The
 p-morphism checker in ``morphisms`` runs the same routine on a map's graph.
 
-The greatest relation satisfying the per-pair conditions is computed by
-deleting violating pairs until a fixpoint; since every condition only asks
-for the existence of related witnesses, deletion is monotone and the fixpoint
-is the unique greatest such relation.
+The greatest relation satisfying the per-pair conditions starts from the
+pairs of points with the same atoms (``_atom_seed``: each side's points are
+grouped by the set of atoms true at them, so PV is never tested pair by
+pair) and deletes violating pairs until a fixpoint (``_refine``, which takes
+any starting relation as masks and changes it in place); since every
+condition only asks for the existence of related witnesses, deletion is
+monotone and the fixpoint is the unique greatest such relation.
 """
 
 from __future__ import annotations
@@ -180,22 +183,45 @@ def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
     return Report(tuple(violations))
 
 
-def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRelation:
-    """Greatest relation satisfying PV and all back-and-forth conditions.
+def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:
+    """The relation of the frame points that agree on every atom, as per-point
+    masks and their converse (see ``_relation_masks``).
 
-    Any pair it contains makes it a bisimulation anchored there.  The result
-    may be empty.
+    Points are grouped by the set of atoms true at them; a source point is
+    related to the target points of its group.  Valuation points outside the
+    frame are ignored, as ``_pv_failure`` ignores them.
     """
-    sf, df = src.frame, dst.frame
-    src_pts, dst_pts = sf.point_list, df.point_list
-    rel, conv = _relation_masks(sf, df, (
-        (p, q) for p in src_pts for q in dst_pts
-        if _pv_failure(src, dst, p, q) is None))
+    def labels(model: Model) -> list[frozenset[str]]:
+        index = model.frame.point_index
+        true_at: list[set[str]] = [set() for _ in model.frame.point_list]
+        for atom, extension in model.valuation.items():
+            for p in extension:
+                i = index.get(p)
+                if i is not None:
+                    true_at[i].add(atom)
+        return [frozenset(atoms) for atoms in true_at]
+
+    def classes(side: list[frozenset[str]]) -> dict[frozenset[str], int]:
+        masks: dict[frozenset[str], int] = {}
+        for i, label in enumerate(side):
+            masks[label] = masks.get(label, 0) | 1 << i
+        return masks
+
+    src_labels, dst_labels = labels(src), labels(dst)
+    src_classes, dst_classes = classes(src_labels), classes(dst_labels)
+    return ([dst_classes.get(label, 0) for label in src_labels],
+            [src_classes.get(label, 0) for label in dst_labels])
+
+
+def _refine(sf: Frame, df: Frame, rel: list[int], conv: list[int],
+            mode: str) -> None:
+    """Delete from the relation ``rel``/``conv`` (changed in place) every pair
+    failing a per-pair condition other than PV, until none fails."""
     kinds = _pair_conditions(mode)
     changed = True
     while changed:
         changed = False
-        for i in range(len(src_pts)):
+        for i in range(len(rel)):
             todo = rel[i]
             while todo:
                 low = todo & -todo
@@ -206,9 +232,24 @@ def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRela
                     rel[i] ^= low
                     conv[j] ^= 1 << i
                     changed = True
-    return PointRelation(frozenset(
-        (p, dst_pts[j]) for i, p in enumerate(src_pts)
-        for j in range(len(dst_pts)) if rel[i] >> j & 1))
+
+
+def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRelation:
+    """Greatest relation satisfying PV and all back-and-forth conditions.
+
+    Any pair it contains makes it a bisimulation anchored there.  The result
+    may be empty.
+    """
+    rel, conv = _atom_seed(src, dst)
+    _refine(src.frame, dst.frame, rel, conv, mode)
+    dst_pts = dst.frame.point_list
+    pairs = []
+    for p, row in zip(src.frame.point_list, rel):
+        while row:
+            low = row & -row
+            pairs.append((p, dst_pts[low.bit_length() - 1]))
+            row ^= low
+    return PointRelation(frozenset(pairs))
 
 
 def bisimilar(src: Model, p: Point, dst: Model, q: Point, mode: str = "LF") -> bool:

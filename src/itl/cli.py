@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -299,6 +300,10 @@ def _cmd_suite(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# built once per process, on the first call; argparse reads the output
+# streams and COLUMNS when it prints, so the cached parser prints as a fresh
+# one would
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="itl",

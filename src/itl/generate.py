@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from . import limits
 from .structures import (
     Frame, IndistFunction, Model, Point, Tree, points, undividedness_indist,
 )
@@ -96,6 +97,7 @@ def gen_random_model(seed: int, n_moments: int, branching: int = 2,
                      indist_policy: str = "undividedness",
                      n_atoms: int = 2) -> Model:
     """A random model; the frame always passes validation."""
+    limits.nonnegative(n_atoms, "n_atoms")
     rng = random.Random(seed)
     frame = gen_random_frame(rng.randrange(2 ** 32), n_moments, branching,
                              indist_policy)

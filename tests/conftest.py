@@ -7,4 +7,12 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# new examples on every run, for the scheduled job:
+# pytest ... --hypothesis-profile fuzz
+settings.register_profile(
+    "fuzz",
+    derandomize=False,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("ci")

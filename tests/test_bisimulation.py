@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from itl.bisimulation import (
-    PointRelation, _first_failure, _relation_masks, bisimilar,
-    check_bisimulation, find_distinguishing_formula, greatest_bisimulation,
+    PointRelation, _atom_seed, _first_failure, _pv_failure, _relation_masks,
+    bisimilar, check_bisimulation, find_distinguishing_formula,
+    greatest_bisimulation,
 )
 from itl.catalog import (
     catalog_frames, f1_model, frame_chain2, frame_fork, frame_single,
@@ -270,15 +271,16 @@ def test_union_of_bisimulations_satisfies_pair_conditions():
     assert check_bisimulation(model, model, union, anchor, "LF").ok
 
 
-@given(seed=st.integers(0, 60))
-def test_greatest_bisimulation_matches_brute_force(seed):
+@given(seed=st.integers(0, 60), src_atoms=st.integers(0, 2),
+       dst_atoms=st.integers(0, 2))
+def test_greatest_bisimulation_matches_brute_force(seed, src_atoms, dst_atoms):
     # oracle: the union of every relation whose pairs all satisfy the
     # per-pair conditions, found by enumerating all relations outright and
     # deciding each condition through the suite's witness replayers
     from itertools import combinations
 
-    src = gen_random_model(seed, 1 + seed % 3, n_atoms=1)
-    dst = gen_random_model(seed + 77, 1 + (seed + 1) % 3, n_atoms=1)
+    src = gen_random_model(seed, 1 + seed % 3, n_atoms=src_atoms)
+    dst = gen_random_model(seed + 77, 1 + (seed + 1) % 3, n_atoms=dst_atoms)
     sp, dp = points(src.frame), points(dst.frame)
     universe = [(p, q) for p in sp for q in dp]
     if len(universe) > 9:
@@ -293,6 +295,39 @@ def test_greatest_bisimulation_matches_brute_force(seed):
                 satisfying.append(rel.pairs)
     expected = frozenset().union(*satisfying) if satisfying else frozenset()
     assert greatest_bisimulation(src, dst, "LF").pairs == expected
+
+
+def pv_relation(src, dst):
+    """The masks of the pairs that _pv_failure lets through."""
+    return _relation_masks(src.frame, dst.frame, [
+        (p, q) for p in points(src.frame) for q in points(dst.frame)
+        if _pv_failure(src, dst, p, q) is None])
+
+
+@given(seed=st.integers(0, 10 ** 6), src_atoms=st.integers(0, 3),
+       dst_atoms=st.integers(0, 3), empty_atom=st.booleans())
+def test_atom_seed_is_the_pairs_agreeing_on_every_atom(seed, src_atoms,
+                                                       dst_atoms, empty_atom):
+    # the atoms p0.. are drawn per side, so some exist on one side only
+    src = gen_random_model(seed, 1 + seed % 7, branching=3, n_atoms=src_atoms)
+    dst = gen_random_model(seed + 1, 1 + (seed + 1) % 7, n_atoms=dst_atoms)
+    if empty_atom:
+        src = Model(src.frame, {**src.valuation, "q": frozenset()})
+    assert _atom_seed(src, dst) == pv_relation(src, dst)
+
+
+def test_atom_seed_ignores_valuation_points_outside_the_frame():
+    # a hand-built model, never validated: its valuation names a point of no
+    # frame, which neither PV nor the seed may count
+    chain = frame_chain2()
+    leaf, outside = pt(chain, "a", "a"), Point("zz", frozenset({"zz"}))
+    with_outside = Model(chain, {"p": frozenset({leaf, outside}),
+                                 "q": frozenset({outside})})
+    plain = Model(chain, {"p": frozenset({leaf})})
+    for src, dst in ((with_outside, plain), (plain, with_outside)):
+        assert _atom_seed(src, dst) == pv_relation(src, dst)
+        identity = frozenset((p, p) for p in points(chain))
+        assert greatest_bisimulation(src, dst, "LF").pairs == identity
 
 
 @given(seed=st.integers(0, 500))

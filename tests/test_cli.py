@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import itl
-from itl.cli import run
+from itl.cli import _build_parser, run
+from itl.morphisms import conditions_for as morphism_conditions
 
 DATA = Path(__file__).parent / "data"
 FORK = str(DATA / "fork.frame.json")
@@ -282,6 +283,7 @@ def test_unwritable_names_are_violations(tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ["pmorph-search", FORK, FORK, "--limit", "-3"],
     ["distinguish", F1, F1, "--anchors", "r/a", "r/a", "--max-depth", "-1"],
+    ["gen", "--seed", "1", "--moments", "2", "--atoms", "-1"],
 ])
 def test_negative_search_bounds_are_input_errors(capsys, command):
     code = run(command)
@@ -425,3 +427,62 @@ def test_suite_subset(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["eval"]) == 2
     assert run(["no-such-command"]) == 2
+
+
+def fresh_parser_exit(argv) -> int:
+    """What run returns for an argv that argparse itself ends, parsed by a
+    newly built parser."""
+    with pytest.raises(SystemExit) as exc:
+        _build_parser.__wrapped__().parse_args(argv)
+    return 2 if exc.value.code not in (0, None) else 0
+
+
+def test_cached_parser_prints_as_a_fresh_one(monkeypatch, capsys):
+    run(["points", FORK])
+    capsys.readouterr()
+    helps = set()
+    for columns in ("40", "200", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["eval", "--help"], ["no-such-command"],
+                     ["eval", F1, "--at", "r/a"], []):
+            cached = (run(argv), *capsys.readouterr())
+            fresh = (fresh_parser_exit(argv), *capsys.readouterr())
+            assert cached == fresh, (columns, argv)
+            if argv == ["--help"]:
+                helps.add(cached[1])
+    assert len(helps) == 3
+
+
+def test_no_state_leaks_between_calls(tmp_path, capsys):
+    chain = {"moments": ["r", "a"], "edges": [["r", "a"]],
+             "indist": {"r": [["a"]], "a": [["a"]]}}
+    fork_model = {**json.loads(Path(FORK).read_text()),
+                  "valuation": {"p": [["a", "a"], ["b", "b"]]}}
+    collapse = [[["r", "a"], ["r", "a"]], [["a", "a"], ["a", "a"]],
+                [["b", "b"], ["a", "a"]]]
+    paths = {}
+    for name, doc in (("chain", chain), ("map", collapse), ("fork.model", fork_model),
+                      ("chain.model", {**chain, "valuation": {"p": [["a", "a"]]}})):
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    pmorph = ["pmorph", FORK, paths["chain"], paths["map"], "--json"]
+    _, out = invoke(capsys, *pmorph, "--model", paths["fork.model"],
+                    paths["chain.model"])
+    assert set(json.loads(out)["conditions"]) == set(
+        morphism_conditions("LF", model_level=True))
+    _, out = invoke(capsys, *pmorph)
+    assert set(json.loads(out)["conditions"]) == set(morphism_conditions("LF"))
+
+    code, out = invoke(capsys, "check", F1, "--formula", "p", "--sat", "--json")
+    assert (code, json.loads(out)) == (0, {"sat": True, "witness": "a/a"})
+    code, out = invoke(capsys, "check", F1, "--formula", "p", "--valid", "--json")
+    assert code == 1 and set(json.loads(out)) == {"valid", "counterexample"}
+
+
+def test_parser_is_built_once_per_process(capsys):
+    _build_parser.cache_clear()
+    for argv in (["points", FORK], ["validate", F1], ["--help"], ["eval"]):
+        run(argv)
+    capsys.readouterr()
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)

@@ -2,7 +2,8 @@
 documents, point strings, formula text and small integer arguments.
 
 Whatever the input, ``itl.cli.run`` must return 0, 1 or 2 without letting an
-exception escape, and an exit 2 must say ``error:`` on stderr.
+exception escape, and an exit 2 must say ``error:`` on stderr.  On generated
+model pairs, the relation ``bisim-max`` prints must pass ``bisim-check``.
 """
 
 import contextlib
@@ -84,7 +85,7 @@ def cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @st.composite
@@ -171,7 +172,34 @@ def invocations(draw, folder):
 @given(data=st.data())
 def test_every_input_ends_in_a_known_exit_code(tmp_path, data):
     argv = data.draw(invocations(tmp_path))
-    code, err = cli(argv)
+    code, _, err = cli(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert "error:" in err
+
+
+side = st.tuples(st.integers(0, 20), st.integers(1, 5), st.integers(0, 2))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(src=side, dst=st.none() | side, mode=mode)
+def test_bisim_max_relation_passes_bisim_check(tmp_path, src, dst, mode):
+    # a model against itself always relates something; two drawn models
+    # mostly relate nothing
+    paths = []
+    for k, (seed, moments, atoms) in enumerate((src, dst or src)):
+        path = tmp_path / f"model{k}.json"
+        path.write_text(json.dumps(model_to_doc(gen_random_model(
+            seed, moments, branching=3, n_atoms=atoms))))
+        paths.append(str(path))
+    code, out, _ = cli(["bisim-max", *paths, "--mode", mode])
+    assert code == 0
+    pairs = json.loads(out)
+    if not pairs:
+        return
+    relation = tmp_path / "relation.json"
+    relation.write_text(out)
+    for p, q in (pairs[0], pairs[-1]):
+        code, out, _ = cli(["bisim-check", *paths, str(relation), "--anchors",
+                            "/".join(p), "/".join(q), "--mode", mode])
+        assert (code, out) == (0, "ok\n")

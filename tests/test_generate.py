@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from itl.documents import dumps, model_to_doc
+from itl.errors import InvalidBoundError
 from itl.generate import coarsened_indist, gen_random_model, random_tree
 from itl.structures import (
     Frame, points, undividedness_indist, validate_frame, validate_model,
@@ -59,3 +60,10 @@ def test_bad_arguments():
         random_tree(1, 3, branching=0)
     with pytest.raises(ValueError):
         gen_random_model(1, 3, indist_policy="nope")
+
+
+@pytest.mark.parametrize("n_atoms", [-1, True, 1.5])
+def test_atom_count_must_be_a_nonnegative_integer(n_atoms):
+    with pytest.raises(InvalidBoundError,
+                       match="n_atoms must be a nonnegative integer"):
+        gen_random_model(1, 3, n_atoms=n_atoms)
