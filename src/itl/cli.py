@@ -94,12 +94,7 @@ def _bool_exit(value: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    doc = _read_doc(args.document)
-    if documents.is_model_doc(doc):
-        report = documents.validate_model_doc(doc)
-    else:
-        report = documents.validate_frame_doc(doc)
-    return _print_report(report, args.json)
+    return _print_report(documents.validate_doc(_read_doc(args.document)), args.json)
 
 
 def _cmd_histories(args) -> int:
@@ -158,6 +153,9 @@ def _cmd_check(args) -> int:
     in_model = documents.is_model_doc(doc)
     if in_model:
         model = _valid_model(doc, "invalid model")
+        # the bound is unused here, but an explicit one is checked as on frames
+        if args.max_enum is not None:
+            limits.nonnegative(args.max_enum, "the enumeration bound")
         point = model_sat(model, target, args.mode)
         found = None if point is None else (None, point)
     else:
@@ -411,10 +409,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ItlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ItlError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

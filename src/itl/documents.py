@@ -98,24 +98,6 @@ def parse_point(frame: Frame, text: str) -> Point:
     return resolve_point(frame, parts[0], parts[1])
 
 
-def _valuation_violations(frame: Frame, valuation_data) -> list[Violation]:
-    out = []
-    for atom in sorted(valuation_data):
-        if not _is_atom_name(atom):
-            out.append(_invalid_atom(atom))
-        entries = valuation_data[atom]
-        _expect(isinstance(entries, list), f"valuation[{atom!r}] must be an array")
-        for i, entry in enumerate(entries):
-            moment, rep = _pair(entry, f"valuation[{atom!r}][{i}]")
-            if frame.block_of.get((moment, rep)) is None:
-                out.append(Violation(
-                    "valuation-invalid-point",
-                    f"valuation of {atom!r} names {moment}/{rep}, which is not "
-                    f"a point of the frame",
-                    {"atom": atom, "point": f"{moment}/{rep}"}))
-    return out
-
-
 def is_model_doc(data) -> bool:
     """Whether a document is a model (it has a valuation) rather than a frame."""
     _expect(isinstance(data, dict), "document must be an object")
@@ -131,13 +113,27 @@ def read_model_doc(data) -> tuple[Report, Model | None]:
         return report, None
     valuation_data = data.get("valuation", {})
     _expect(isinstance(valuation_data, dict), "valuation must be an object")
-    problems = _valuation_violations(frame, valuation_data)
+    problems, valuation = [], {}
+    for atom in sorted(valuation_data):
+        if not _is_atom_name(atom):
+            problems.append(_invalid_atom(atom))
+        entries = valuation_data[atom]
+        _expect(isinstance(entries, list), f"valuation[{atom!r}] must be an array")
+        extension = set()
+        for i, entry in enumerate(entries):
+            moment, rep = _pair(entry, f"valuation[{atom!r}][{i}]")
+            block = frame.block_of.get((moment, rep))
+            if block is None:
+                problems.append(Violation(
+                    "valuation-invalid-point",
+                    f"valuation of {atom!r} names {moment}/{rep}, which is not "
+                    f"a point of the frame",
+                    {"atom": atom, "point": f"{moment}/{rep}"}))
+            else:
+                extension.add(Point(moment, block))
+        valuation[atom] = frozenset(extension)
     if problems:
         return Report(tuple(problems)), None
-    valuation = {
-        atom: frozenset(resolve_point(frame, *e) for e in entries)
-        for atom, entries in valuation_data.items()
-    }
     return report, Model(frame, valuation)
 
 
@@ -173,6 +169,11 @@ def validate_model_doc(data) -> Report:
     return read_model_doc(data)[0]
 
 
+def validate_doc(data) -> Report:
+    """Validate a model document, or a frame document if it has no valuation."""
+    return validate_model_doc(data) if is_model_doc(data) else validate_frame_doc(data)
+
+
 # ---------------------------------------------------------------------------
 # maps and relations
 # ---------------------------------------------------------------------------
@@ -205,10 +206,13 @@ def map_from_doc(data, src: Frame, dst: Frame):
     return PointMap(mapping)
 
 
+def _pairs_to_doc(pairs) -> list:
+    return [[[p.moment, p.class_rep], [q.moment, q.class_rep]] for p, q in pairs]
+
+
 def map_to_doc(point_map) -> list:
-    items = sorted(point_map.mapping.items(), key=lambda pq: point_key(pq[0]))
-    return [[[p.moment, p.class_rep], [q.moment, q.class_rep]]
-            for p, q in items]
+    return _pairs_to_doc(sorted(point_map.mapping.items(),
+                                key=lambda pq: point_key(pq[0])))
 
 
 def relation_from_doc(data, src: Frame, dst: Frame):
@@ -219,9 +223,7 @@ def relation_from_doc(data, src: Frame, dst: Frame):
 
 
 def relation_to_doc(relation) -> list:
-    pairs = sorted(relation.pairs, key=lambda pq: (point_key(pq[0]), point_key(pq[1])))
-    return [[[p.moment, p.class_rep], [q.moment, q.class_rep]]
-            for p, q in pairs]
+    return _pairs_to_doc(relation.sorted_pairs())
 
 
 def dumps(doc) -> str:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .bisimulation import (_TABLES, _first_failure, _first_unlinked, _pv_failure,
-                           _relation_masks)
+from .bisimulation import (LF_CONDITIONS, _TABLES, _first_failure, _first_unlinked,
+                           _pv_failure, _relation_masks)
 from .errors import BoundExceededError
 from .structures import (
     Frame, Model, Point, Report, Violation,
@@ -28,7 +28,6 @@ from .structures import (
 )
 
 FRAME_CONDITIONS = ("G-f", "G-b", "H-b", "L-f", "L-b")
-LF_CONDITIONS = ("F-f", "F-b")
 
 
 def conditions_for(mode: str, model_level: bool = False) -> tuple[str, ...]:

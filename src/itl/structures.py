@@ -29,7 +29,8 @@ class Tree:
     """A finite set of moments ordered by the transitive closure of edges.
 
     ``edges`` are (parent, child) pairs of immediate succession.  No root is
-    required; a forest of disjoint chains and trees is a valid input.
+    required; a forest of disjoint chains and trees is a valid input.  The
+    closure is computed once, as the strict ancestors of each node.
     """
 
     moments: tuple[str, ...]
@@ -54,20 +55,6 @@ class Tree:
             out[edge[a]].add(edge[1 - a])
         return {m: tuple(sorted(ns)) for m, ns in out.items()}
 
-    def _closure(self, step: dict[str, tuple[str, ...]]) -> dict[str, frozenset[str]]:
-        """Per node, the nodes reachable in one or more steps (cycle-tolerant)."""
-        out = {}
-        for start in self._nodes:
-            seen: set[str] = set()
-            stack = list(step[start])
-            while stack:
-                node = stack.pop()
-                if node not in seen:
-                    seen.add(node)
-                    stack.extend(step[node])
-            out[start] = frozenset(seen)
-        return out
-
     @cached_property
     def children_map(self) -> dict[str, tuple[str, ...]]:
         return self._adjacency(0)
@@ -77,14 +64,19 @@ class Tree:
         return self._adjacency(1)
 
     @cached_property
-    def descendants(self) -> dict[str, frozenset[str]]:
-        """Strict descendants of each node."""
-        return self._closure(self.children_map)
-
-    @cached_property
     def ancestors(self) -> dict[str, frozenset[str]]:
-        """Strict ancestors of each node."""
-        return self._closure(self.parents_map)
+        """Strict ancestors of each node, by a cycle-tolerant walk up the edges."""
+        parents, out = self.parents_map, {}
+        for start in self._nodes:
+            seen: set[str] = set()
+            stack = list(parents[start])
+            while stack:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    stack.extend(parents[node])
+            out[start] = frozenset(seen)
+        return out
 
     @cached_property
     def leaves(self) -> tuple[str, ...]:
@@ -110,7 +102,7 @@ class Tree:
 
     def lt(self, a: str, b: str) -> bool:
         """The strict order: a < b."""
-        return b in self.descendants[a]
+        return a in self.ancestors[b]
 
     def down_set(self, m: str) -> frozenset[str]:
         return self.ancestors[m] | {m}
@@ -272,26 +264,26 @@ class Frame:
     def _rel_tables(self) -> tuple[tuple[int, ...], ...]:
         """Successor, predecessor and same-moment masks of the point relations.
 
-        A point's successors are the classes, at the moments after its own,
-        that lie inside its class; predecessors are read off by transposing
-        the successors.  The tree and the blocks are walked directly, not the
-        histories the "hist" tables are built from.
+        A point's predecessors are the classes, at the ancestors of its
+        moment, that contain its class; successors are read off by
+        transposing the predecessors.  The ancestor sets and the blocks are
+        walked directly, not the histories the "hist" tables are built from.
         """
         pts, index = self.point_list, self.point_index
-        descendants, blocks_at = self.tree.descendants, self.blocks_at
-        successors = []
+        ancestors, blocks_at = self.tree.ancestors, self.blocks_at
+        predecessors = []
         for p in pts:
             mask = 0
-            for s in descendants[p.moment]:
+            for s in ancestors[p.moment]:
                 for block in blocks_at[s]:
-                    if block <= p.block:
+                    if block >= p.block:
                         mask |= 1 << index[Point(s, block)]
-            successors.append(mask)
-        predecessors = [0] * len(pts)
-        for i, mask in enumerate(successors):
+            predecessors.append(mask)
+        successors = [0] * len(pts)
+        for i, mask in enumerate(predecessors):
             while mask:
                 low = mask & -mask
-                predecessors[low.bit_length() - 1] |= 1 << i
+                successors[low.bit_length() - 1] |= 1 << i
                 mask ^= low
         at_moment: dict[str, int] = {}
         for i, p in enumerate(pts):
@@ -381,8 +373,9 @@ def _tree_violations(tree: Tree) -> list[Violation]:
                     f"edge {list(edge)} mentions undeclared moment {endpoint!r}",
                     {"edge": list(edge), "moment": endpoint}))
 
+    ancestors = tree.ancestors
     for m in sorted(tree._nodes):
-        if m in tree.descendants[m]:
+        if m in ancestors[m]:
             out.append(Violation(
                 "cycle", f"moment {m!r} lies on a cycle of the order",
                 {"moment": m}))

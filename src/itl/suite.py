@@ -15,17 +15,14 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from . import catalog
 from .bisimulation import (
     PointRelation, check_bisimulation, find_distinguishing_formula,
     greatest_bisimulation,
 )
-from .documents import (
-    dumps, is_model_doc, model_to_doc, resolve_point, validate_frame_doc,
-    validate_model_doc,
-)
+from .documents import dumps, model_to_doc, resolve_point, validate_doc
 from .formula import Program, corpus_program, enumerate_formulas, format_formula, parse
 from .generate import gen_random_model
 from .morphisms import (
@@ -34,7 +31,7 @@ from .morphisms import (
 )
 from .semantics import Evaluator, eval_hist, eval_rel
 from .structures import (
-    Frame, Model, future_points, point_key, points, precedes, same_moment,
+    Frame, Model, future_points, points, precedes, same_moment,
 )
 
 CORPUS_ATOMS = ("p", "q")
@@ -54,6 +51,11 @@ def _point_columns(masks: list[int], n: int) -> list[str]:
         m.to_bytes(width, "little") for m in masks)
     return [data[i // 8::width].translate(_BIT_CHARS[i % 8]).decode("ascii")
             for i in range(n)]
+
+
+def _all_pairs(src: Model, dst: Model):
+    """Every (source, target) point pair, in the canonical pair order."""
+    return product(points(src.frame), points(dst.frame))
 
 
 @dataclass
@@ -254,7 +256,7 @@ class Battery:
             for _ in range(self.N_SAMPLED_MAPS):
                 src = frames[rng.randrange(len(frames))]
                 dst = frames[rng.randrange(len(frames))]
-                dst_pts = sorted(points(dst), key=point_key)
+                dst_pts = points(dst)
                 mapping = {p: dst_pts[rng.randrange(len(dst_pts))]
                            for p in points(src)}
                 f = PointMap(mapping)
@@ -474,10 +476,9 @@ class Battery:
             readded = 0
             unbroken = 0
             for src, dst, mode, rel in data["relations"]:
-                all_pairs = {(p, q) for p in points(src.frame)
-                             for q in points(dst.frame)}
-                for pair in sorted(all_pairs - rel.pairs,
-                                   key=lambda pq: (point_key(pq[0]), point_key(pq[1]))):
+                for pair in _all_pairs(src, dst):
+                    if pair in rel.pairs:
+                        continue
                     extended = PointRelation(rel.pairs | {pair})
                     report = check_bisimulation(src, dst, extended, pair, mode)
                     readded += 1
@@ -500,8 +501,7 @@ class Battery:
 
             # validator witnesses over the malformed corpus
             for name, kind, doc in catalog.MALFORMED_DOCUMENTS:
-                report = (validate_model_doc(doc) if is_model_doc(doc)
-                          else validate_frame_doc(doc))
+                report = validate_doc(doc)
                 for violation in report.violations:
                     if violation.kind != kind:
                         continue
@@ -538,13 +538,10 @@ class Battery:
             for src, dst, mode, rel in self._c7_data()["relations"]:
                 if bisim_replays >= 60:
                     break
-                all_pairs = {(p, q) for p in points(src.frame)
-                             for q in points(dst.frame)}
-                missing = sorted(all_pairs - rel.pairs,
-                                 key=lambda pq: (point_key(pq[0]), point_key(pq[1])))
-                if not missing:
+                pair = next((pq for pq in _all_pairs(src, dst)
+                             if pq not in rel.pairs), None)
+                if pair is None:
                     continue
-                pair = missing[0]
                 extended = PointRelation(rel.pairs | {pair})
                 report = check_bisimulation(src, dst, extended, pair, mode)
                 for violation in report.violations:
@@ -558,10 +555,7 @@ class Battery:
             distinguishers = 0
             nones_checked = 0
             for src, dst, mode, rel in self._c7_data()["relations"][:40]:
-                all_pairs = sorted(
-                    {(p, q) for p in points(src.frame) for q in points(dst.frame)},
-                    key=lambda pq: (point_key(pq[0]), point_key(pq[1])))
-                for pair in all_pairs[:4]:
+                for pair in islice(_all_pairs(src, dst), 4):
                     p, q = pair
                     phi = find_distinguishing_formula(src, p, dst, q,
                                                       mode=mode, max_depth=3)
@@ -595,8 +589,7 @@ class Battery:
         def body():
             missed = []
             for name, kind, doc in catalog.MALFORMED_DOCUMENTS:
-                report = (validate_model_doc(doc) if is_model_doc(doc)
-                          else validate_frame_doc(doc))
+                report = validate_doc(doc)
                 if report.ok or kind not in report.kinds():
                     missed.append(name)
             detail = (f"{len(catalog.MALFORMED_DOCUMENTS)} malformed documents, "

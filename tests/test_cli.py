@@ -152,6 +152,24 @@ def test_check_rejects_malformed_max_enum(capsys, bound, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("sat", ["--sat", "--valid"])
+def test_check_rejects_negative_max_enum_on_models(capsys, sat):
+    code = run(["check", F1, "--formula", "p", sat, "--max-enum", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the enumeration bound must be a nonnegative "
+                            "integer, got -5\n")
+
+
+def test_model_check_ignores_the_env_bound(monkeypatch, capsys):
+    # a model has one valuation: nothing is enumerated, so no bound is read
+    monkeypatch.setenv("ITL_MAX_ENUM", "x")
+    assert invoke(capsys, "check", F1, "--formula", "p", "--sat") == (0, "sat a/a\n")
+    assert invoke(capsys, "check", F1, "--formula", "p", "--sat",
+                  "--max-enum", "0") == (0, "sat a/a\n")
+
+
 @pytest.mark.parametrize("value", ["-1", "x", "1.5", "", "²"])
 def test_check_rejects_malformed_env_bound(monkeypatch, capsys, value):
     monkeypatch.setenv("ITL_MAX_ENUM", value)

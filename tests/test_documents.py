@@ -4,7 +4,8 @@ from itl.catalog import F1_MODEL_DOC, MALFORMED_DOCUMENTS, frame_fork
 from itl.documents import (
     dumps, frame_from_doc, frame_to_doc, map_from_doc, map_to_doc,
     model_from_doc, model_to_doc, parse_point, relation_from_doc,
-    relation_to_doc, resolve_point, validate_frame_doc, validate_model_doc,
+    relation_to_doc, resolve_point, validate_doc, validate_frame_doc,
+    validate_model_doc,
 )
 from itl.errors import DocumentError, InvalidPointError
 from itl.morphisms import PointMap
@@ -85,6 +86,70 @@ def test_valuation_atoms_outside_the_grammar_are_violations(atom):
 def test_valuation_atoms_of_the_grammar_pass(atom):
     assert validate_model_doc({**F1_MODEL_DOC, "valuation": {atom: []}}).ok
     assert validate_model(Model(frame_fork(), {atom: frozenset()})).ok
+
+
+def test_valuation_violations_come_in_atom_then_document_order():
+    # atoms sorted ("Bad Atom" < "p" < "q"), each atom's entries in document
+    # order, a repeated entry reported again
+    doc = {**F1_MODEL_DOC, "valuation": {
+        "q": [["r", "zz"], ["a", "a"], ["zz", "a"], ["r", "zz"]],
+        "Bad Atom": [["b", "b"]],
+        "p": [["a", "a"]],
+    }}
+    report = validate_model_doc(doc)
+    assert [(v.kind, v.witness) for v in report.violations] == [
+        ("valuation-invalid-atom", {"atom": "Bad Atom"}),
+        ("valuation-invalid-point", {"atom": "q", "point": "r/zz"}),
+        ("valuation-invalid-point", {"atom": "q", "point": "zz/a"}),
+        ("valuation-invalid-point", {"atom": "q", "point": "r/zz"}),
+    ]
+    assert report.violations[1].message == (
+        "valuation of 'q' names r/zz, which is not a point of the frame")
+    with pytest.raises(DocumentError, match="^invalid valuation: valuation names "
+                                            "atom 'Bad Atom'"):
+        model_from_doc(doc)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ("nope", r"^valuation\['z'\] must be an array$"),
+    ([["a", "a"], ["a"]], r"^valuation\['z'\]\[1\] must be a 2-element array$"),
+])
+def test_valuation_shape_errors_raise_after_earlier_violations(entries, message):
+    doc = {**F1_MODEL_DOC, "valuation": {
+        "z": entries, "Bad Atom": [], "p": [["r", "zz"]]}}
+    with pytest.raises(DocumentError, match=message):
+        validate_model_doc(doc)
+    with pytest.raises(DocumentError, match=message):
+        model_from_doc(doc)
+
+
+def test_valuation_entries_resolve_once_per_point():
+    # r/b names the class {a, b} at r, as r/a does; repeats collapse
+    doc = {**F1_MODEL_DOC, "valuation": {
+        "q": [["a", "a"], ["r", "b"], ["a", "a"], ["r", "a"]], "p": []}}
+    model = model_from_doc(doc)
+    assert model.valuation == {
+        "p": frozenset(),
+        "q": frozenset({resolve_point(model.frame, "a", "a"),
+                        resolve_point(model.frame, "r", "a")}),
+    }
+    assert model_to_doc(model)["valuation"] == {
+        "p": [], "q": [["a", "a"], ["r", "a"]]}
+
+
+@pytest.mark.parametrize("name,kind,doc", MALFORMED_DOCUMENTS,
+                         ids=[n for n, _, _ in MALFORMED_DOCUMENTS])
+def test_validate_doc_dispatches_on_the_valuation(name, kind, doc):
+    by_kind = validate_model_doc if "valuation" in doc else validate_frame_doc
+    assert validate_doc(doc).to_doc() == by_kind(doc).to_doc()
+    frame_doc = {k: v for k, v in doc.items() if k != "valuation"}
+    assert validate_doc(frame_doc).to_doc() == validate_frame_doc(frame_doc).to_doc()
+
+
+@pytest.mark.parametrize("data", [None, [], "x", 3])
+def test_validate_doc_rejects_non_objects(data):
+    with pytest.raises(DocumentError, match="^document must be an object$"):
+        validate_doc(data)
 
 
 def test_point_parsing():

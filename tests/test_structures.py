@@ -3,14 +3,14 @@ from hypothesis import given, strategies as st
 import pytest
 
 from itl.catalog import (
-    catalog_frames, frame_chain3, frame_fork, frame_fork_split,
+    MALFORMED_DOCUMENTS, catalog_frames, frame_chain3, frame_fork, frame_fork_split,
     frame_stem_fork,
 )
 from itl.documents import frame_from_doc, resolve_point
 from itl.errors import InvalidPointError
 from itl.generate import gen_random_frame
 from itl.structures import (
-    Frame, History, IndistFunction, Model, Point, Tree,
+    Frame, History, IndistFunction, Model, Point, Tree, _tree_violations,
     future_points, histories, histories_through, points, precedes,
     same_moment, undividedness_indist, validate_frame, validate_model,
 )
@@ -166,6 +166,77 @@ def test_hist_tables_and_histories_match_their_definitions(frame):
         got = {(a, b) for block in canonical.classes_at[moment]
                for a in block for b in block}
         assert got == pairs
+
+
+def _reachable(edges) -> set[tuple[str, str]]:
+    """Pairs (a, b) joined by a path of one or more edges, by brute force."""
+    reach = set(edges)
+    while True:
+        more = {(a, c) for a, b in reach for b2, c in edges if b == b2} - reach
+        if not more:
+            return reach
+        reach |= more
+
+
+def _order_trees():
+    """Every catalogue tree, generated trees under both assignment policies,
+    and the malformed corpus's trees (cycles, a skipping edge, two parents)."""
+    trees = [pytest.param(frame.tree, id=name)
+             for name, frame in catalog_frames().items()]
+    for seed in range(8):
+        for policy in ("undividedness", "coarsened"):
+            trees.append(pytest.param(gen_random_frame(
+                seed, 1 + 4 * seed, branching=2 + seed % 2,
+                indist_policy=policy).tree, id=f"gen-{seed}-{policy}"))
+    trees += [pytest.param(frame_from_doc(doc).tree, id=f"malformed-{name}")
+              for name, _, doc in MALFORMED_DOCUMENTS]
+    return trees
+
+
+@pytest.mark.parametrize("tree", _order_trees())
+def test_lt_is_reachability_over_the_edges(tree):
+    reach = _reachable(tree.edges)
+    nodes = sorted({m for e in tree.edges for m in e} | set(tree.moments))
+    for a in nodes:
+        for b in nodes:
+            assert tree.lt(a, b) == ((a, b) in reach), (a, b)
+    if tree.moments:
+        cyclic = [v.witness["moment"] for v in _tree_violations(tree)
+                  if v.kind == "cycle"]
+        assert cyclic == [m for m in nodes if (m, m) in reach]
+
+
+@given(edges=st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde")),
+                      max_size=8),
+       moments=st.lists(st.sampled_from("abcdef"), max_size=6))
+def test_lt_is_reachability_on_any_graph(edges, moments):
+    tree = Tree(tuple(moments), tuple(edges))
+    reach = _reachable(edges)
+    nodes = sorted({m for e in edges for m in e} | set(moments))
+    assert {(a, b) for a in nodes for b in nodes if tree.lt(a, b)} == reach
+
+
+def _assert_rel_tables_match_the_relations(frame):
+    pts, mask_of = frame.point_list, frame.mask_of
+    for i, p in enumerate(pts):
+        assert frame.rel_successor_masks[i] == mask_of(
+            q for q in pts if precedes(frame, p, q))
+        assert frame.rel_predecessor_masks[i] == mask_of(
+            q for q in pts if precedes(frame, q, p))
+        assert frame.rel_same_moment_masks[i] == mask_of(
+            q for q in pts if same_moment(frame, p, q))
+
+
+@pytest.mark.parametrize("frame", _table_frames())
+def test_rel_tables_match_precedes_and_same_moment(frame):
+    _assert_rel_tables_match_the_relations(frame)
+
+
+@given(seed=st.integers(0, 5000),
+       policy=st.sampled_from(("undividedness", "coarsened")))
+def test_rel_tables_match_the_relations_on_generated_frames(seed, policy):
+    _assert_rel_tables_match_the_relations(gen_random_frame(
+        seed, 1 + seed % 12, branching=1 + seed % 3, indist_policy=policy))
 
 
 # ---------------------------------------------------------------------------
