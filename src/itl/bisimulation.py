@@ -12,13 +12,16 @@ point relations from the frames' masks (``rel_*_masks``, ``future_chains``)
 and the checked relation from per-point masks and their converse.  The
 p-morphism checker in ``morphisms`` runs the same routine on a map's graph.
 
-The greatest relation satisfying the per-pair conditions starts from the
-pairs of points with the same atoms (``_atom_seed``: each side's points are
-grouped by the set of atoms true at them, so PV is never tested pair by
-pair) and deletes violating pairs until a fixpoint (``_refine``, which takes
-any starting relation as masks and changes it in place); since every
-condition only asks for the existence of related witnesses, deletion is
-monotone and the fixpoint is the unique greatest such relation.
+PV reads the labelling of each model (``Model.labels``, the atoms true at
+each point).  The greatest relation satisfying the per-pair conditions
+starts from the pairs with equal labels (``_atom_seed``, so PV is never
+tested pair by pair) and deletes violating pairs until a fixpoint
+(``_refine``, which takes any starting relation as masks and changes it in
+place); since every condition only asks for the existence of related
+witnesses, deletion is monotone and the fixpoint is the unique greatest
+such relation.
+
+Every entry point rejects an unknown mode with the evaluator's ValueError.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from dataclasses import dataclass
 
 from . import limits
 from .errors import InvalidPointError
-from .formula import Atom, Formula, Program, _emit_by_depth
+from .formula import Formula, Program, _emit_by_depth, check_mode
 from .semantics import Evaluator
 from .structures import Frame, Model, Point, Report, Violation, point_key
 
-CONDITIONS = ("PV", "G-f", "G-b", "H-f", "H-b", "L-f", "L-b")
 LF_CONDITIONS = ("F-f", "F-b")
 
 _TABLES = {"G": "rel_successor_masks", "H": "rel_predecessor_masks",
@@ -41,7 +43,7 @@ _NOUNS = {"G": "successor", "H": "predecessor", "L": "same-moment point"}
 
 def conditions_for(mode: str) -> tuple[str, ...]:
     """The per-pair conditions plus the anchor condition, in reporting order."""
-    return CONDITIONS + (LF_CONDITIONS if mode == "LF" else ()) + ("B",)
+    return ("PV",) + _pair_conditions(mode) + ("B",)
 
 
 def _pair_conditions(mode: str) -> tuple[str, ...]:
@@ -108,13 +110,10 @@ def _first_failure(kind: str, src: Frame, dst: Frame, i: int, j: int,
     return None if r is None else src.point_list[r]
 
 
-def _pv_failure(src: Model, dst: Model, p: Point, q: Point) -> str | None:
-    """The first atom on which the two points disagree, if any."""
-    for atom in sorted(set(src.valuation) | set(dst.valuation)):
-        if (p in src.valuation.get(atom, frozenset())) != \
-                (q in dst.valuation.get(atom, frozenset())):
-            return atom
-    return None
+def _pv_failure(src: Model, dst: Model, i: int, j: int) -> str | None:
+    """The first atom, in sorted order, on which source point ``i`` and
+    target point ``j`` disagree, if any."""
+    return min(src.labels[i] ^ dst.labels[j], default=None)
 
 
 def _pair_text(pair: tuple[Point, Point]) -> list[str]:
@@ -125,13 +124,13 @@ def _pair_violations(src: Model, dst: Model, pair: tuple[Point, Point],
                      rel, conv, mode: str) -> list[Violation]:
     """Failures of the per-pair conditions for one related pair."""
     p, q = pair
+    i, j = src.frame.point_index[p], dst.frame.point_index[q]
     out = []
-    atom = _pv_failure(src, dst, p, q)
+    atom = _pv_failure(src, dst, i, j)
     if atom is not None:
         out.append(Violation(
             "PV", f"{p.text()} and {q.text()} disagree on atom {atom!r}",
             {"pair": _pair_text(pair), "atom": atom}))
-    i, j = src.frame.point_index[p], dst.frame.point_index[q]
     for kind in _pair_conditions(mode):
         w = _first_failure(kind, src.frame, dst.frame, i, j, rel, conv)
         if w is None:
@@ -168,6 +167,7 @@ def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
     """Check every related pair, then (last) that the anchors are linked, so
     the report separates "not a bisimulation" from "does not link the anchors".
     """
+    check_mode(mode)
     pairs = relation.sorted_pairs()
     _require_valid_pairs(src, dst, pairs)
     _require_valid_pairs(src, dst, [anchor])
@@ -185,32 +185,17 @@ def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
 
 def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:
     """The relation of the frame points that agree on every atom, as per-point
-    masks and their converse (see ``_relation_masks``).
-
-    Points are grouped by the set of atoms true at them; a source point is
-    related to the target points of its group.  Valuation points outside the
-    frame are ignored, as ``_pv_failure`` ignores them.
-    """
-    def labels(model: Model) -> list[frozenset[str]]:
-        index = model.frame.point_index
-        true_at: list[set[str]] = [set() for _ in model.frame.point_list]
-        for atom, extension in model.valuation.items():
-            for p in extension:
-                i = index.get(p)
-                if i is not None:
-                    true_at[i].add(atom)
-        return [frozenset(atoms) for atoms in true_at]
-
-    def classes(side: list[frozenset[str]]) -> dict[frozenset[str], int]:
+    masks and their converse (see ``_relation_masks``): a source point is
+    related to the target points with the same label."""
+    def classes(labels) -> dict[frozenset[str], int]:
         masks: dict[frozenset[str], int] = {}
-        for i, label in enumerate(side):
+        for i, label in enumerate(labels):
             masks[label] = masks.get(label, 0) | 1 << i
         return masks
 
-    src_labels, dst_labels = labels(src), labels(dst)
-    src_classes, dst_classes = classes(src_labels), classes(dst_labels)
-    return ([dst_classes.get(label, 0) for label in src_labels],
-            [src_classes.get(label, 0) for label in dst_labels])
+    src_classes, dst_classes = classes(src.labels), classes(dst.labels)
+    return ([dst_classes.get(label, 0) for label in src.labels],
+            [src_classes.get(label, 0) for label in dst.labels])
 
 
 def _refine(sf: Frame, df: Frame, rel: list[int], conv: list[int],
@@ -240,16 +225,12 @@ def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRela
     Any pair it contains makes it a bisimulation anchored there.  The result
     may be empty.
     """
+    check_mode(mode)
     rel, conv = _atom_seed(src, dst)
     _refine(src.frame, dst.frame, rel, conv, mode)
-    dst_pts = dst.frame.point_list
-    pairs = []
-    for p, row in zip(src.frame.point_list, rel):
-        while row:
-            low = row & -row
-            pairs.append((p, dst_pts[low.bit_length() - 1]))
-            row ^= low
-    return PointRelation(frozenset(pairs))
+    targets = dst.frame.points_of
+    return PointRelation(frozenset(
+        (p, q) for p, row in zip(src.frame.point_list, rel) for q in targets(row)))
 
 
 def bisimilar(src: Model, p: Point, dst: Model, q: Point, mode: str = "LF") -> bool:
@@ -261,25 +242,23 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
                                 mode: str = "LF", max_depth: int = 4) -> Formula | None:
     """Breadth-first search for a formula the two points disagree on.
 
-    Returns the first atom of the valuations on which the points disagree, if
-    any.  Otherwise searches depth by depth, in the order of
-    :func:`~itl.formula.corpus_program`, over formulas built from at most two
-    atoms drawn from the valuations, collapsing formulas that already have
-    the same extensions on both models (such formulas distinguish nothing a
-    shallower representative does not, so the collapse preserves
-    completeness per depth).  Returns None when depth max_depth cannot
-    distinguish the points.
+    Searches depth by depth, in the order of
+    :func:`~itl.formula.corpus_program`, over the formulas built from every
+    atom of the two valuations (depth 0 is the atoms themselves, sorted, so
+    an atom the points disagree on comes first), collapsing formulas that
+    already have the same extensions on both models (such formulas
+    distinguish nothing a shallower representative does not, so the
+    collapse preserves completeness per depth).  The formula found is of the
+    least depth that distinguishes the points; None means that no formula
+    up to depth max_depth does.
     """
     limits.nonnegative(max_depth, "max_depth")
     _require_valid_pairs(src, dst, [(p, q)])
-    atoms = sorted(set(src.valuation) | set(dst.valuation))[:2] or ["p"]
+    atoms = sorted(set(src.valuation) | set(dst.valuation)) or ["p"]
     ev_src = Evaluator(src, mode=mode)
     ev_dst = Evaluator(dst, mode=mode)
     i = src.frame.point_index[p]
     j = dst.frame.point_index[q]
-    atom = _pv_failure(src, dst, p, q)
-    if atom is not None:
-        return Atom(atom)
 
     # candidates are evaluated a batch at a time; only a hit becomes a
     # Formula, and a depth keeps only the slots whose signature is new

@@ -101,10 +101,11 @@ def random_valuation(seed: int, frame: Frame, atoms=("p", "q")) -> dict[str, fro
     return {a: frozenset(p for p in pts if rng.random() < 0.4) for a in atoms}
 
 
-def catalog_models(seed: int) -> dict[str, Model]:
-    """Each catalogue frame with an empty and a seeded valuation."""
+def catalog_models(seed: int, frames: dict[str, Frame]) -> dict[str, Model]:
+    """Each frame of the catalogue ``frames`` (as built by
+    :func:`catalog_frames`) with an empty and a seeded valuation."""
     out = {}
-    for i, (name, frame) in enumerate(catalog_frames().items()):
+    for i, (name, frame) in enumerate(frames.items()):
         out[f"{name}/empty"] = Model(frame, {})
         out[f"{name}/v1"] = Model(frame, random_valuation(seed + i, frame))
     return out

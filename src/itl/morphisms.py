@@ -22,6 +22,7 @@ from . import limits
 from .bisimulation import (LF_CONDITIONS, _TABLES, _first_failure, _first_unlinked,
                            _pv_failure, _relation_masks)
 from .errors import BoundExceededError
+from .formula import check_mode
 from .structures import (
     Frame, Model, Point, Report, Violation,
     point_key, points, precedes, same_moment,
@@ -114,6 +115,7 @@ def _map_failures(src: Frame, dst: Frame, images, rel, conv, mode: str):
 def check_frame_pmorphism(src: Frame, dst: Frame, f: PointMap,
                           mode: str = "LF") -> Report:
     """Per-condition check; at most one minimal witness per failed condition."""
+    check_mode(mode)
     _require_total(src, dst, f)
     rel, conv = _relation_masks(src, dst, f.mapping.items())
     images = [dst.point_index[f(p)] for p in src.point_list]
@@ -127,8 +129,9 @@ def check_model_pmorphism(src: Model, dst: Model, f: PointMap,
     """Frame conditions plus valuation agreement (PV) on every atom in use."""
     report = check_frame_pmorphism(src.frame, dst.frame, f, mode)
     violations = list(report.violations)
-    for p in src.frame.point_list:
-        atom = _pv_failure(src, dst, p, f(p))
+    dst_index = dst.frame.point_index
+    for i, p in enumerate(src.frame.point_list):
+        atom = _pv_failure(src, dst, i, dst_index[f(p)])
         if atom is not None:
             violations.append(Violation(
                 "PV",
@@ -172,6 +175,7 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
     neighbour of the source point maps to a neighbour of the same kind; a
     complete map passes when the condition routine finds no failure.
     """
+    check_mode(mode)
     bound = limits.resolve(bound, limits.DEFAULT_SEARCH_BOUND)
     src_pts, dst_pts = src.point_list, dst.point_list
     if len(src_pts) > bound or len(dst_pts) > bound:

@@ -97,9 +97,7 @@ class Evaluator:
         return self.run(self._program, masks=self._masks)[slot]
 
     def extension(self, formula: Formula) -> frozenset[Point]:
-        mask = self.extension_mask(formula)
-        pts = self.model.frame.point_list
-        return frozenset(pts[i] for i in range(len(pts)) if mask >> i & 1)
+        return frozenset(self.model.frame.points_of(self.extension_mask(formula)))
 
     def holds(self, point: Point, formula: Formula) -> bool:
         i = self._index.get(point)
@@ -152,12 +150,9 @@ def model_valid(model: Model, formula: Formula, mode: str = "LF") -> bool:
 
 def model_sat(model: Model, formula: Formula, mode: str = "LF") -> Point | None:
     """The canonically first point satisfying the formula, if any."""
-    ev = Evaluator(model, mode=mode)
-    mask = ev.extension_mask(formula)
-    for i, p in enumerate(model.frame.point_list):
-        if mask >> i & 1:
-            return p
-    return None
+    mask = Evaluator(model, mode=mode).extension_mask(formula)
+    first = model.frame.points_of(mask & -mask)
+    return first[0] if first else None
 
 
 def _extensions(frame: Frame, formula: Formula, mode: str,
@@ -195,14 +190,8 @@ def frame_sat(frame: Frame, formula: Formula, mode: str = "LF",
     Valuations are enumerated in increasing order of the atom masks over the
     canonical point order, so the witness is deterministic.
     """
-    pts = frame.point_list
-    n = len(pts)
     for masks, ext in _extensions(frame, formula, mode, max_enum):
         if ext:
-            point = next(pts[i] for i in range(n) if ext >> i & 1)
-            valuation = {
-                a: frozenset(pts[i] for i in range(n) if m >> i & 1)
-                for a, m in masks.items()
-            }
-            return valuation, point
+            valuation = {a: frozenset(frame.points_of(m)) for a, m in masks.items()}
+            return valuation, frame.points_of(ext & -ext)[0]
     return None

@@ -212,6 +212,17 @@ class Frame:
             mask |= 1 << i
         return mask
 
+    def points_of(self, mask: int) -> list[Point]:
+        """The points of the set bits of ``mask``, in canonical order: the
+        inverse of ``mask_of``."""
+        pts = self.point_list
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(pts[low.bit_length() - 1])
+            mask ^= low
+        return out
+
     # -- quantifier domains for the clause-by-clause semantics --
     #
     # The "hist" tables are read off the histories and classes exactly as the
@@ -308,6 +319,19 @@ class Frame:
 class Model:
     frame: Frame
     valuation: dict[str, frozenset[Point]]
+
+    @cached_property
+    def labels(self) -> tuple[frozenset[str], ...]:
+        """Per point of the frame, in canonical order, the atoms true there.
+        Valuation points outside the frame are ignored."""
+        index = self.frame.point_index
+        true_at: list[set[str]] = [set() for _ in self.frame.point_list]
+        for atom, extension in self.valuation.items():
+            for p in extension:
+                i = index.get(p)
+                if i is not None:
+                    true_at[i].add(atom)
+        return tuple(frozenset(atoms) for atoms in true_at)
 
 
 # ---------------------------------------------------------------------------

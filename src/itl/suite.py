@@ -15,6 +15,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 
 from . import catalog
@@ -22,8 +23,11 @@ from .bisimulation import (
     PointRelation, check_bisimulation, find_distinguishing_formula,
     greatest_bisimulation,
 )
-from .documents import dumps, model_to_doc, resolve_point, validate_doc
-from .formula import Program, corpus_program, enumerate_formulas, format_formula, parse
+from .documents import resolve_point, validate_doc
+from .formula import (
+    Program, corpus_program, enumerate_formulas, format_formula, parse,
+    random_formula,
+)
 from .generate import gen_random_model
 from .morphisms import (
     PointMap, check_frame_pmorphism, check_model_pmorphism,
@@ -92,44 +96,38 @@ class Battery:
 
     def __init__(self, seed: int = 42):
         self.seed = seed
-        self._cache: dict = {}
+        self._signatures: dict = {}
+        self._valid: dict = {}
 
     # ------------------------------------------------------------------
     # shared materials
     # ------------------------------------------------------------------
 
-    def _memoized(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
+    @cached_property
     def battery_models(self) -> list[Model]:
         """Seeded random models with at most MAX_POINTS points."""
+        rng = random.Random(self.seed)
+        models = []
+        while len(models) < self.N_MODELS:
+            sub_seed = rng.randrange(2 ** 32)
+            n_moments = rng.randint(1, 6)
+            policy = "undividedness" if rng.random() < 0.5 else "coarsened"
+            model = gen_random_model(sub_seed, n_moments, branching=3,
+                                     indist_policy=policy, n_atoms=2)
+            if len(points(model.frame)) <= self.MAX_POINTS:
+                models.append(model)
+        return models
 
-        def build():
-            rng = random.Random(self.seed)
-            models = []
-            while len(models) < self.N_MODELS:
-                sub_seed = rng.randrange(2 ** 32)
-                n_moments = rng.randint(1, 6)
-                policy = "undividedness" if rng.random() < 0.5 else "coarsened"
-                model = gen_random_model(sub_seed, n_moments, branching=3,
-                                         indist_policy=policy, n_atoms=2)
-                if len(points(model.frame)) <= self.MAX_POINTS:
-                    models.append(model)
-            return models
-
-        return self._memoized("models", build)
-
+    @cached_property
     def battery_formulas(self) -> list:
-        def build():
-            from .formula import random_formula
+        return [random_formula(self.seed * 100_000 + j, self.RANDOM_DEPTH,
+                               ("p0", "p1"), mode="L")
+                for j in range(self.N_FORMULAS)]
 
-            return [random_formula(self.seed * 100_000 + j, self.RANDOM_DEPTH,
-                                   ("p0", "p1"), mode="L")
-                    for j in range(self.N_FORMULAS)]
-
-        return self._memoized("formulas", build)
+    @cached_property
+    def frames(self) -> dict[str, Frame]:
+        """The frame catalogue, built once per battery."""
+        return catalog.catalog_frames()
 
     def corpus(self, mode: str):
         return enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, mode)
@@ -139,14 +137,13 @@ class Battery:
         return corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, mode)
 
     def signatures(self, model: Model, mode: str) -> list[str]:
-        """Per point, the bit-string of truth values over the whole corpus."""
-        key = ("sig", dumps(model_to_doc(model)), mode)
-
-        def build():
+        """Per point, the bit-string of truth values over the whole corpus;
+        computed once per frame, valuation and mode."""
+        key = (model.frame, frozenset(model.valuation.items()), mode)
+        if key not in self._signatures:
             masks = Evaluator(model, mode=mode).run(self.corpus_program(mode))
-            return _point_columns(masks, len(model.frame.point_list))
-
-        return self._memoized(key, build)
+            self._signatures[key] = _point_columns(masks, len(model.frame.point_list))
+        return self._signatures[key]
 
     # ------------------------------------------------------------------
     # criterion 1: the two semantics agree
@@ -154,8 +151,8 @@ class Battery:
 
     def criterion_1(self) -> CriterionResult:
         def body():
-            models = self.battery_models()
-            formulas = self.battery_formulas()
+            models = self.battery_models
+            formulas = self.battery_formulas
             program = Program("L")
             roots = [program.add(phi) for phi in formulas]
             disagreements = 0
@@ -175,8 +172,8 @@ class Battery:
 
     def criterion_2(self) -> CriterionResult:
         def body():
-            models = self.battery_models()
-            formulas = self.battery_formulas()
+            models = self.battery_models
+            formulas = self.battery_formulas
             wrappers = (("P", "~H ~"), ("f", "~G ~"), ("M", "~L ~"), ("g", "~F ~"))
             # hash-consed: two formulas share a slot exactly when they are equal
             program = Program("LF")
@@ -245,38 +242,36 @@ class Battery:
     # criterion 4: condition checker vs set characterization
     # ------------------------------------------------------------------
 
+    @cached_property
     def _c4_data(self):
-        def build():
-            frames = list(catalog.catalog_frames().values())
-            rng = random.Random(self.seed + 4)
-            agree = True
-            checked = 0
-            passing = 0
-            failing_samples = []
-            for _ in range(self.N_SAMPLED_MAPS):
-                src = frames[rng.randrange(len(frames))]
-                dst = frames[rng.randrange(len(frames))]
-                dst_pts = points(dst)
-                mapping = {p: dst_pts[rng.randrange(len(dst_pts))]
-                           for p in points(src)}
-                f = PointMap(mapping)
-                report = check_frame_pmorphism(src, dst, f, mode="L")
-                characterized = check_set_characterization(src, dst, f)
-                checked += 1
-                if report.ok != characterized:
-                    agree = False
-                if report.ok:
-                    passing += 1
-                elif len(failing_samples) < 60:
-                    failing_samples.append((src, dst, f, report))
-            return {"agree": agree, "checked": checked, "passing": passing,
-                    "failing_samples": failing_samples}
-
-        return self._memoized("c4", build)
+        frames = list(self.frames.values())
+        rng = random.Random(self.seed + 4)
+        agree = True
+        checked = 0
+        passing = 0
+        failing_samples = []
+        for _ in range(self.N_SAMPLED_MAPS):
+            src = frames[rng.randrange(len(frames))]
+            dst = frames[rng.randrange(len(frames))]
+            dst_pts = points(dst)
+            mapping = {p: dst_pts[rng.randrange(len(dst_pts))]
+                       for p in points(src)}
+            f = PointMap(mapping)
+            report = check_frame_pmorphism(src, dst, f, mode="L")
+            characterized = check_set_characterization(src, dst, f)
+            checked += 1
+            if report.ok != characterized:
+                agree = False
+            if report.ok:
+                passing += 1
+            elif len(failing_samples) < 60:
+                failing_samples.append((src, dst, f, report))
+        return {"agree": agree, "checked": checked, "passing": passing,
+                "failing_samples": failing_samples}
 
     def criterion_4(self) -> CriterionResult:
         def body():
-            data = self._c4_data()
+            data = self._c4_data
             detail = (f"{data['checked']} sampled maps over the catalogue, "
                       f"{data['passing']} were p-morphisms; checker and "
                       f"characterization {'agree' if data['agree'] else 'DISAGREE'}")
@@ -291,36 +286,34 @@ class Battery:
     def _dst_valuations(self, frame: Frame, tag: int):
         return ({}, catalog.random_valuation(self.seed + 50_000 + tag, frame))
 
+    @cached_property
     def _c5_data(self):
-        def build():
-            frames = catalog.catalog_frames()
-            triples = []  # (src model, dst model, map, mode)
-            mismatches = 0
-            maps_found = 0
-            for mode in ("L", "LF"):
-                for i, (sname, src) in enumerate(frames.items()):
-                    for j, (dname, dst) in enumerate(frames.items()):
-                        for f in search_pmorphisms(src, dst, mode=mode):
-                            maps_found += 1
-                            for valuation in self._dst_valuations(dst, i * 31 + j):
-                                dst_model = Model(dst, dict(valuation))
-                                src_model = Model(src, pullback_valuation(
-                                    dst_model.valuation, f))
-                                sig_src = self.signatures(src_model, mode)
-                                sig_dst = self.signatures(dst_model, mode)
-                                dst_index = dst.point_index
-                                for k, p in enumerate(points(src)):
-                                    if sig_src[k] != sig_dst[dst_index[f(p)]]:
-                                        mismatches += 1
-                                triples.append((src_model, dst_model, f, mode))
-            return {"triples": triples, "mismatches": mismatches,
-                    "maps_found": maps_found}
-
-        return self._memoized("c5", build)
+        frames = self.frames
+        triples = []  # (src model, dst model, map, mode)
+        mismatches = 0
+        maps_found = 0
+        for mode in ("L", "LF"):
+            for i, (sname, src) in enumerate(frames.items()):
+                for j, (dname, dst) in enumerate(frames.items()):
+                    for f in search_pmorphisms(src, dst, mode=mode):
+                        maps_found += 1
+                        for valuation in self._dst_valuations(dst, i * 31 + j):
+                            dst_model = Model(dst, dict(valuation))
+                            src_model = Model(src, pullback_valuation(
+                                dst_model.valuation, f))
+                            sig_src = self.signatures(src_model, mode)
+                            sig_dst = self.signatures(dst_model, mode)
+                            dst_index = dst.point_index
+                            for k, p in enumerate(points(src)):
+                                if sig_src[k] != sig_dst[dst_index[f(p)]]:
+                                    mismatches += 1
+                            triples.append((src_model, dst_model, f, mode))
+        return {"triples": triples, "mismatches": mismatches,
+                "maps_found": maps_found}
 
     def criterion_5(self) -> CriterionResult:
         def body():
-            data = self._c5_data()
+            data = self._c5_data
             corpus_sizes = (len(self.corpus_program("L")),
                             len(self.corpus_program("LF")))
             detail = (f"{data['maps_found']} maps found (both modes), "
@@ -338,63 +331,54 @@ class Battery:
     def valid_corpus_formulas(self, frame: Frame) -> set[int]:
         """Indices of corpus (mode L) formulas valid in the frame, computed by
         filtering over every valuation of the corpus atoms.  Each valuation
-        evaluates only what the formulas still valid depend on."""
-        key = ("valid", self._frame_key(frame))
+        evaluates only what the formulas still valid depend on.  Computed
+        once per frame."""
+        if frame in self._valid:
+            return self._valid[frame]
+        ev = Evaluator(Model(frame, {}), mode="L")
+        n = len(frame.point_list)
+        full = frame.full_mask
+        program = self.corpus_program("L")
+        alive = list(range(len(program)))  # corpus indices still valid
+        roots = alive  # their slots in program
+        for assignment in product(range(1 << n), repeat=len(CORPUS_ATOMS)):
+            masks = ev.run(program, dict(zip(CORPUS_ATOMS, assignment)))
+            kept = [k for k, r in enumerate(roots) if masks[r] == full]
+            if len(kept) < len(roots):
+                alive = [alive[k] for k in kept]
+                if not alive:
+                    break
+                program, roots = program.restrict([roots[k] for k in kept])
+        self._valid[frame] = set(alive)
+        return self._valid[frame]
 
-        def build():
-            ev = Evaluator(Model(frame, {}), mode="L")
-            n = len(frame.point_list)
-            full = frame.full_mask
-            program = self.corpus_program("L")
-            alive = list(range(len(program)))  # corpus indices still valid
-            roots = alive  # their slots in program
-            for assignment in product(range(1 << n), repeat=len(CORPUS_ATOMS)):
-                masks = ev.run(program, dict(zip(CORPUS_ATOMS, assignment)))
-                kept = [k for k, r in enumerate(roots) if masks[r] == full]
-                if len(kept) < len(roots):
-                    alive = [alive[k] for k in kept]
-                    if not alive:
-                        break
-                    program, roots = program.restrict([roots[k] for k in kept])
-            return set(alive)
-
-        return self._memoized(key, build)
-
-    def _frame_key(self, frame: Frame) -> str:
-        from .documents import frame_to_doc
-
-        return dumps(frame_to_doc(frame))
-
+    @cached_property
     def _c6_data(self):
-        def build():
-            frames = catalog.small_catalog_frames()
-            surjective_maps = []
-            violations = 0
-            pv_failures = 0
-            for i, (sname, src) in enumerate(frames.items()):
-                for j, (dname, dst) in enumerate(frames.items()):
-                    for f in search_pmorphisms(src, dst, mode="L",
-                                               surjective=True):
-                        surjective_maps.append((src, dst, f))
-                        valid_src = self.valid_corpus_formulas(src)
-                        valid_dst = self.valid_corpus_formulas(dst)
-                        if not valid_src <= valid_dst:
-                            violations += len(valid_src - valid_dst)
-                        for valuation in self._dst_valuations(dst, i * 37 + j):
-                            dst_model = Model(dst, dict(valuation))
-                            src_model = Model(src, pullback_valuation(
-                                dst_model.valuation, f))
-                            if not check_model_pmorphism(
-                                    src_model, dst_model, f, mode="L").ok:
-                                pv_failures += 1
-            return {"maps": surjective_maps, "violations": violations,
-                    "pv_failures": pv_failures}
-
-        return self._memoized("c6", build)
+        frames = catalog.small_catalog_frames()
+        surjective_maps = []
+        violations = 0
+        pv_failures = 0
+        for i, (sname, src) in enumerate(frames.items()):
+            for j, (dname, dst) in enumerate(frames.items()):
+                for f in search_pmorphisms(src, dst, mode="L", surjective=True):
+                    surjective_maps.append((src, dst, f))
+                    valid_src = self.valid_corpus_formulas(src)
+                    valid_dst = self.valid_corpus_formulas(dst)
+                    if not valid_src <= valid_dst:
+                        violations += len(valid_src - valid_dst)
+                    for valuation in self._dst_valuations(dst, i * 37 + j):
+                        dst_model = Model(dst, dict(valuation))
+                        src_model = Model(src, pullback_valuation(
+                            dst_model.valuation, f))
+                        if not check_model_pmorphism(
+                                src_model, dst_model, f, mode="L").ok:
+                            pv_failures += 1
+        return {"maps": surjective_maps, "violations": violations,
+                "pv_failures": pv_failures}
 
     def criterion_6(self) -> CriterionResult:
         def body():
-            data = self._c6_data()
+            data = self._c6_data
             detail = (f"{len(data['maps'])} surjective maps on frames <= 4 "
                       f"points, corpus {len(self.corpus_program('L'))}: "
                       f"{data['violations']} validity-preservation violations, "
@@ -407,51 +391,48 @@ class Battery:
     # criterion 7: bisimulations imply formula agreement at their anchors
     # ------------------------------------------------------------------
 
+    @cached_property
     def _c7_data(self):
-        def build():
-            models = catalog.catalog_models(self.seed + 7)
-            items = list(models.items())
-            relations = []  # (src model, dst model, mode, relation)
-            agreement_failures = 0
-            check_failures = 0
-            for mode in ("L", "LF"):
-                for sname, src in items:
-                    for dname, dst in items:
-                        rel = greatest_bisimulation(src, dst, mode=mode)
-                        relations.append((src, dst, mode, rel))
-                        if not rel.pairs:
-                            continue
-                        anchor = rel.sorted_pairs()[0]
-                        if not check_bisimulation(src, dst, rel, anchor, mode).ok:
-                            check_failures += 1
-                            continue
-                        sig_src = self.signatures(src, mode)
-                        sig_dst = self.signatures(dst, mode)
-                        for p, q in rel.pairs:
-                            if sig_src[src.frame.point_index[p]] != \
-                                    sig_dst[dst.frame.point_index[q]]:
-                                agreement_failures += 1
-            # graphs of the model p-morphisms found by search
-            graph_failures = 0
-            graphs_checked = 0
-            for src_model, dst_model, f, mode in self._c5_data()["triples"]:
-                graph = PointRelation(frozenset(f.mapping.items()))
-                anchor = graph.sorted_pairs()[0]
-                graphs_checked += 1
-                if not check_bisimulation(src_model, dst_model, graph,
-                                          anchor, mode).ok:
-                    graph_failures += 1
-            return {"relations": relations,
-                    "agreement_failures": agreement_failures,
-                    "check_failures": check_failures,
-                    "graphs_checked": graphs_checked,
-                    "graph_failures": graph_failures}
-
-        return self._memoized("c7", build)
+        items = list(catalog.catalog_models(self.seed + 7, self.frames).items())
+        relations = []  # (src model, dst model, mode, relation)
+        agreement_failures = 0
+        check_failures = 0
+        for mode in ("L", "LF"):
+            for sname, src in items:
+                for dname, dst in items:
+                    rel = greatest_bisimulation(src, dst, mode=mode)
+                    relations.append((src, dst, mode, rel))
+                    if not rel.pairs:
+                        continue
+                    anchor = rel.sorted_pairs()[0]
+                    if not check_bisimulation(src, dst, rel, anchor, mode).ok:
+                        check_failures += 1
+                        continue
+                    sig_src = self.signatures(src, mode)
+                    sig_dst = self.signatures(dst, mode)
+                    for p, q in rel.pairs:
+                        if sig_src[src.frame.point_index[p]] != \
+                                sig_dst[dst.frame.point_index[q]]:
+                            agreement_failures += 1
+        # graphs of the model p-morphisms found by search
+        graph_failures = 0
+        graphs_checked = 0
+        for src_model, dst_model, f, mode in self._c5_data["triples"]:
+            graph = PointRelation(frozenset(f.mapping.items()))
+            anchor = graph.sorted_pairs()[0]
+            graphs_checked += 1
+            if not check_bisimulation(src_model, dst_model, graph,
+                                      anchor, mode).ok:
+                graph_failures += 1
+        return {"relations": relations,
+                "agreement_failures": agreement_failures,
+                "check_failures": check_failures,
+                "graphs_checked": graphs_checked,
+                "graph_failures": graph_failures}
 
     def criterion_7(self) -> CriterionResult:
         def body():
-            data = self._c7_data()
+            data = self._c7_data
             nonempty = sum(1 for *_x, rel in data["relations"] if rel.pairs)
             detail = (f"{nonempty} greatest bisimulations verified and "
                       f"agreement-checked over the corpus "
@@ -472,7 +453,7 @@ class Battery:
 
     def criterion_8(self) -> CriterionResult:
         def body():
-            data = self._c7_data()
+            data = self._c7_data
             readded = 0
             unbroken = 0
             for src, dst, mode, rel in data["relations"]:
@@ -510,7 +491,7 @@ class Battery:
                         failures += 1
 
             # p-morphism condition witnesses from the sampled failing maps
-            for src, dst, f, report in self._c4_data()["failing_samples"]:
+            for src, dst, f, report in self._c4_data["failing_samples"]:
                 for violation in report.violations:
                     replayed += 1
                     if not _replay_map_violation(src, dst, f, violation):
@@ -535,7 +516,7 @@ class Battery:
 
             # bisimulation condition witnesses from re-added pairs
             bisim_replays = 0
-            for src, dst, mode, rel in self._c7_data()["relations"]:
+            for src, dst, mode, rel in self._c7_data["relations"]:
                 if bisim_replays >= 60:
                     break
                 pair = next((pq for pq in _all_pairs(src, dst)
@@ -554,7 +535,7 @@ class Battery:
             # distinguishing formulas distinguish; bisimilar anchors get none
             distinguishers = 0
             nones_checked = 0
-            for src, dst, mode, rel in self._c7_data()["relations"][:40]:
+            for src, dst, mode, rel in self._c7_data["relations"][:40]:
                 for pair in islice(_all_pairs(src, dst), 4):
                     p, q = pair
                     phi = find_distinguishing_formula(src, p, dst, q,

@@ -14,10 +14,10 @@ from itl.catalog import (
 )
 from itl.documents import resolve_point
 from itl.errors import InvalidBoundError, InvalidPointError
-from itl.formula import G, Atom, enumerate_formulas
-from itl.generate import gen_random_model
+from itl.formula import G, Atom, corpus_program, enumerate_formulas
+from itl.generate import gen_random_frame, gen_random_model
 from itl.morphisms import PointMap, pullback_valuation
-from itl.semantics import eval_hist, eval_rel
+from itl.semantics import Evaluator, eval_hist, eval_rel
 from itl.structures import Model, Point, Violation, points
 from itl.suite import _replay_map_violation, _replay_relation_violation
 
@@ -297,11 +297,30 @@ def test_greatest_bisimulation_matches_brute_force(seed, src_atoms, dst_atoms):
     assert greatest_bisimulation(src, dst, "LF").pairs == expected
 
 
+def first_disagreement(src, dst, p, q):
+    """The first atom, in sorted order, on which the valuations give the two
+    points different truth values, if any."""
+    return next((atom for atom in sorted(set(src.valuation) | set(dst.valuation))
+                 if (p in src.valuation.get(atom, frozenset()))
+                 != (q in dst.valuation.get(atom, frozenset()))), None)
+
+
 def pv_relation(src, dst):
-    """The masks of the pairs that _pv_failure lets through."""
+    """The masks of the pairs that agree on every atom of the valuations."""
     return _relation_masks(src.frame, dst.frame, [
         (p, q) for p in points(src.frame) for q in points(dst.frame)
-        if _pv_failure(src, dst, p, q) is None])
+        if first_disagreement(src, dst, p, q) is None])
+
+
+@given(seed=st.integers(0, 10 ** 6), src_atoms=st.integers(0, 3),
+       dst_atoms=st.integers(0, 3))
+def test_pv_failure_is_the_first_atom_the_valuations_disagree_on(
+        seed, src_atoms, dst_atoms):
+    src = gen_random_model(seed, 1 + seed % 6, n_atoms=src_atoms)
+    dst = gen_random_model(seed + 1, 1 + (seed + 1) % 6, n_atoms=dst_atoms)
+    for i, p in enumerate(points(src.frame)):
+        for j, q in enumerate(points(dst.frame)):
+            assert _pv_failure(src, dst, i, j) == first_disagreement(src, dst, p, q)
 
 
 @given(seed=st.integers(0, 10 ** 6), src_atoms=st.integers(0, 3),
@@ -380,7 +399,7 @@ def test_atom_difference_found_at_depth_zero():
     dst = Model(frame, {"p": frozenset()})
     phi = find_distinguishing_formula(src, a, dst, a, mode="L", max_depth=3)
     assert phi == Atom("p")
-    # an atom beyond the two the breadth-first search builds from
+    # the third atom, true on one side only
     single = frame_single()
     r = pt(single, "r", "r")
     src = Model(single, {"p": frozenset(), "q": frozenset(), "r": frozenset({r})})
@@ -406,3 +425,65 @@ def test_found_formulas_genuinely_distinguish(seed):
         assert eval_hist(src, p, phi) != eval_hist(dst, q, phi)
         assert eval_rel(src, p, phi) != eval_rel(dst, q, phi)
         assert not bisimilar(src, p, dst, q, mode="LF")
+
+
+@pytest.mark.parametrize("mode", ["L", "LF"])
+def test_third_atom_under_an_operator_is_found(mode):
+    # r holds at the only successor of the anchor on one side only: no atom
+    # separates the anchors, G r does
+    chain = frame_chain2()
+    r, a = pt(chain, "r", "a"), pt(chain, "a", "a")
+    src = Model(chain, {"p": frozenset(), "q": frozenset(), "r": frozenset({a})})
+    dst = Model(chain, {"p": frozenset(), "q": frozenset(), "r": frozenset()})
+    assert not bisimilar(src, r, dst, r, mode)
+    phi = find_distinguishing_formula(src, r, dst, r, mode=mode, max_depth=4)
+    assert phi == G(Atom("r"))
+
+
+@given(seed=st.integers(0, 10 ** 6), n_moments=st.integers(1, 6),
+       policy=st.sampled_from(["undividedness", "coarsened"]),
+       mode=st.sampled_from(["L", "LF"]))
+def test_distinguishing_search_is_complete_per_depth(seed, n_moments, policy, mode):
+    # two models on one frame share p and q and differ on r at one point; the
+    # search finds a formula up to a depth exactly when some formula of the
+    # corpus over the three atoms up to that depth separates the anchors
+    frame = gen_random_frame(seed, n_moments, branching=3, indist_policy=policy)
+    rng = random.Random(seed)
+    pts = points(frame)
+
+    def draw():
+        return frozenset(p for p in pts if rng.random() < 0.4)
+
+    shared = {"p": draw(), "q": draw()}
+    r_src = draw()
+    src = Model(frame, {**shared, "r": r_src})
+    dst = Model(frame, {**shared, "r": r_src ^ {rng.choice(pts)}})
+    p, q = rng.choice(pts), rng.choice(pts)
+    i, j = frame.point_index[p], frame.point_index[q]
+    for depth in (0, 1, 2):
+        program = corpus_program(("p", "q", "r"), depth, mode)
+        separable = any(
+            (a >> i & 1) != (b >> j & 1)
+            for a, b in zip(Evaluator(src, mode=mode).run(program),
+                            Evaluator(dst, mode=mode).run(program)))
+        phi = find_distinguishing_formula(src, p, dst, q, mode=mode,
+                                          max_depth=depth)
+        assert (phi is not None) == separable
+        if phi is not None:
+            assert eval_hist(src, p, phi, mode) != eval_hist(dst, q, phi, mode)
+            assert eval_rel(src, p, phi, mode) != eval_rel(dst, q, phi, mode)
+
+
+@pytest.mark.parametrize("mode", ["lf", "X", ""])
+def test_unknown_mode_is_rejected(mode):
+    model = f1_model()
+    r = pt(model, "r", "a")
+    relation = PointRelation(frozenset({(r, r)}))
+    with pytest.raises(ValueError, match="mode must be one of"):
+        greatest_bisimulation(model, model, mode)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        bisimilar(model, r, model, r, mode)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        check_bisimulation(model, model, relation, (r, r), mode)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        find_distinguishing_formula(model, r, model, r, mode=mode)

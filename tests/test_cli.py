@@ -275,6 +275,19 @@ def test_distinguish_finds_a_third_atom(tmp_path, capsys):
     assert (code, out) == (0, "r\n")
 
 
+def test_distinguish_finds_a_third_atom_under_an_operator(tmp_path, capsys):
+    paths = []
+    for name, r in (("with_r", [["a", "a"]]), ("without_r", [])):
+        path = tmp_path / f"{name}.model.json"
+        path.write_text(json.dumps({
+            "moments": ["r", "a"], "edges": [["r", "a"]],
+            "indist": {"r": [["a"]], "a": [["a"]]},
+            "valuation": {"p": [], "q": [], "r": r}}))
+        paths.append(str(path))
+    code, out = invoke(capsys, "distinguish", *paths, "--anchors", "r/a", "r/a")
+    assert (code, out) == (0, "G r\n")
+
+
 def test_unwritable_names_are_violations(tmp_path, capsys):
     frame = tmp_path / "slash.frame.json"
     frame.write_text(json.dumps({

@@ -293,3 +293,16 @@ def test_truth_preserved_along_collapse():
     for phi in enumerate_formulas(("p",), 2, "LF"):
         for p in points(fork):
             assert eval_hist(src, p, phi) == eval_hist(dst, f(p), phi)
+
+
+@pytest.mark.parametrize("mode", ["lf", "X", "nope"])
+def test_unknown_mode_is_rejected(mode):
+    fork, chain = frame_fork(), frame_chain2()
+    identity = identity_map(fork)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        check_frame_pmorphism(fork, fork, identity, mode)
+    model = Model(fork, {})
+    with pytest.raises(ValueError, match="mode must be one of"):
+        check_model_pmorphism(model, model, identity, mode)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        list(search_pmorphisms(fork, chain, mode))

@@ -229,7 +229,7 @@ def test_program_matches_naive_eval_on_larger_models(seed, mode):
 
 def test_corpus_program_slots_follow_enumeration_order():
     battery = Battery(seed=0)
-    models = battery.battery_models()[:3]
+    models = battery.battery_models[:3]
     for mode in ("L", "LF"):
         program = corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, mode)
         corpus = enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, mode)

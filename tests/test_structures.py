@@ -8,7 +8,7 @@ from itl.catalog import (
 )
 from itl.documents import frame_from_doc, resolve_point
 from itl.errors import InvalidPointError
-from itl.generate import gen_random_frame
+from itl.generate import gen_random_frame, gen_random_model
 from itl.structures import (
     Frame, History, IndistFunction, Model, Point, Tree, _tree_violations,
     future_points, histories, histories_through, points, precedes,
@@ -400,3 +400,34 @@ def test_catalog_frames_all_validate():
     for name, frame in catalog_frames().items():
         assert validate_frame(frame).ok, name
         assert len(points(frame)) <= 5, name
+
+
+@given(seed=st.integers(0, 10 ** 6), n_moments=st.integers(1, 8),
+       policy=st.sampled_from(["undividedness", "coarsened"]), data=st.data())
+def test_points_of_inverts_mask_of(seed, n_moments, policy, data):
+    frame = gen_random_frame(seed, n_moments, branching=3, indist_policy=policy)
+    pts = frame.point_list
+    assert frame.points_of(0) == []
+    assert frame.points_of(frame.full_mask) == list(pts)
+    chosen = data.draw(st.sets(st.sampled_from(pts)))
+    assert frame.points_of(frame.mask_of(chosen)) == [p for p in pts if p in chosen]
+    mask = data.draw(st.integers(0, frame.full_mask))
+    assert frame.mask_of(frame.points_of(mask)) == mask
+
+
+def test_labels_ignore_foreign_points_and_empty_atoms():
+    frame = frame_fork()
+    a = resolve_point(frame, "a", "a")
+    outside = Point("zz", frozenset({"zz"}))
+    model = Model(frame, {"p": frozenset({a, outside}),
+                          "q": frozenset({outside}), "e": frozenset()})
+    assert model.labels == tuple(frozenset({"p"}) if p == a else frozenset()
+                                 for p in frame.point_list)
+
+
+@given(seed=st.integers(0, 10 ** 6), n_atoms=st.integers(0, 3))
+def test_labels_are_the_atoms_true_at_each_point(seed, n_atoms):
+    model = gen_random_model(seed, 1 + seed % 7, branching=3, n_atoms=n_atoms)
+    assert model.labels == tuple(
+        frozenset(atom for atom, ext in model.valuation.items() if p in ext)
+        for p in model.frame.point_list)
