@@ -21,6 +21,43 @@ place); since every condition only asks for the existence of related
 witnesses, deletion is monotone and the fixpoint is the unique greatest
 such relation.
 
+On finite frames the F conditions follow from the G/H conditions, so the
+fixpoint tests the six G/H/L conditions only and its answer is the same in
+both modes.  Write ``Z`` for a relation in which every pair satisfies G-f,
+G-b, H-f and H-b, and ``depth`` for the number of moments below a point's
+moment, which is also its number of predecessors (at each earlier moment of
+its history exactly one class contains its class).
+
+Lemma: related points have equal depth.  By strong induction on the depth
+``d`` of ``p``, for ``p Z q``.  Each predecessor ``y`` of ``q`` has, by H-b,
+a related predecessor ``x`` of ``p``, so ``depth(y) = depth(x) < d``; hence
+``depth(q) <= d``, and ``d = 0`` gives ``depth(q) = 0``.  For ``d > 0``, H-f
+relates the immediate predecessor of ``p`` (depth ``d - 1``) to a
+predecessor of ``q``, of depth ``d - 1`` by induction; hence
+``depth(q) >= d``.
+
+Theorem: every pair ``p Z q`` satisfies F-f and F-b.  The points later than
+``p`` along a history of its class are successors of ``p`` (backward
+coherence), and a point at a leaf has a one-history class.  F-f: take a
+history ``h'`` of ``q``'s class.  If ``q`` is at a leaf, G-f leaves ``p``
+without successors, so ``p`` is at a leaf too and both histories have no
+later points.  Otherwise let ``q_l`` be the point of ``h'`` at its leaf, a
+successor of ``q``.  G-b gives a successor ``p'`` of ``p`` with
+``p' Z q_l``; G-f at that pair leaves ``p'`` without successors, so ``p'``
+is the leaf point of a history ``h`` of ``p``'s class.  Every point ``x``
+of ``h`` after ``p`` is ``p'`` (related to ``q_l``) or a predecessor of
+``p'``, which H-f relates to a predecessor ``y`` of ``q_l``: a point of
+``h'``.  By the lemma ``depth(y) = depth(x) > depth(p) = depth(q)``, so
+``y`` lies on ``h'`` after ``q``, and ``h`` tracks ``h'``.  F-b is F-f for
+the converse relation, which satisfies the same four conditions.  The proof
+needs finiteness: a history of the paper's infinite trees may have no last
+moment, and there the F conditions must be checked.
+
+For a map's graph H-f follows from G-f, so a map passing the G/H/L
+conditions passes F-f and F-b as well.  ``check_bisimulation`` still tests
+and reports the F conditions in mode "LF": a relation that fails a G/H
+condition at one pair may fail F at another, and the report names both.
+
 Every entry point rejects an unknown mode with the evaluator's ValueError.
 """
 
@@ -34,6 +71,7 @@ from .formula import Formula, Program, _emit_by_depth, check_mode
 from .semantics import Evaluator
 from .structures import Frame, Model, Point, Report, Violation, point_key
 
+L_CONDITIONS = ("G-f", "H-f", "L-f", "G-b", "H-b", "L-b")
 LF_CONDITIONS = ("F-f", "F-b")
 
 _TABLES = {"G": "rel_successor_masks", "H": "rel_predecessor_masks",
@@ -48,8 +86,7 @@ def conditions_for(mode: str) -> tuple[str, ...]:
 
 def _pair_conditions(mode: str) -> tuple[str, ...]:
     """The per-pair conditions besides PV, in reporting order."""
-    return ("G-f", "H-f", "L-f", "G-b", "H-b", "L-b") + (
-        LF_CONDITIONS if mode == "LF" else ())
+    return L_CONDITIONS + (LF_CONDITIONS if mode == "LF" else ())
 
 
 @dataclass(frozen=True)
@@ -198,11 +235,10 @@ def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:
             [src_classes.get(label, 0) for label in dst.labels])
 
 
-def _refine(sf: Frame, df: Frame, rel: list[int], conv: list[int],
-            mode: str) -> None:
+def _refine(sf: Frame, df: Frame, rel: list[int], conv: list[int]) -> None:
     """Delete from the relation ``rel``/``conv`` (changed in place) every pair
-    failing a per-pair condition other than PV, until none fails."""
-    kinds = _pair_conditions(mode)
+    failing a G/H/L condition, until none fails; by the theorem of the module
+    docstring the result then satisfies the F conditions too."""
     changed = True
     while changed:
         changed = False
@@ -213,7 +249,7 @@ def _refine(sf: Frame, df: Frame, rel: list[int], conv: list[int],
                 j = low.bit_length() - 1
                 todo ^= low
                 if any(_first_failure(kind, sf, df, i, j, rel, conv) is not None
-                       for kind in kinds):
+                       for kind in L_CONDITIONS):
                     rel[i] ^= low
                     conv[j] ^= 1 << i
                     changed = True
@@ -223,11 +259,12 @@ def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRela
     """Greatest relation satisfying PV and all back-and-forth conditions.
 
     Any pair it contains makes it a bisimulation anchored there.  The result
-    may be empty.
+    may be empty.  It is the same in both modes (see the module docstring),
+    so ``mode`` is only validated.
     """
     check_mode(mode)
     rel, conv = _atom_seed(src, dst)
-    _refine(src.frame, dst.frame, rel, conv, mode)
+    _refine(src.frame, dst.frame, rel, conv)
     targets = dst.frame.points_of
     return PointRelation(frozenset(
         (p, q) for p, row in zip(src.frame.point_list, rel) for q in targets(row)))

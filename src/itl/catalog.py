@@ -76,12 +76,6 @@ def catalog_frames() -> dict[str, Frame]:
     }
 
 
-def small_catalog_frames() -> dict[str, Frame]:
-    """The sub-catalogue of frames with at most 4 points."""
-    return {name: frame for name, frame in catalog_frames().items()
-            if len(points(frame)) <= 4}
-
-
 F1_MODEL_DOC = {
     "moments": ["r", "a", "b"],
     "edges": [["r", "a"], ["r", "b"]],

@@ -25,7 +25,7 @@ from .formula import Not, format_formula, parse
 from .generate import INDIST_POLICIES, gen_random_model
 from .morphisms import (
     check_frame_pmorphism, check_model_pmorphism,
-    conditions_for as morphism_conditions, search_pmorphisms,
+    check_search, conditions_for as morphism_conditions, search_pmorphisms,
 )
 from .semantics import Evaluator, frame_sat, model_sat
 from .structures import points, validate_frame
@@ -212,6 +212,8 @@ def _cmd_pmorph_search(args) -> int:
     src = _load_frame(args.src_frame)
     dst = _load_frame(args.dst_frame)
     limit = None if args.limit is None else limits.nonnegative(args.limit, "--limit")
+    # the search is lazy: check its bounds before a slice that may never start it
+    check_search(src, dst, args.mode)
     maps = search_pmorphisms(src, dst, mode=args.mode, surjective=args.surjective)
     found = [documents.map_to_doc(point_map) for point_map in islice(maps, limit)]
     if args.json:

@@ -12,6 +12,12 @@ checked as its graph by the condition routine of ``bisimulation``, over the
 frames' relation masks.  The forward condition for the converse order (H-f)
 is left out: for a function it follows from G-f.  The search grows the
 graph masks as it assigns, and prunes and gates with the same routine.
+
+The search decides the G/H/L conditions only, in both modes: on finite
+frames a map whose graph passes them passes F-f and F-b as well (the
+theorem in the ``bisimulation`` docstring), so the maps found are the same
+in "L" and "LF".  ``check_frame_pmorphism`` still tests and reports F-f and
+F-b in mode "LF", since it checks any map, not only the search's.
 """
 
 from __future__ import annotations
@@ -166,6 +172,18 @@ def check_set_characterization(src: Frame, dst: Frame, f: PointMap) -> bool:
     return True
 
 
+def check_search(src: Frame, dst: Frame, mode: str, bound: int | None = None) -> None:
+    """Raise for an unknown mode, a malformed bound, or a side with more points
+    than the bound (``limits.DEFAULT_SEARCH_BOUND`` when None)."""
+    check_mode(mode)
+    bound = limits.resolve(bound, limits.DEFAULT_SEARCH_BOUND)
+    n, m = len(src.point_list), len(dst.point_list)
+    if n > bound or m > bound:
+        raise BoundExceededError(
+            f"search over {n} -> {m} points exceeds the bound of {bound} "
+            f"points per side")
+
+
 def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
                       surjective: bool = False, bound: int | None = None):
     """Enumerate the total maps passing check_frame_pmorphism, in canonical order.
@@ -173,16 +191,12 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
     Backtracks over assignments in canonical point order, growing the graph
     masks of the partial map.  A target point is tried only if every assigned
     neighbour of the source point maps to a neighbour of the same kind; a
-    complete map passes when the condition routine finds no failure.
+    complete map passes when the condition routine finds no G/H/L failure
+    (see the module docstring), so ``mode`` is only validated.  The checks
+    of ``check_search`` run at the first ``next``.
     """
-    check_mode(mode)
-    bound = limits.resolve(bound, limits.DEFAULT_SEARCH_BOUND)
+    check_search(src, dst, mode, bound)
     src_pts, dst_pts = src.point_list, dst.point_list
-    if len(src_pts) > bound or len(dst_pts) > bound:
-        raise BoundExceededError(
-            f"search over {len(src_pts)} -> {len(dst_pts)} points exceeds the "
-            f"bound of {bound} points per side")
-
     n = len(src_pts)
     images: list[int] = []  # target point indices, by source point index
     rel, conv = [0] * n, [0] * len(dst_pts)
@@ -192,7 +206,7 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
         if surjective and conv.count(0) > n - i:
             return
         if i == n:
-            if next(_map_failures(src, dst, images, rel, conv, mode), None) is None:
+            if next(_map_failures(src, dst, images, rel, conv, "L"), None) is None:
                 yield PointMap(dict(zip(src_pts, (dst_pts[c] for c in images))))
             return
         below = (1 << i) - 1

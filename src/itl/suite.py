@@ -23,7 +23,7 @@ from .bisimulation import (
     PointRelation, check_bisimulation, find_distinguishing_formula,
     greatest_bisimulation,
 )
-from .documents import resolve_point, validate_doc
+from .documents import parse_point, resolve_point, validate_doc
 from .formula import (
     Program, corpus_program, enumerate_formulas, format_formula, parse,
     random_formula,
@@ -354,7 +354,8 @@ class Battery:
 
     @cached_property
     def _c6_data(self):
-        frames = catalog.small_catalog_frames()
+        frames = {name: frame for name, frame in self.frames.items()
+                  if len(frame.point_list) <= 4}
         surjective_maps = []
         violations = 0
         pv_failures = 0
@@ -695,37 +696,32 @@ def _replay_document_violation(doc, violation) -> bool:
 
 def _replay_map_violation(src: Frame, dst: Frame, f: PointMap, violation) -> bool:
     kind, w = violation.kind, violation.witness
-
-    def pt(frame, text):
-        moment, rep = text.split("/")
-        return resolve_point(frame, moment, rep)
-
     if kind == "G-f":
-        p, q = (pt(src, t) for t in w["pair"])
+        p, q = (parse_point(src, t) for t in w["pair"])
         return precedes(src, p, q) and not precedes(dst, f(p), f(q))
     if kind == "L-f":
-        p, q = (pt(src, t) for t in w["pair"])
+        p, q = (parse_point(src, t) for t in w["pair"])
         return same_moment(src, p, q) and not same_moment(dst, f(p), f(q))
     if kind == "G-b":
-        p = pt(src, w["point"])
-        q2 = pt(dst, w["target"])
+        p = parse_point(src, w["point"])
+        q2 = parse_point(dst, w["target"])
         return (precedes(dst, f(p), q2)
                 and not any(precedes(src, p, q) and f(q) == q2
                             for q in points(src)))
     if kind == "H-b":
-        p = pt(src, w["point"])
-        q2 = pt(dst, w["target"])
+        p = parse_point(src, w["point"])
+        q2 = parse_point(dst, w["target"])
         return (precedes(dst, q2, f(p))
                 and not any(precedes(src, q, p) and f(q) == q2
                             for q in points(src)))
     if kind == "L-b":
-        p = pt(src, w["point"])
-        q2 = pt(dst, w["target"])
+        p = parse_point(src, w["point"])
+        q2 = parse_point(dst, w["target"])
         return (same_moment(dst, f(p), q2)
                 and not any(same_moment(src, p, q) and f(q) == q2
                             for q in points(src)))
     if kind == "F-f":
-        p = pt(src, w["point"])
+        p = parse_point(src, w["point"])
         h2 = w["target_history"]
         q2 = f(p)
         futures2 = set(future_points(dst, q2.moment, h2))
@@ -733,7 +729,7 @@ def _replay_map_violation(src: Frame, dst: Frame, f: PointMap, violation) -> boo
             all(f(r) in futures2 for r in future_points(src, p.moment, h))
             for h in p.block)
     if kind == "F-b":
-        p = pt(src, w["point"])
+        p = parse_point(src, w["point"])
         h = w["history"]
         q2 = f(p)
         images = {f(r) for r in future_points(src, p.moment, h)}
@@ -746,8 +742,7 @@ def _replay_map_violation(src: Frame, dst: Frame, f: PointMap, violation) -> boo
 def _replay_pv_violation(src: Model, dst: Model, f: PointMap, violation) -> bool:
     if violation.kind != "PV":
         return False
-    moment, rep = violation.witness["point"].split("/")
-    p = resolve_point(src.frame, moment, rep)
+    p = parse_point(src.frame, violation.witness["point"])
     atom = violation.witness["atom"]
     return ((p in src.valuation.get(atom, frozenset()))
             != (f(p) in dst.valuation.get(atom, frozenset())))
@@ -756,24 +751,19 @@ def _replay_pv_violation(src: Model, dst: Model, f: PointMap, violation) -> bool
 def _replay_relation_violation(src: Model, dst: Model,
                                relation: PointRelation, violation) -> bool:
     kind, w = violation.kind, violation.witness
-
-    def pt(model, text):
-        moment, rep = text.split("/")
-        return resolve_point(model.frame, moment, rep)
-
     if kind == "B":
-        a = pt(src, w["anchor"][0])
-        b = pt(dst, w["anchor"][1])
+        a = parse_point(src.frame, w["anchor"][0])
+        b = parse_point(dst.frame, w["anchor"][1])
         return (a, b) not in relation.pairs
-    p = pt(src, w["pair"][0])
-    q = pt(dst, w["pair"][1])
+    p = parse_point(src.frame, w["pair"][0])
+    q = parse_point(dst.frame, w["pair"][1])
     pairs = relation.pairs
     if kind == "PV":
         atom = w["atom"]
         return ((p in src.valuation.get(atom, frozenset()))
                 != (q in dst.valuation.get(atom, frozenset())))
     if kind in ("G-f", "H-f", "L-f"):
-        r = pt(src, w["witness_point"])
+        r = parse_point(src.frame, w["witness_point"])
         rel = {"G-f": lambda fr, a, b: precedes(fr, a, b),
                "H-f": lambda fr, a, b: precedes(fr, b, a),
                "L-f": same_moment}[kind]
@@ -781,7 +771,7 @@ def _replay_relation_violation(src: Model, dst: Model,
                 and not any(rel(dst.frame, q, r2) and (r, r2) in pairs
                             for r2 in points(dst.frame)))
     if kind in ("G-b", "H-b", "L-b"):
-        r2 = pt(dst, w["witness_point"])
+        r2 = parse_point(dst.frame, w["witness_point"])
         rel = {"G-b": lambda fr, a, b: precedes(fr, a, b),
                "H-b": lambda fr, a, b: precedes(fr, b, a),
                "L-b": same_moment}[kind]

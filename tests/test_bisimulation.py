@@ -15,8 +15,10 @@ from itl.catalog import (
 from itl.documents import resolve_point
 from itl.errors import InvalidBoundError, InvalidPointError
 from itl.formula import G, Atom, corpus_program, enumerate_formulas
-from itl.generate import gen_random_frame, gen_random_model
-from itl.morphisms import PointMap, pullback_valuation
+from itl.generate import INDIST_POLICIES, gen_random_frame, gen_random_model
+from itl.morphisms import (
+    PointMap, check_frame_pmorphism, pullback_valuation, search_pmorphisms,
+)
 from itl.semantics import Evaluator, eval_hist, eval_rel
 from itl.structures import Model, Point, Violation, points
 from itl.suite import _replay_map_violation, _replay_relation_violation
@@ -295,6 +297,89 @@ def test_greatest_bisimulation_matches_brute_force(seed, src_atoms, dst_atoms):
                 satisfying.append(rel.pairs)
     expected = frozenset().union(*satisfying) if satisfying else frozenset()
     assert greatest_bisimulation(src, dst, "LF").pairs == expected
+
+
+# ---------------------------------------------------------------------------
+# on finite frames the F conditions follow from the G/H/L conditions
+# ---------------------------------------------------------------------------
+
+def model_pair(seed: int, policy: str, max_points: int = 40):
+    """Two models of at most max_points points under one indistinguishability
+    policy, with at most one atom: a generated model, and either itself, a
+    copy with one point's label flipped or another generated model, so that
+    large greatest bisimulations are common."""
+    rng = random.Random(seed)
+
+    def generated() -> Model:
+        while True:
+            model = gen_random_model(
+                rng.randrange(2 ** 32), rng.randint(1, 16),
+                branching=rng.choice((2, 3)), indist_policy=policy,
+                n_atoms=rng.randint(0, 1))
+            if len(points(model.frame)) <= max_points:
+                return model
+
+    src = generated()
+    shape = rng.randrange(3)
+    if shape == 0:
+        return src, src
+    if shape == 1:
+        flipped = frozenset({rng.choice(points(src.frame))})
+        return src, Model(src.frame, {"p0": src.valuation.get("p0", frozenset())
+                                      ^ flipped})
+    return src, generated()
+
+
+@given(seed=st.integers(0, 10 ** 6), policy=st.sampled_from(INDIST_POLICIES))
+def test_greatest_bisimulation_satisfies_the_f_conditions(seed, policy):
+    # the fixpoint deletes pairs on G/H/L only; F-f and F-b hold at every
+    # pair it keeps, so the relation is also the greatest one of mode LF
+    src, dst = model_pair(seed, policy)
+    rel = greatest_bisimulation(src, dst, "L")
+    assert greatest_bisimulation(src, dst, "LF") == rel
+    if rel.pairs:
+        anchor = random.Random(seed).choice(rel.sorted_pairs())
+        assert check_bisimulation(src, dst, rel, anchor, "LF").ok
+
+
+@given(seed=st.integers(0, 10 ** 6), policy=st.sampled_from(INDIST_POLICIES))
+def test_related_points_have_equal_depth(seed, policy):
+    src, dst = model_pair(seed, policy)
+    src_depth, dst_depth = src.frame.tree.ancestors, dst.frame.tree.ancestors
+    for p, q in greatest_bisimulation(src, dst, "L").pairs:
+        assert len(src_depth[p.moment]) == len(dst_depth[q.moment])
+
+
+def test_only_the_checkers_ask_for_the_f_conditions(monkeypatch):
+    import itl.bisimulation
+    import itl.morphisms
+
+    routine = itl.bisimulation._first_failure
+    asked = []
+
+    def recording(kind, *args):
+        asked.append(kind)
+        return routine(kind, *args)
+
+    monkeypatch.setattr(itl.bisimulation, "_first_failure", recording)
+    monkeypatch.setattr(itl.morphisms, "_first_failure", recording)
+
+    def kinds_asked(call) -> set[str]:
+        asked.clear()
+        call()
+        return set(asked)
+
+    src, dst, f = collapse_models()
+    rel = greatest_bisimulation(src, dst, "LF")
+    anchor = (pt(src, "r", "a"), pt(dst, "r", "a"))
+    assert kinds_asked(lambda: greatest_bisimulation(src, dst, "LF")) == \
+        set(PAIR_CONDITIONS)
+    assert kinds_asked(lambda: list(search_pmorphisms(src.frame, dst.frame, "LF"))) \
+        == set(MAP_CONDITIONS)
+    assert kinds_asked(lambda: check_bisimulation(src, dst, rel, anchor, "LF")) == \
+        set(PAIR_CONDITIONS + F_CONDITIONS)
+    assert kinds_asked(lambda: check_frame_pmorphism(src.frame, dst.frame, f, "LF")) \
+        == set(MAP_CONDITIONS + F_CONDITIONS)
 
 
 def first_disagreement(src, dst, p, q):

@@ -517,3 +517,105 @@ def test_parser_is_built_once_per_process(capsys):
     capsys.readouterr()
     info = _build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+# ---------------------------------------------------------------------------
+# input paths: each ends in its exit code with a named message
+# ---------------------------------------------------------------------------
+
+CHAIN = {"moments": ["r", "a"], "edges": [["r", "a"]],
+         "indist": {"r": [["a"]], "a": [["a"]]}}
+COLLAPSE = [[["r", "a"], ["r", "a"]], [["a", "a"], ["a", "a"]],
+            [["b", "b"], ["a", "a"]]]
+
+
+def write_docs(tmp_path, **docs) -> dict[str, str]:
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    return paths
+
+
+def invoke_all(capsys, *argv):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("limit", [[], ["--limit", "0"], ["--limit", "2"]])
+def test_pmorph_search_bound_error_does_not_depend_on_the_limit(
+        tmp_path, monkeypatch, capsys, limit):
+    # the search is lazy, and --limit 0 never starts it
+    monkeypatch.delenv("ITL_MAX_ENUM", raising=False)
+    moments = [f"m{k}" for k in range(11)]
+    chain11 = {"moments": moments,
+               "edges": [[a, b] for a, b in zip(moments, moments[1:])],
+               "indist": {m: [["m10"]] for m in moments}}
+    paths = write_docs(tmp_path, big=chain11)
+    assert invoke_all(capsys, "pmorph-search", paths["big"], FORK, *limit) == (
+        2, "", "error: search over 11 -> 3 points exceeds the bound of 7 points "
+               "per side\n")
+
+
+def test_histories_json(capsys):
+    code, out = invoke(capsys, "histories", FORK, "--json")
+    assert code == 0
+    assert json.loads(out) == [{"leaf": "a", "moments": ["r", "a"]},
+                               {"leaf": "b", "moments": ["r", "b"]}]
+
+
+def test_check_json_with_a_frame_witness(capsys):
+    code, out = invoke(capsys, "check", FORK, "--formula", "F p", "--sat", "--json")
+    assert code == 0
+    assert json.loads(out) == {"sat": True, "witness": {
+        "point": "r/a", "valuation": {"p": ["a/a", "b/b"]}}}
+    code, out = invoke(capsys, "check", FORK, "--formula", "p -> G p", "--valid",
+                       "--json")
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "counterexample": {
+        "point": "r/a", "valuation": {"p": ["r/a"]}}}
+
+
+def test_check_json_on_a_model_writes_null_when_nothing_is_found(capsys):
+    code, out = invoke(capsys, "check", F1, "--formula", "F p", "--sat", "--json")
+    assert (code, json.loads(out)) == (1, {"sat": False, "witness": None})
+    code, out = invoke(capsys, "check", F1, "--formula", "p | ~p", "--valid",
+                       "--json")
+    assert (code, json.loads(out)) == (0, {"valid": True, "counterexample": None})
+
+
+@pytest.mark.parametrize("models, message", [
+    (("chain.model", "chain.model"),
+     "source model frame differs from the source frame document"),
+    ((F1, F1), "target model frame differs from the target frame document"),
+])
+def test_pmorph_rejects_models_on_other_frames(tmp_path, capsys, models, message):
+    paths = write_docs(tmp_path, chain=CHAIN, map=COLLAPSE,
+                       **{"chain.model": {**CHAIN, "valuation": {}}})
+    models = [paths.get(m, m) for m in models]
+    assert invoke_all(capsys, "pmorph", FORK, paths["chain"], paths["map"],
+                      "--model", *models) == (2, "", f"error: {message}\n")
+
+
+def test_unreadable_path_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = invoke_all(capsys, "validate", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: ")
+    assert "No such file or directory" in err
+
+
+@pytest.mark.parametrize("command, label", [
+    (["pmorph", FORK, "chain", "doc"], "map"),
+    (["bisim-check", F1, "chain.model", "doc", "--anchors", "r/a", "r/a"],
+     "relation"),
+])
+def test_unresolved_point_in_a_pair_document(tmp_path, capsys, command, label):
+    pairs = [[["r", "a"], ["r", "a"]], [["zz", "a"], ["a", "a"]]]
+    paths = write_docs(tmp_path, chain=CHAIN, doc=pairs,
+                       **{"chain.model": {**CHAIN, "valuation": {}}})
+    argv = [paths.get(arg, arg) for arg in command]
+    assert invoke_all(capsys, *argv) == (
+        2, "", f"error: {label}[1]: zz/a does not name a point: no class at "
+               f"'zz' contains history 'a'\n")

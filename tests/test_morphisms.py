@@ -16,7 +16,7 @@ from itl.morphisms import (
     check_set_characterization, pullback_valuation, search_pmorphisms,
 )
 from itl.semantics import eval_hist
-from itl.structures import Model, point_key, points, precedes
+from itl.structures import Model, Point, point_key, points, precedes
 
 
 def pt(frame, moment, rep):
@@ -104,6 +104,23 @@ def test_partial_map_is_an_error():
     partial = PointMap({pt(fork, "r", "a"): pt(fork, "r", "a")})
     with pytest.raises(ValueError):
         check_frame_pmorphism(fork, fork, partial, "L")
+
+
+@pytest.mark.parametrize("where, message", [
+    ("source", "map defined on foreign point zz/zz"),
+    ("image", "image zz/zz is not a point of the target frame"),
+])
+def test_maps_naming_foreign_points_are_rejected(where, message):
+    fork, chain = frame_fork(), frame_chain2()
+    foreign = Point("zz", frozenset({"zz"}))
+    mapping = dict(collapse_map(fork, chain).mapping)
+    if where == "source":
+        mapping[foreign] = pt(chain, "a", "a")
+    else:
+        mapping[pt(fork, "b", "b")] = foreign
+    for check in (check_frame_pmorphism, check_set_characterization):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(fork, chain, PointMap(mapping))
 
 
 def test_model_pmorphism_valuation_agreement():
@@ -245,6 +262,24 @@ def test_search_matches_brute_force_enumeration(seed, mode, surjective):
             expected.append(f.mapping)
     got = [f.mapping for f in search_pmorphisms(src, dst, mode, surjective)]
     assert got == expected
+
+
+@given(seed=st.integers(0, 10 ** 6), policy=st.sampled_from(INDIST_POLICIES),
+       surjective=st.booleans())
+def test_search_lists_the_same_maps_in_both_modes(seed, policy, surjective):
+    # the search gates on G/H/L only; on finite frames F-f and F-b follow
+    rng = random.Random(seed)
+    src, dst = (gen_random_frame(rng.randrange(2 ** 32), rng.randint(1, 5),
+                                 rng.choice((2, 3)), policy) for _ in range(2))
+    if rng.random() < 0.5:
+        dst = src
+    if max(len(points(src)), len(points(dst))) > 7:
+        return
+    in_l = [f.mapping for f in search_pmorphisms(src, dst, "L", surjective)]
+    in_lf = list(search_pmorphisms(src, dst, "LF", surjective))
+    assert [f.mapping for f in in_lf] == in_l
+    for f in in_lf:
+        assert check_frame_pmorphism(src, dst, f, "LF").ok
 
 
 def test_surjective_search():

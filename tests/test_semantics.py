@@ -3,7 +3,7 @@ from hypothesis import assume, given, strategies as st
 
 from itl.catalog import (
     catalog_frames, f1_model, frame_fork, frame_fork_split,
-    random_valuation, small_catalog_frames,
+    random_valuation,
 )
 from itl.documents import resolve_point
 from itl.errors import (
@@ -21,6 +21,11 @@ from itl.semantics import (
 from itl.structures import Model, Point, points
 from itl.suite import CORPUS_ATOMS, CORPUS_DEPTH, Battery
 from oracles import naive_eval
+
+
+# the catalogue's frames of at most 4 points
+SMALL_FRAMES = {name: frame for name, frame in catalog_frames().items()
+                if len(points(frame)) <= 4}
 
 
 def fork_point(model_or_frame, moment, rep):
@@ -134,12 +139,12 @@ def test_abbreviation_theorems_on_f1():
 # ---------------------------------------------------------------------------
 
 def test_frame_valid_tautology_everywhere():
-    for name, frame in small_catalog_frames().items():
+    for name, frame in SMALL_FRAMES.items():
         assert frame_valid(frame, parse("G (p -> p)")), name
 
 
 def test_class_box_is_reflexive():
-    for name, frame in small_catalog_frames().items():
+    for name, frame in SMALL_FRAMES.items():
         assert frame_valid(frame, parse("L p -> p")), name
 
 
@@ -186,7 +191,7 @@ def test_frame_valid_no_atoms_edge_case():
 
 @given(seed=st.integers(0, 300))
 def test_frame_validity_implies_model_validity(seed):
-    frames = list(small_catalog_frames().values())
+    frames = list(SMALL_FRAMES.values())
     frame = frames[seed % len(frames)]
     phi = random_formula(seed, 2, ("p",), mode="L")
     if frame_valid(frame, phi):

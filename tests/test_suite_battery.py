@@ -3,6 +3,7 @@ replayers are not vacuous: corrupting a witness must make its replay fail."""
 
 import dataclasses
 
+from itl import catalog
 from itl.catalog import MALFORMED_DOCUMENTS, frame_chain2, frame_fork
 from itl.documents import resolve_point, validate_frame_doc, validate_model_doc
 from itl.morphisms import PointMap, check_frame_pmorphism
@@ -114,3 +115,17 @@ def test_valid_corpus_formulas_agrees_with_frame_valid():
     # a couple of known validities and invalidities
     assert frame_valid(frame, parse("L p -> p", "L"))
     assert not frame_valid(frame, parse("p", "L"))
+
+
+def test_the_catalogue_is_built_once_per_battery(monkeypatch):
+    # criteria 4 to 7 share Battery.frames; criterion 6 filters it by size
+    build, built = catalog.catalog_frames, []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(catalog, "catalog_frames", counting)
+    results = Battery(0).run_all()
+    assert all(r.passed for r in results)
+    assert len(built) == 1
