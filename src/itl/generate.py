@@ -2,9 +2,8 @@
 
 All randomness flows from the explicit seed of each call; equal seeds give
 byte-identical documents.  Generated structures always pass validation: the
-"coarsened" policy merges random classes of the canonical assignment and then
-propagates every merge to all earlier moments, which is the minimal repair
-that restores backward coherence.
+"coarsened" policy merges random classes of the canonical assignment, which
+keeps backward coherence without repair (see ``coarsened_indist``).
 """
 
 from __future__ import annotations
@@ -42,38 +41,22 @@ def random_tree(seed: int, n_moments: int, branching: int = 2) -> Tree:
 
 
 def coarsened_indist(seed: int, tree: Tree) -> IndistFunction:
-    """Randomly merge classes of the canonical assignment, propagating every
-    merge downward so that backward coherence is preserved."""
+    """Randomly merge classes of the canonical assignment, moment by moment.
+
+    Backward coherence holds without repair.  Histories in one class at a
+    moment ``t`` all pass through ``t``, so at each earlier moment ``s`` they
+    pass through the same child of ``s``, and the canonical assignment puts
+    them in one class at ``s``; merges at ``s`` only join classes.  Moments
+    are visited deepest first, which fixes the order of the random draws.
+    """
     rng = random.Random(seed)
     base = undividedness_indist(tree)
-    blocks: dict[str, list[set[str]]] = {
-        m: [set(b) for b in base.classes_at[m]] for m in tree.moment_set
-    }
-
-    def merge(moment: str, i: int, j: int) -> None:
-        i, j = min(i, j), max(i, j)
-        blocks[moment][i] |= blocks[moment][j]
-        del blocks[moment][j]
-
-    def merge_leaves(moment: str, a: str, b: str) -> None:
-        ia = next(i for i, blk in enumerate(blocks[moment]) if a in blk)
-        ib = next(i for i, blk in enumerate(blocks[moment]) if b in blk)
-        if ia != ib:
-            merge(moment, ia, ib)
-
-    by_depth = sorted(tree.moment_set,
-                      key=lambda m: (-len(tree.ancestors[m]), m))
-    for t in by_depth:
-        while len(blocks[t]) > 1 and rng.random() < 0.4:
-            i, j = rng.sample(range(len(blocks[t])), 2)
-            merge(t, i, j)
-        for block in blocks[t]:
-            anchor = min(block)
-            for other in block:
-                if other != anchor:
-                    for s in tree.ancestors[t]:
-                        merge_leaves(s, anchor, other)
-
+    blocks = {m: [set(b) for b in base.classes_at[m]] for m in tree.moment_set}
+    for t in sorted(tree.moment_set, key=lambda m: (-len(tree.ancestors[m]), m)):
+        classes = blocks[t]
+        while len(classes) > 1 and rng.random() < 0.4:
+            i, j = sorted(rng.sample(range(len(classes)), 2))
+            classes[i] |= classes.pop(j)
     return IndistFunction({
         m: tuple(tuple(sorted(b)) for b in sorted(bs, key=min))
         for m, bs in blocks.items()

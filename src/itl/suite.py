@@ -1,10 +1,15 @@
 """The verification battery behind ``itl suite`` and the acceptance tests.
 
-Each criterion is a method of :class:`Battery` returning a
-:class:`CriterionResult`; shared artifacts (random models, found morphisms,
-greatest bisimulations, per-model truth signatures over the exhaustive
-formula corpus) are computed once and cached on the battery instance.  All
-randomness flows from the battery seed.
+Each criterion is a method of :class:`Battery` returning a timed
+:class:`CriterionResult`.  The materials the criteria share are built once
+per battery instance and read by every criterion that needs them: the
+random models and formulas, the frame catalogue, the p-morphisms between
+catalogue frames (one search per ordered frame pair), the greatest
+bisimulations between catalogue models (one fixpoint per ordered model
+pair), and per-model truth signatures over the exhaustive formula corpus.
+The search and the fixpoint give the same answer in both modes (see
+``bisimulation``), so each map and each relation is found once and checked
+in both.  All randomness flows from the battery seed.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import islice, product
 
 from . import catalog
@@ -25,7 +30,7 @@ from .bisimulation import (
 )
 from .documents import parse_point, resolve_point, validate_doc
 from .formula import (
-    Program, corpus_program, enumerate_formulas, format_formula, parse,
+    MODES, Program, corpus_program, enumerate_formulas, format_formula, parse,
     random_formula,
 )
 from .generate import gen_random_model
@@ -79,11 +84,18 @@ class CriterionResult:
                 "detail": self.detail, "seconds": round(self.seconds, 2)}
 
 
-def _timed(number: int, name: str, body) -> CriterionResult:
-    start = time.perf_counter()
-    passed, detail = body()
-    return CriterionResult(number, name, passed, detail,
-                           time.perf_counter() - start)
+def _criterion(number: int, name: str):
+    """Turn a method returning (passed, detail) into criterion ``number``,
+    which returns a :class:`CriterionResult` timed over the whole call."""
+    def decorate(body):
+        @wraps(body)
+        def timed(self) -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = body(self)
+            return CriterionResult(number, name, passed, detail,
+                                   time.perf_counter() - start)
+        return timed
+    return decorate
 
 
 class Battery:
@@ -129,6 +141,31 @@ class Battery:
         """The frame catalogue, built once per battery."""
         return catalog.catalog_frames()
 
+    @cached_property
+    def found_maps(self) -> tuple[tuple[Frame, Frame, PointMap], ...]:
+        """(source, target, map) for every p-morphism between catalogue
+        frames: one search per ordered frame pair, in search order."""
+        frames = self.frames.values()
+        return tuple((src, dst, f) for src in frames for dst in frames
+                     for f in search_pmorphisms(src, dst, mode="L"))
+
+    @cached_property
+    def relations(self) -> tuple[tuple[Model, Model, str, PointRelation], ...]:
+        """(source, target, mode, greatest bisimulation) for every ordered
+        pair of catalogue models, listed once per mode: one fixpoint per
+        model pair."""
+        models = catalog.catalog_models(self.seed + 7, self.frames).values()
+        found = [(src, dst, greatest_bisimulation(src, dst, mode="L"))
+                 for src in models for dst in models]
+        return tuple((src, dst, mode, rel)
+                     for mode in MODES for src, dst, rel in found)
+
+    def _pullbacks(self, src: Frame, dst: Frame, f: PointMap, tag: int):
+        """The model pairs that ``f`` joins: ``dst`` with the empty and with a
+        seeded valuation (drawn from ``tag``), and ``src`` with its pullback."""
+        for valuation in ({}, catalog.random_valuation(self.seed + 50_000 + tag, dst)):
+            yield Model(src, pullback_valuation(valuation, f)), Model(dst, valuation)
+
     def corpus(self, mode: str):
         return enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, mode)
 
@@ -149,105 +186,101 @@ class Battery:
     # criterion 1: the two semantics agree
     # ------------------------------------------------------------------
 
-    def criterion_1(self) -> CriterionResult:
-        def body():
-            models = self.battery_models
-            formulas = self.battery_formulas
-            program = Program("L")
-            roots = [program.add(phi) for phi in formulas]
-            disagreements = 0
-            for model in models:
-                by_clauses = Evaluator(model, relational=False, mode="L").run(program)
-                by_relations = Evaluator(model, relational=True, mode="L").run(program)
-                disagreements += sum(by_clauses[r] != by_relations[r] for r in roots)
-            detail = (f"{len(models)} models x {len(formulas)} formulas x all "
-                      f"points, {disagreements} disagreements")
-            return disagreements == 0, detail
-
-        return _timed(1, "semantics-equivalence", body)
+    @_criterion(1, "semantics-equivalence")
+    def criterion_1(self):
+        models = self.battery_models
+        formulas = self.battery_formulas
+        program = Program("L")
+        roots = [program.add(phi) for phi in formulas]
+        disagreements = 0
+        for model in models:
+            by_clauses = Evaluator(model, relational=False, mode="L").run(program)
+            by_relations = Evaluator(model, relational=True, mode="L").run(program)
+            disagreements += sum(by_clauses[r] != by_relations[r] for r in roots)
+        detail = (f"{len(models)} models x {len(formulas)} formulas x all "
+                  f"points, {disagreements} disagreements")
+        return disagreements == 0, detail
 
     # ------------------------------------------------------------------
     # criterion 2: surface abbreviations match their expansions
     # ------------------------------------------------------------------
 
-    def criterion_2(self) -> CriterionResult:
-        def body():
-            models = self.battery_models
-            formulas = self.battery_formulas
-            wrappers = (("P", "~H ~"), ("f", "~G ~"), ("M", "~L ~"), ("g", "~F ~"))
-            # hash-consed: two formulas share a slot exactly when they are equal
-            program = Program("LF")
-            pairs = []
-            for phi in formulas:
-                s = format_formula(phi)
-                for surface, expansion in wrappers:
-                    pairs.append((program.add(parse(f"{surface} ({s})", "LF")),
-                                  program.add(parse(f"{expansion}({s})", "LF"))))
-            structural_mismatches = sum(a != b for a, b in pairs)
-            disagreements = 0
-            for model in models:
-                masks = Evaluator(model, mode="LF").run(program)
-                disagreements += sum(masks[a] != masks[b] for a, b in pairs)
-            detail = (f"{len(pairs)} abbreviation pairs x {len(models)} models: "
-                      f"{structural_mismatches} parse mismatches, "
-                      f"{disagreements} evaluation disagreements")
-            return structural_mismatches == 0 and disagreements == 0, detail
-
-        return _timed(2, "abbreviation-theorems", body)
+    @_criterion(2, "abbreviation-theorems")
+    def criterion_2(self):
+        models = self.battery_models
+        formulas = self.battery_formulas
+        wrappers = (("P", "~H ~"), ("f", "~G ~"), ("M", "~L ~"), ("g", "~F ~"))
+        # hash-consed: two formulas share a slot exactly when they are equal
+        program = Program("LF")
+        pairs = []
+        for phi in formulas:
+            s = format_formula(phi)
+            for surface, expansion in wrappers:
+                pairs.append((program.add(parse(f"{surface} ({s})", "LF")),
+                              program.add(parse(f"{expansion}({s})", "LF"))))
+        structural_mismatches = sum(a != b for a, b in pairs)
+        disagreements = 0
+        for model in models:
+            masks = Evaluator(model, mode="LF").run(program)
+            disagreements += sum(masks[a] != masks[b] for a, b in pairs)
+        detail = (f"{len(pairs)} abbreviation pairs x {len(models)} models: "
+                  f"{structural_mismatches} parse mismatches, "
+                  f"{disagreements} evaluation disagreements")
+        return structural_mismatches == 0 and disagreements == 0, detail
 
     # ------------------------------------------------------------------
     # criterion 3: the strong/weak future separation example
     # ------------------------------------------------------------------
 
-    def criterion_3(self) -> CriterionResult:
-        def body():
-            import os
-            import tempfile
+    @_criterion(3, "weak-future-separation")
+    def criterion_3(self):
+        import os
+        import tempfile
 
-            from .cli import run as cli_run
+        from .cli import run as cli_run
 
-            model = catalog.f1_model()
-            at = resolve_point(model.frame, "r", "a")
-            dual = parse("f p")
-            weak = parse("F p")
-            api_ok = (eval_hist(model, at, dual) and eval_rel(model, at, dual)
-                      and not eval_hist(model, at, weak)
-                      and not eval_rel(model, at, weak))
+        model = catalog.f1_model()
+        at = resolve_point(model.frame, "r", "a")
+        dual = parse("f p")
+        weak = parse("F p")
+        api_ok = (eval_hist(model, at, dual) and eval_rel(model, at, dual)
+                  and not eval_hist(model, at, weak)
+                  and not eval_rel(model, at, weak))
 
-            with tempfile.NamedTemporaryFile("w", suffix=".model.json",
-                                             delete=False) as handle:
-                json.dump(catalog.F1_MODEL_DOC, handle)
-                path = handle.name
-            outputs = []
-            codes = []
-            try:
-                for text in ("f p", "F p"):
-                    buf = io.StringIO()
-                    with contextlib.redirect_stdout(buf):
-                        codes.append(cli_run([
-                            "eval", path, "--at", "r/a", "--formula", text,
-                            "--semantics", "both"]))
-                    outputs.append(buf.getvalue())
-            finally:
-                os.unlink(path)
-            cli_ok = (outputs[0] == "hist: true\nrel: true\n" and codes[0] == 0
-                      and outputs[1] == "hist: false\nrel: false\n" and codes[1] == 1)
-            detail = (f"f p -> true, F p -> false at r/a; CLI output and exit "
-                      f"codes {'reproduced' if cli_ok else 'DIFFER'}")
-            return api_ok and cli_ok, detail
-
-        return _timed(3, "weak-future-separation", body)
+        with tempfile.NamedTemporaryFile("w", suffix=".model.json",
+                                         delete=False) as handle:
+            json.dump(catalog.F1_MODEL_DOC, handle)
+            path = handle.name
+        outputs = []
+        codes = []
+        try:
+            for text in ("f p", "F p"):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    codes.append(cli_run([
+                        "eval", path, "--at", "r/a", "--formula", text,
+                        "--semantics", "both"]))
+                outputs.append(buf.getvalue())
+        finally:
+            os.unlink(path)
+        cli_ok = (outputs[0] == "hist: true\nrel: true\n" and codes[0] == 0
+                  and outputs[1] == "hist: false\nrel: false\n" and codes[1] == 1)
+        detail = (f"f p -> true, F p -> false at r/a; CLI output and exit "
+                  f"codes {'reproduced' if cli_ok else 'DIFFER'}")
+        return api_ok and cli_ok, detail
 
     # ------------------------------------------------------------------
     # criterion 4: condition checker vs set characterization
     # ------------------------------------------------------------------
 
     @cached_property
-    def _c4_data(self):
+    def _c4_data(self) -> tuple[bool, int, list]:
+        """(checker and characterization agree, number of p-morphisms,
+        up to 60 failing (source, target, map, report)) over the sampled
+        maps."""
         frames = list(self.frames.values())
         rng = random.Random(self.seed + 4)
         agree = True
-        checked = 0
         passing = 0
         failing_samples = []
         for _ in range(self.N_SAMPLED_MAPS):
@@ -258,71 +291,54 @@ class Battery:
                        for p in points(src)}
             f = PointMap(mapping)
             report = check_frame_pmorphism(src, dst, f, mode="L")
-            characterized = check_set_characterization(src, dst, f)
-            checked += 1
-            if report.ok != characterized:
+            if report.ok != check_set_characterization(src, dst, f):
                 agree = False
             if report.ok:
                 passing += 1
             elif len(failing_samples) < 60:
                 failing_samples.append((src, dst, f, report))
-        return {"agree": agree, "checked": checked, "passing": passing,
-                "failing_samples": failing_samples}
+        return agree, passing, failing_samples
 
-    def criterion_4(self) -> CriterionResult:
-        def body():
-            data = self._c4_data
-            detail = (f"{data['checked']} sampled maps over the catalogue, "
-                      f"{data['passing']} were p-morphisms; checker and "
-                      f"characterization {'agree' if data['agree'] else 'DISAGREE'}")
-            return data["agree"], detail
-
-        return _timed(4, "pmorphism-characterization", body)
+    @_criterion(4, "pmorphism-characterization")
+    def criterion_4(self):
+        agree, passing, _ = self._c4_data
+        detail = (f"{self.N_SAMPLED_MAPS} sampled maps over the catalogue, "
+                  f"{passing} were p-morphisms; checker and "
+                  f"characterization {'agree' if agree else 'DISAGREE'}")
+        return agree, detail
 
     # ------------------------------------------------------------------
     # criterion 5: truth preservation along found p-morphisms
     # ------------------------------------------------------------------
 
-    def _dst_valuations(self, frame: Frame, tag: int):
-        return ({}, catalog.random_valuation(self.seed + 50_000 + tag, frame))
-
     @cached_property
-    def _c5_data(self):
-        frames = self.frames
-        triples = []  # (src model, dst model, map, mode)
+    def _model_pmorphisms(self) -> tuple[tuple[Model, Model, PointMap], ...]:
+        """(source model, target model, map) for each found map and each of
+        its pulled-back model pairs."""
+        index = {frame: k for k, frame in enumerate(self.frames.values())}
+        return tuple((src_model, dst_model, f)
+                     for src, dst, f in self.found_maps
+                     for src_model, dst_model in self._pullbacks(
+                         src, dst, f, index[src] * 31 + index[dst]))
+
+    @_criterion(5, "pmorphism-preservation")
+    def criterion_5(self):
+        triples = self._model_pmorphisms
         mismatches = 0
-        maps_found = 0
-        for mode in ("L", "LF"):
-            for i, (sname, src) in enumerate(frames.items()):
-                for j, (dname, dst) in enumerate(frames.items()):
-                    for f in search_pmorphisms(src, dst, mode=mode):
-                        maps_found += 1
-                        for valuation in self._dst_valuations(dst, i * 31 + j):
-                            dst_model = Model(dst, dict(valuation))
-                            src_model = Model(src, pullback_valuation(
-                                dst_model.valuation, f))
-                            sig_src = self.signatures(src_model, mode)
-                            sig_dst = self.signatures(dst_model, mode)
-                            dst_index = dst.point_index
-                            for k, p in enumerate(points(src)):
-                                if sig_src[k] != sig_dst[dst_index[f(p)]]:
-                                    mismatches += 1
-                            triples.append((src_model, dst_model, f, mode))
-        return {"triples": triples, "mismatches": mismatches,
-                "maps_found": maps_found}
-
-    def criterion_5(self) -> CriterionResult:
-        def body():
-            data = self._c5_data
-            corpus_sizes = (len(self.corpus_program("L")),
-                            len(self.corpus_program("LF")))
-            detail = (f"{data['maps_found']} maps found (both modes), "
-                      f"{len(data['triples'])} model p-morphisms x corpus "
-                      f"{corpus_sizes} x all points, "
-                      f"{data['mismatches']} evaluation mismatches")
-            return data["mismatches"] == 0, detail
-
-        return _timed(5, "pmorphism-preservation", body)
+        for mode in MODES:
+            for src, dst, f in triples:
+                sig_src = self.signatures(src, mode)
+                sig_dst = self.signatures(dst, mode)
+                dst_index = dst.frame.point_index
+                mismatches += sum(sig != sig_dst[dst_index[f(p)]]
+                                  for p, sig in zip(src.frame.point_list, sig_src))
+        corpus_sizes = tuple(len(self.corpus_program(mode)) for mode in MODES)
+        # a map, and each of its model pairs, counts once per mode checked
+        detail = (f"{len(MODES) * len(self.found_maps)} maps found (both modes), "
+                  f"{len(MODES) * len(triples)} model p-morphisms x corpus "
+                  f"{corpus_sizes} x all points, "
+                  f"{mismatches} evaluation mismatches")
+        return mismatches == 0, detail
 
     # ------------------------------------------------------------------
     # criterion 6: validity preservation along surjective p-morphisms
@@ -352,233 +368,191 @@ class Battery:
         self._valid[frame] = set(alive)
         return self._valid[frame]
 
-    @cached_property
-    def _c6_data(self):
-        frames = {name: frame for name, frame in self.frames.items()
-                  if len(frame.point_list) <= 4}
-        surjective_maps = []
+    @_criterion(6, "validity-preservation")
+    def criterion_6(self):
+        small = [frame for frame in self.frames.values()
+                 if len(frame.point_list) <= 4]
+        index = {frame: k for k, frame in enumerate(small)}
+        maps = [(src, dst, f) for src, dst, f in self.found_maps
+                if src in index and dst in index and f.is_surjective_onto(dst)]
         violations = 0
         pv_failures = 0
-        for i, (sname, src) in enumerate(frames.items()):
-            for j, (dname, dst) in enumerate(frames.items()):
-                for f in search_pmorphisms(src, dst, mode="L", surjective=True):
-                    surjective_maps.append((src, dst, f))
-                    valid_src = self.valid_corpus_formulas(src)
-                    valid_dst = self.valid_corpus_formulas(dst)
-                    if not valid_src <= valid_dst:
-                        violations += len(valid_src - valid_dst)
-                    for valuation in self._dst_valuations(dst, i * 37 + j):
-                        dst_model = Model(dst, dict(valuation))
-                        src_model = Model(src, pullback_valuation(
-                            dst_model.valuation, f))
-                        if not check_model_pmorphism(
-                                src_model, dst_model, f, mode="L").ok:
-                            pv_failures += 1
-        return {"maps": surjective_maps, "violations": violations,
-                "pv_failures": pv_failures}
-
-    def criterion_6(self) -> CriterionResult:
-        def body():
-            data = self._c6_data
-            detail = (f"{len(data['maps'])} surjective maps on frames <= 4 "
-                      f"points, corpus {len(self.corpus_program('L'))}: "
-                      f"{data['violations']} validity-preservation violations, "
-                      f"{data['pv_failures']} pullback PV failures")
-            return data["violations"] == 0 and data["pv_failures"] == 0, detail
-
-        return _timed(6, "validity-preservation", body)
+        for src, dst, f in maps:
+            violations += len(self.valid_corpus_formulas(src)
+                              - self.valid_corpus_formulas(dst))
+            for src_model, dst_model in self._pullbacks(
+                    src, dst, f, index[src] * 37 + index[dst]):
+                if not check_model_pmorphism(src_model, dst_model, f, mode="L").ok:
+                    pv_failures += 1
+        detail = (f"{len(maps)} surjective maps on frames <= 4 "
+                  f"points, corpus {len(self.corpus_program('L'))}: "
+                  f"{violations} validity-preservation violations, "
+                  f"{pv_failures} pullback PV failures")
+        return violations == 0 and pv_failures == 0, detail
 
     # ------------------------------------------------------------------
     # criterion 7: bisimulations imply formula agreement at their anchors
     # ------------------------------------------------------------------
 
-    @cached_property
-    def _c7_data(self):
-        items = list(catalog.catalog_models(self.seed + 7, self.frames).items())
-        relations = []  # (src model, dst model, mode, relation)
-        agreement_failures = 0
+    @_criterion(7, "bisimulation-preservation")
+    def criterion_7(self):
+        nonempty = 0
         check_failures = 0
-        for mode in ("L", "LF"):
-            for sname, src in items:
-                for dname, dst in items:
-                    rel = greatest_bisimulation(src, dst, mode=mode)
-                    relations.append((src, dst, mode, rel))
-                    if not rel.pairs:
-                        continue
-                    anchor = rel.sorted_pairs()[0]
-                    if not check_bisimulation(src, dst, rel, anchor, mode).ok:
-                        check_failures += 1
-                        continue
-                    sig_src = self.signatures(src, mode)
-                    sig_dst = self.signatures(dst, mode)
-                    for p, q in rel.pairs:
-                        if sig_src[src.frame.point_index[p]] != \
-                                sig_dst[dst.frame.point_index[q]]:
-                            agreement_failures += 1
-        # graphs of the model p-morphisms found by search
+        agreement_failures = 0
+        for src, dst, mode, rel in self.relations:
+            if not rel.pairs:
+                continue
+            nonempty += 1
+            anchor = rel.sorted_pairs()[0]
+            if not check_bisimulation(src, dst, rel, anchor, mode).ok:
+                check_failures += 1
+                continue
+            sig_src = self.signatures(src, mode)
+            sig_dst = self.signatures(dst, mode)
+            src_index, dst_index = src.frame.point_index, dst.frame.point_index
+            agreement_failures += sum(sig_src[src_index[p]] != sig_dst[dst_index[q]]
+                                      for p, q in rel.pairs)
+        # graphs of the model p-morphisms of criterion 5
         graph_failures = 0
-        graphs_checked = 0
-        for src_model, dst_model, f, mode in self._c5_data["triples"]:
-            graph = PointRelation(frozenset(f.mapping.items()))
-            anchor = graph.sorted_pairs()[0]
-            graphs_checked += 1
-            if not check_bisimulation(src_model, dst_model, graph,
-                                      anchor, mode).ok:
-                graph_failures += 1
-        return {"relations": relations,
-                "agreement_failures": agreement_failures,
-                "check_failures": check_failures,
-                "graphs_checked": graphs_checked,
-                "graph_failures": graph_failures}
-
-    def criterion_7(self) -> CriterionResult:
-        def body():
-            data = self._c7_data
-            nonempty = sum(1 for *_x, rel in data["relations"] if rel.pairs)
-            detail = (f"{nonempty} greatest bisimulations verified and "
-                      f"agreement-checked over the corpus "
-                      f"({data['check_failures']} condition failures, "
-                      f"{data['agreement_failures']} agreement failures); "
-                      f"{data['graphs_checked']} p-morphism graphs pass "
-                      f"({data['graph_failures']} failures; their point "
-                      f"agreement is criterion 5)")
-            ok = (data["agreement_failures"] == 0 and data["check_failures"] == 0
-                  and data["graph_failures"] == 0)
-            return ok, detail
-
-        return _timed(7, "bisimulation-preservation", body)
+        for mode in MODES:
+            for src, dst, f in self._model_pmorphisms:
+                graph = PointRelation(frozenset(f.mapping.items()))
+                if not check_bisimulation(src, dst, graph,
+                                          graph.sorted_pairs()[0], mode).ok:
+                    graph_failures += 1
+        detail = (f"{nonempty} greatest bisimulations verified and "
+                  f"agreement-checked over the corpus "
+                  f"({check_failures} condition failures, "
+                  f"{agreement_failures} agreement failures); "
+                  f"{len(MODES) * len(self._model_pmorphisms)} p-morphism "
+                  f"graphs pass ({graph_failures} failures; their point "
+                  f"agreement is criterion 5)")
+        return agreement_failures == check_failures == graph_failures == 0, detail
 
     # ------------------------------------------------------------------
     # criterion 8: the fixpoint is maximal
     # ------------------------------------------------------------------
 
-    def criterion_8(self) -> CriterionResult:
-        def body():
-            data = self._c7_data
-            readded = 0
-            unbroken = 0
-            for src, dst, mode, rel in data["relations"]:
-                for pair in _all_pairs(src, dst):
-                    if pair in rel.pairs:
-                        continue
-                    extended = PointRelation(rel.pairs | {pair})
-                    report = check_bisimulation(src, dst, extended, pair, mode)
-                    readded += 1
-                    if report.ok:
-                        unbroken += 1
-            detail = (f"{readded} re-added pairs across all model pairs and "
-                      f"modes, {unbroken} failed to break a condition")
-            return unbroken == 0, detail
-
-        return _timed(8, "fixpoint-maximality", body)
+    @_criterion(8, "fixpoint-maximality")
+    def criterion_8(self):
+        readded = 0
+        unbroken = 0
+        for src, dst, mode, rel in self.relations:
+            for pair in _all_pairs(src, dst):
+                if pair in rel.pairs:
+                    continue
+                extended = PointRelation(rel.pairs | {pair})
+                report = check_bisimulation(src, dst, extended, pair, mode)
+                readded += 1
+                if report.ok:
+                    unbroken += 1
+        detail = (f"{readded} re-added pairs across all model pairs and "
+                  f"modes, {unbroken} failed to break a condition")
+        return unbroken == 0, detail
 
     # ------------------------------------------------------------------
     # criterion 9: witnesses and distinguishing formulas replay
     # ------------------------------------------------------------------
 
-    def criterion_9(self) -> CriterionResult:
-        def body():
-            replayed = 0
-            failures = 0
+    @_criterion(9, "witness-soundness")
+    def criterion_9(self):
+        replayed = 0
+        failures = 0
 
-            # validator witnesses over the malformed corpus
-            for name, kind, doc in catalog.MALFORMED_DOCUMENTS:
-                report = validate_doc(doc)
-                for violation in report.violations:
-                    if violation.kind != kind:
-                        continue
-                    replayed += 1
-                    if not _replay_document_violation(doc, violation):
-                        failures += 1
-
-            # p-morphism condition witnesses from the sampled failing maps
-            for src, dst, f, report in self._c4_data["failing_samples"]:
-                for violation in report.violations:
-                    replayed += 1
-                    if not _replay_map_violation(src, dst, f, violation):
-                        failures += 1
-
-            # a valuation-agreement witness: collapse map with a one-sided atom
-            fork = catalog.frame_fork()
-            chain = catalog.frame_chain2()
-            collapse = PointMap({
-                resolve_point(fork, "r", "a"): resolve_point(chain, "r", "a"),
-                resolve_point(fork, "a", "a"): resolve_point(chain, "a", "a"),
-                resolve_point(fork, "b", "b"): resolve_point(chain, "a", "a"),
-            })
-            src_model = Model(fork, {"p": frozenset({resolve_point(fork, "a", "a")})})
-            dst_model = Model(chain, {"p": frozenset({resolve_point(chain, "a", "a")})})
-            pv_report = check_model_pmorphism(src_model, dst_model, collapse, "L")
-            for violation in pv_report.violations:
+        # validator witnesses over the malformed corpus
+        for name, kind, doc in catalog.MALFORMED_DOCUMENTS:
+            report = validate_doc(doc)
+            for violation in report.violations:
+                if violation.kind != kind:
+                    continue
                 replayed += 1
-                if not _replay_pv_violation(src_model, dst_model, collapse,
-                                            violation):
+                if not _replay_document_violation(doc, violation):
                     failures += 1
 
-            # bisimulation condition witnesses from re-added pairs
-            bisim_replays = 0
-            for src, dst, mode, rel in self._c7_data["relations"]:
-                if bisim_replays >= 60:
-                    break
-                pair = next((pq for pq in _all_pairs(src, dst)
-                             if pq not in rel.pairs), None)
-                if pair is None:
+        # p-morphism condition witnesses from the sampled failing maps
+        for src, dst, f, report in self._c4_data[2]:
+            for violation in report.violations:
+                replayed += 1
+                if not _replay_map_violation(src, dst, f, violation):
+                    failures += 1
+
+        # a valuation-agreement witness: collapse map with a one-sided atom
+        fork = catalog.frame_fork()
+        chain = catalog.frame_chain2()
+        collapse = PointMap({
+            resolve_point(fork, "r", "a"): resolve_point(chain, "r", "a"),
+            resolve_point(fork, "a", "a"): resolve_point(chain, "a", "a"),
+            resolve_point(fork, "b", "b"): resolve_point(chain, "a", "a"),
+        })
+        src_model = Model(fork, {"p": frozenset({resolve_point(fork, "a", "a")})})
+        dst_model = Model(chain, {"p": frozenset({resolve_point(chain, "a", "a")})})
+        pv_report = check_model_pmorphism(src_model, dst_model, collapse, "L")
+        for violation in pv_report.violations:
+            replayed += 1
+            if not _replay_pv_violation(src_model, dst_model, collapse,
+                                        violation):
+                failures += 1
+
+        # bisimulation condition witnesses from re-added pairs
+        bisim_replays = 0
+        for src, dst, mode, rel in self.relations:
+            if bisim_replays >= 60:
+                break
+            pair = next((pq for pq in _all_pairs(src, dst)
+                         if pq not in rel.pairs), None)
+            if pair is None:
+                continue
+            extended = PointRelation(rel.pairs | {pair})
+            report = check_bisimulation(src, dst, extended, pair, mode)
+            for violation in report.violations:
+                replayed += 1
+                bisim_replays += 1
+                if not _replay_relation_violation(src, dst, extended,
+                                                  violation):
+                    failures += 1
+
+        # distinguishing formulas distinguish; bisimilar anchors get none
+        distinguishers = 0
+        nones_checked = 0
+        for src, dst, mode, rel in self.relations[:40]:
+            for pair in islice(_all_pairs(src, dst), 4):
+                p, q = pair
+                phi = find_distinguishing_formula(src, p, dst, q,
+                                                  mode=mode, max_depth=3)
+                if phi is None:
+                    nones_checked += 1
                     continue
-                extended = PointRelation(rel.pairs | {pair})
-                report = check_bisimulation(src, dst, extended, pair, mode)
-                for violation in report.violations:
-                    replayed += 1
-                    bisim_replays += 1
-                    if not _replay_relation_violation(src, dst, extended,
-                                                      violation):
-                        failures += 1
+                replayed += 1
+                distinguishers += 1
+                # replay along both routes; a formula returned for a pair
+                # of the greatest bisimulation would itself be a failure
+                if eval_hist(src, p, phi, mode) == eval_hist(dst, q, phi, mode):
+                    failures += 1
+                if eval_rel(src, p, phi, mode) == eval_rel(dst, q, phi, mode):
+                    failures += 1
+                if pair in rel.pairs:
+                    failures += 1
 
-            # distinguishing formulas distinguish; bisimilar anchors get none
-            distinguishers = 0
-            nones_checked = 0
-            for src, dst, mode, rel in self._c7_data["relations"][:40]:
-                for pair in islice(_all_pairs(src, dst), 4):
-                    p, q = pair
-                    phi = find_distinguishing_formula(src, p, dst, q,
-                                                      mode=mode, max_depth=3)
-                    if phi is None:
-                        nones_checked += 1
-                        continue
-                    replayed += 1
-                    distinguishers += 1
-                    # replay along both routes; a formula returned for a pair
-                    # of the greatest bisimulation would itself be a failure
-                    if eval_hist(src, p, phi, mode) == eval_hist(dst, q, phi, mode):
-                        failures += 1
-                    if eval_rel(src, p, phi, mode) == eval_rel(dst, q, phi, mode):
-                        failures += 1
-                    if pair in rel.pairs:
-                        failures += 1
-
-            detail = (f"{replayed} witnesses replayed "
-                      f"({distinguishers} distinguishing formulas, "
-                      f"{nones_checked} indistinguishable pairs), "
-                      f"{failures} replay failures")
-            return failures == 0, detail
-
-        return _timed(9, "witness-soundness", body)
+        detail = (f"{replayed} witnesses replayed "
+                  f"({distinguishers} distinguishing formulas, "
+                  f"{nones_checked} indistinguishable pairs), "
+                  f"{failures} replay failures")
+        return failures == 0, detail
 
     # ------------------------------------------------------------------
     # criterion 10: the malformed corpus triggers the expected violations
     # ------------------------------------------------------------------
 
-    def criterion_10(self) -> CriterionResult:
-        def body():
-            missed = []
-            for name, kind, doc in catalog.MALFORMED_DOCUMENTS:
-                report = validate_doc(doc)
-                if report.ok or kind not in report.kinds():
-                    missed.append(name)
-            detail = (f"{len(catalog.MALFORMED_DOCUMENTS)} malformed documents, "
-                      f"{len(missed)} missed ({', '.join(missed) or 'none'})")
-            return not missed, detail
-
-        return _timed(10, "structural-validators", body)
+    @_criterion(10, "structural-validators")
+    def criterion_10(self):
+        missed = []
+        for name, kind, doc in catalog.MALFORMED_DOCUMENTS:
+            report = validate_doc(doc)
+            if report.ok or kind not in report.kinds():
+                missed.append(name)
+        detail = (f"{len(catalog.MALFORMED_DOCUMENTS)} malformed documents, "
+                  f"{len(missed)} missed ({', '.join(missed) or 'none'})")
+        return not missed, detail
 
     # ------------------------------------------------------------------
 

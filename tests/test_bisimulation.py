@@ -209,6 +209,9 @@ def test_invalid_points_rejected():
     relation = PointRelation(frozenset({(foreign, foreign)}))
     with pytest.raises(InvalidPointError):
         check_bisimulation(model, model, relation, (foreign, foreign), "L")
+    with pytest.raises(InvalidPointError,
+                       match="^zz/zz is not a point of the target model$"):
+        bisimilar(model, pt(model, "r", "a"), model, foreign)
 
 
 def test_invalid_point_error_names_the_canonically_first_foreign_point():

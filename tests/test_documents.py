@@ -56,6 +56,9 @@ def test_model_from_doc_rejects_invalid():
         model_from_doc(bad)
     report = validate_model_doc(bad)
     assert report.kinds() == ("valuation-invalid-point",)
+    cyclic = {**F1_MODEL_DOC, "edges": F1_MODEL_DOC["edges"] + [["a", "r"]]}
+    with pytest.raises(DocumentError, match="^invalid frame: cycle: "):
+        model_from_doc(cyclic)
 
 
 @pytest.mark.parametrize("moment", ["a/x", "", "/"])

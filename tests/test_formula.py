@@ -74,6 +74,10 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse("p -q")
     assert err.value.position == 2
+    for text in ("p q", "p )"):  # a token after a complete formula
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == 2
     with pytest.raises(ParseError):
         parse("X p")  # unknown uppercase operator
 

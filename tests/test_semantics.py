@@ -99,6 +99,18 @@ def test_eval_errors():
     foreign = Point("r", frozenset({"zz"}))
     with pytest.raises(InvalidPointError):
         eval_hist(model, foreign, parse("p"))
+    with pytest.raises(InvalidPointError, match="^r/zz is not a point of the frame$"):
+        Evaluator(Model(model.frame, {"p": frozenset({foreign})}))
+
+
+def test_extension_is_the_set_of_points_where_a_formula_holds():
+    model = f1_model()
+    ev = Evaluator(model)
+    for text in ("p", "f p", "F p", "~p"):
+        phi = parse(text)
+        assert ev.extension(phi) == frozenset(
+            p for p in points(model.frame) if eval_hist(model, p, phi))
+    assert ev.extension(parse("p")) == {fork_point(model, "a", "a")}
 
 
 # ---------------------------------------------------------------------------

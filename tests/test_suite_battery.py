@@ -3,8 +3,8 @@ replayers are not vacuous: corrupting a witness must make its replay fail."""
 
 import dataclasses
 
-from itl import catalog
-from itl.catalog import MALFORMED_DOCUMENTS, frame_chain2, frame_fork
+from itl import catalog, suite
+from itl.catalog import MALFORMED_DOCUMENTS, f1_model, frame_chain2, frame_fork
 from itl.documents import resolve_point, validate_frame_doc, validate_model_doc
 from itl.morphisms import PointMap, check_frame_pmorphism
 from itl.semantics import frame_valid
@@ -103,6 +103,20 @@ def test_relation_replayer_accepts_real_and_rejects_fabricated():
         assert not _replay_relation_violation(model, model, identity, violation)
 
 
+def test_relation_replayer_checks_the_anchor():
+    model = f1_model()
+    pt = resolve_point
+    anchor = (pt(model.frame, "r", "a"), pt(model.frame, "a", "a"))
+    identity = PointRelation(frozenset((p, p) for p in points(model.frame)))
+    report = check_bisimulation(model, model, identity, anchor, "L")
+    (violation,) = report.violations
+    assert violation.kind == "B"
+    assert _replay_relation_violation(model, model, identity, violation)
+    # the same witness against a relation that links the anchors
+    linked = PointRelation(identity.pairs | {anchor})
+    assert not _replay_relation_violation(model, model, linked, violation)
+
+
 def test_valid_corpus_formulas_agrees_with_frame_valid():
     battery = Battery(seed=42)
     frame = frame_chain2()
@@ -118,14 +132,26 @@ def test_valid_corpus_formulas_agrees_with_frame_valid():
 
 
 def test_the_catalogue_is_built_once_per_battery(monkeypatch):
-    # criteria 4 to 7 share Battery.frames; criterion 6 filters it by size
-    build, built = catalog.catalog_frames, []
+    # criteria 4 to 7 share Battery.frames; criterion 6 filters it by size.
+    # Criteria 5 to 7 share one search per ordered pair of the 8 catalogue
+    # frames, and criteria 7 to 9 one fixpoint per ordered pair of the 16
+    # catalogue models, each checked in both modes.
+    calls = {"catalog_frames": 0, "search_pmorphisms": 0,
+             "greatest_bisimulation": 0}
 
-    def counting():
-        built.append(1)
-        return build()
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(catalog, "catalog_frames", counting)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(catalog, "catalog_frames")
+    counting(suite, "search_pmorphisms")
+    counting(suite, "greatest_bisimulation")
     results = Battery(0).run_all()
     assert all(r.passed for r in results)
-    assert len(built) == 1
+    assert calls == {"catalog_frames": 1, "search_pmorphisms": 64,
+                     "greatest_bisimulation": 256}
