@@ -10,14 +10,12 @@ the histories of its image class, matching the weak-future operator.
 These are the bisimulation conditions on the graph of the map, and a map is
 checked as its graph by the condition routine of ``bisimulation``, over the
 frames' relation masks.  The forward condition for the converse order (H-f)
-is left out: for a function it follows from G-f.  The search grows the
-graph masks as it assigns, and prunes and gates with the same routine.
+is left out: for a function it follows from G-f.
 
-The search decides the G/H/L conditions only, in both modes: on finite
-frames a map whose graph passes them passes F-f and F-b as well (the
-theorem in the ``bisimulation`` docstring), so the maps found are the same
-in "L" and "LF".  ``check_frame_pmorphism`` still tests and reports F-f and
-F-b in mode "LF", since it checks any map, not only the search's.
+The search is the bisimulation fixpoint plus a choice (see
+``search_pmorphisms``), so it decides the G/H/L conditions only and finds
+the same maps in "L" and "LF".  ``check_frame_pmorphism`` still tests and
+reports F-f and F-b in mode "LF", since it checks any map.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .bisimulation import (LF_CONDITIONS, _TABLES, _first_failure, _first_unlinked,
-                           _pv_failure, _relation_masks)
+from .bisimulation import (LF_CONDITIONS, _first_failure, _pv_failure, _refine,
+                           _relation_masks)
 from .errors import BoundExceededError
 from .formula import check_mode
 from .structures import (
@@ -188,40 +186,40 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
                       surjective: bool = False, bound: int | None = None):
     """Enumerate the total maps passing check_frame_pmorphism, in canonical order.
 
-    Backtracks over assignments in canonical point order, growing the graph
-    masks of the partial map.  A target point is tried only if every assigned
-    neighbour of the source point maps to a neighbour of the same kind; a
-    complete map passes when the condition routine finds no G/H/L failure
-    (see the module docstring), so ``mode`` is only validated.  The checks
-    of ``check_search`` run at the first ``next``.
+    Backtracks inside the greatest bisimulation of the frames under the
+    empty valuation: ``bisimulation._refine`` restores the fixpoint at the
+    start and after each pick of a source point's image, tried in ascending
+    order from its row.  A branch ends when a source point has no image
+    left or, if ``surjective``, a target has no preimage left.  No map is
+    lost: its graph is a bisimulation inside the relation, and ``_refine``
+    deletes no pair of one (deletion is monotone).  Every map found is a
+    p-morphism: at a leaf each row is one target and the graph is a
+    fixpoint of the six G/H/L conditions; F-f and F-b follow by the theorem
+    in the ``bisimulation`` docstring, so ``mode`` is only validated.  The
+    checks of ``check_search`` run at the first ``next``.
     """
     check_search(src, dst, mode, bound)
     src_pts, dst_pts = src.point_list, dst.point_list
-    n = len(src_pts)
-    images: list[int] = []  # target point indices, by source point index
-    rel, conv = [0] * n, [0] * len(dst_pts)
-    tables = [(getattr(src, t), getattr(dst, t)) for t in _TABLES.values()]
+    rel, conv = [dst.full_mask] * len(src_pts), [src.full_mask] * len(dst_pts)
+    _refine(src, dst, rel, conv)
 
-    def walk(i: int):
-        if surjective and conv.count(0) > n - i:
+    def walk(i: int, rel: list[int], conv: list[int]):
+        if 0 in rel or surjective and 0 in conv:
             return
-        if i == n:
-            if next(_map_failures(src, dst, images, rel, conv, "L"), None) is None:
-                yield PointMap(dict(zip(src_pts, (dst_pts[c] for c in images))))
+        if i == len(rel):
+            yield PointMap(dict(zip(src_pts, (dst_pts[row.bit_length() - 1]
+                                              for row in rel))))
             return
-        below = (1 << i) - 1
-        for c in range(len(dst_pts)):
-            if all(_first_unlinked(near[i] & below, far[c], rel) is None
-                   for near, far in tables):
-                images.append(c)
-                rel[i] = 1 << c
-                conv[c] |= 1 << i
-                yield from walk(i + 1)
-                conv[c] ^= 1 << i
-                rel[i] = 0
-                images.pop()
+        bit = 1 << i
+        for c in range(len(conv)):
+            if rel[i] >> c & 1:
+                picked, picked_conv = rel.copy(), [mask & ~bit for mask in conv]
+                picked[i] = 1 << c
+                picked_conv[c] |= bit
+                _refine(src, dst, picked, picked_conv)
+                yield from walk(i + 1, picked, picked_conv)
 
-    yield from walk(0)
+    yield from walk(0, rel, conv)
 
 
 def pullback_valuation(dst_valuation: dict[str, frozenset[Point]],

@@ -362,8 +362,6 @@ class Battery:
             kept = [k for k, r in enumerate(roots) if masks[r] == full]
             if len(kept) < len(roots):
                 alive = [alive[k] for k in kept]
-                if not alive:
-                    break
                 program, roots = program.restrict([roots[k] for k in kept])
         self._valid[frame] = set(alive)
         return self._valid[frame]

@@ -4,18 +4,25 @@ counter above zero in their detail lines.  Without a mutant the battery of
 the same seed passes every criterion, which
 ``test_suite_battery.test_the_catalogue_is_built_once_per_battery`` checks.
 
-Criteria 4 to 8 count failures in these places, each reached by a mutant:
+Criteria 4 to 10 count failures in these places, each reached by a mutant:
 criterion 4's disagreement, criterion 5's evaluation mismatches, criterion
 6's validity violations and pullback PV failures, criterion 7's condition,
-agreement and graph failures, and criterion 8's unbroken pairs.
-"""
+agreement and graph failures, criterion 8's unbroken pairs, criterion 9's
+replay failures of document, map, valuation and relation witnesses and of
+distinguishing formulas, and criterion 10's missed documents.  Criterion 9
+sums its failures in one count, so its mutants each break one kind of
+witness; the map and valuation ones also reach their replayers' rejection of
+a kind they do not know.  ``test_suite_battery`` forges the rest."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
 from itl import bisimulation, morphisms, suite
 from itl.bisimulation import PointRelation
+from itl.formula import parse
+from itl.structures import Report
 from itl.suite import Battery
 
 SEED = 0
@@ -32,17 +39,9 @@ def pullback_drops_every_atom(monkeypatch):
                         lambda valuation, f: {atom: frozenset() for atom in valuation})
 
 
-def search_skips_its_gate(monkeypatch):
-    # complete maps are no longer checked, so maps that pass only the
-    # forward pruning (images of assigned neighbours are neighbours) are found
-    search = suite.search_pmorphisms
-
-    def gateless(*args, **kwargs):
-        with monkeypatch.context() as patch:
-            patch.setattr(morphisms, "_map_failures", lambda *a: iter(()))
-            return iter(list(search(*args, **kwargs)))
-
-    monkeypatch.setattr(suite, "search_pmorphisms", gateless)
+def search_skips_refinement(monkeypatch):
+    # the search's rows are never narrowed, so every total map is found
+    monkeypatch.setattr(morphisms, "_refine", lambda sf, df, rel, conv: None)
 
 
 def fixpoint_skips_refine(monkeypatch):
@@ -70,6 +69,74 @@ def conditions_drop_l_back(monkeypatch):
     monkeypatch.setattr(bisimulation, "_first_failure", without_l_back)
 
 
+def validator_misnames_a_duplicate(monkeypatch):
+    # a duplicate-moment witness names a moment the document does not have
+    validate = suite.validate_doc
+
+    def misnaming(doc):
+        return Report(tuple(
+            replace(v, witness={**v.witness, "moment": "nowhere"})
+            if v.kind == "duplicate-moment" else v
+            for v in validate(doc).violations))
+
+    monkeypatch.setattr(suite, "validate_doc", misnaming)
+
+
+def validator_drops_cycles(monkeypatch):
+    validate = suite.validate_doc
+
+    def without_cycles(doc):
+        return Report(tuple(v for v in validate(doc).violations
+                            if v.kind != "cycle"))
+
+    monkeypatch.setattr(suite, "validate_doc", without_cycles)
+
+
+def map_checker_mislabels_g_forth(monkeypatch):
+    # G-f failures are reported as H-f, a condition the map checker leaves
+    # out, so the map replayer knows no such kind
+    violation = morphisms._violation
+
+    def mislabelled(kind, *args):
+        v = violation(kind, *args)
+        return replace(v, kind="H-f") if kind == "G-f" else v
+
+    monkeypatch.setattr(morphisms, "_violation", mislabelled)
+
+
+def map_checker_invents_l_back(monkeypatch):
+    # every map fails L-b, witnessed by the image itself, so the valuation
+    # report of a p-morphism carries a frame condition besides PV
+    first_failure = morphisms._first_failure
+
+    def inventing(kind, src, dst, i, j, rel, conv):
+        if kind == "L-b":
+            return dst.point_list[j]
+        return first_failure(kind, src, dst, i, j, rel, conv)
+
+    monkeypatch.setattr(morphisms, "_first_failure", inventing)
+
+
+def relation_witness_is_the_pair(monkeypatch):
+    # a G/H/L witness names the checked pair's own point, not a neighbour
+    pair_violations = bisimulation._pair_violations
+
+    def own_point(src, dst, pair, *args):
+        return [replace(v, witness={
+                    **v.witness,
+                    "witness_point": pair[v.kind.endswith("-b")].text()})
+                if "witness_point" in v.witness else v
+                for v in pair_violations(src, dst, pair, *args)]
+
+    monkeypatch.setattr(bisimulation, "_pair_violations", own_point)
+
+
+def distinguishing_returns_a_fixed_atom(monkeypatch):
+    # bisimilar pairs get a formula too, and it does not tell them apart
+    monkeypatch.setattr(suite, "find_distinguishing_formula",
+                        lambda *args, **kwargs: parse("p"))
+
+
 # (mutant, {criterion: a pattern its FAIL detail must contain})
 MUTANTS = [
     (characterization_always_true, {
@@ -78,7 +145,7 @@ MUTANTS = [
         5: f" {COUNT} evaluation mismatches",
         6: f" {COUNT} pullback PV failures",
         7: f"\\({COUNT} failures; their point"}),
-    (search_skips_its_gate, {
+    (search_skips_refinement, {
         6: f": {COUNT} validity-preservation violations"}),
     (fixpoint_skips_refine, {
         7: f"\\({COUNT} condition failures"}),
@@ -86,6 +153,18 @@ MUTANTS = [
         7: f"\\(0 condition failures, {COUNT} agreement failures\\)"}),
     (fixpoint_drops_its_last_pair, {
         8: f", {COUNT} failed to break a condition"}),
+    (validator_misnames_a_duplicate, {
+        9: f", {COUNT} replay failures"}),
+    (map_checker_mislabels_g_forth, {
+        9: f", {COUNT} replay failures"}),
+    (map_checker_invents_l_back, {
+        9: f", {COUNT} replay failures"}),
+    (relation_witness_is_the_pair, {
+        9: f", {COUNT} replay failures"}),
+    (distinguishing_returns_a_fixed_atom, {
+        9: f", {COUNT} replay failures"}),
+    (validator_drops_cycles, {
+        10: f", {COUNT} missed \\(self_loop, "}),
 ]
 
 

@@ -67,7 +67,7 @@ def test_benchmark_hooks_install_and_remove():
         fork, chain = catalog.frame_fork(), catalog.frame_chain2()
         maps = list(itl.search_pmorphisms(fork, chain, "LF"))
         assert maps
-        # the search gates with the condition routine, not the public checker
+        # the search refines with the fixpoint, not the public checker
         assert itl.check_frame_pmorphism(fork, chain, maps[0], "LF").ok
         model = documents.model_from_doc(catalog.F1_MODEL_DOC)
         Evaluator(model).holds(model.frame.point_list[0], itl.parse("G p"))

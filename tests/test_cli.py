@@ -89,6 +89,20 @@ def test_eval_separation_golden(capsys):
     assert (code, out) == (1, "hist: false\nrel: false\n")
 
 
+def test_eval_both_exits_2_when_the_semantics_disagree(monkeypatch, capsys):
+    holds = itl.cli.Evaluator.holds
+
+    def contrary(self, at, formula):
+        return holds(self, at, formula) != self.relational
+
+    monkeypatch.setattr(itl.cli.Evaluator, "holds", contrary)
+    code = run(["eval", F1, "--at", "r/a", "--formula", "f p",
+                "--semantics", "both"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "hist: true\nrel: false\n")
+    assert "the two semantics disagree" in captured.err
+
+
 def test_eval_default_semantics(capsys):
     code, out = invoke(capsys, "eval", F1, "--at", "a/a", "--formula", "p")
     assert (code, out) == (0, "hist: true\n")

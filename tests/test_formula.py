@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from itl.errors import LanguageError, ParseError
 from itl.formula import (
-    And, Atom, F, G, H, L, Not,
+    And, Atom, F, G, H, L, Not, Program,
     atoms_of, contains_f, enumerate_formulas, format_formula, parse,
     random_formula, read_formulas,
 )
@@ -106,6 +106,27 @@ def test_format_examples():
     assert format_formula(G(Atom("p"))) == "G p"
     assert format_formula(And(Atom("p"), Atom("q"))) == "(p & q)"
     assert format_formula(Not(H(Not(Atom("p"))))) == "~H ~p"
+
+
+def test_str_is_the_printed_formula():
+    phi = parse("G p & ~H q")
+    assert str(phi) == format_formula(phi) == "(G p & ~H q)"
+
+
+def test_formula_equality():
+    shared = G(Atom("p"))
+    assert And(shared, shared) == And(G(Atom("p")), G(Atom("p")))
+    assert And(shared, shared) != And(shared, H(Atom("p")))
+    assert Atom("p") != "p"
+    assert G(Atom("p")).__eq__("G p") is NotImplemented
+
+
+@pytest.mark.parametrize("build", [format_formula, Program("LF").add],
+                         ids=["format_formula", "Program.add"])
+def test_a_non_formula_is_rejected(build):
+    # not a string: the printer's stack also holds literal text
+    with pytest.raises(TypeError, match="not a formula: None"):
+        build(Not(None))
 
 
 @given(seed=st.integers(0, 100_000))

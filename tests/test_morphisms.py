@@ -18,6 +18,8 @@ from itl.morphisms import (
 from itl.semantics import eval_hist
 from itl.structures import Model, Point, point_key, points, precedes
 
+from covering import covering_pair
+
 
 def pt(frame, moment, rep):
     return resolve_point(frame, moment, rep)
@@ -294,6 +296,29 @@ def test_surjective_search():
     assert (len(maps), len(onto)) == (4, 2)
     assert [f.mapping for f in onto] == [
         f.mapping for f in maps if f.is_surjective_onto(pair)]
+
+
+@given(seed=st.integers(0, 10 ** 6), n_moments=st.integers(1, 4),
+       surjective=st.booleans())
+def test_search_lists_the_known_map_of_a_covering_pair(seed, n_moments, surjective):
+    # two copies of a target of at most 4 points: at most 8 source points,
+    # above the default bound, and few enough maps to list them all
+    src, dst, known = covering_pair(seed, n_moments)
+    if len(points(dst)) > 4:
+        return
+    maps = list(search_pmorphisms(src, dst, "LF", surjective, bound=8))
+    assert known.mapping in [f.mapping for f in maps]
+    for f in maps:
+        assert check_frame_pmorphism(src, dst, f, "LF").ok
+
+
+def test_search_finds_a_map_of_a_large_covering_pair():
+    src, dst, known = covering_pair(2, 20)
+    assert (len(points(src)), len(points(dst))) == (42, 21)
+    assert check_frame_pmorphism(src, dst, known, "LF").ok
+    first = next(search_pmorphisms(src, dst, "LF", surjective=True, bound=42))
+    assert check_frame_pmorphism(src, dst, first, "LF").ok
+    assert first.is_surjective_onto(dst)
 
 
 # ---------------------------------------------------------------------------

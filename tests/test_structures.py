@@ -70,6 +70,10 @@ def test_coherence_violation_witness():
     assert sorted(violation.witness["histories"]) == ["a", "b"]
 
 
+def test_point_repr_lists_the_class():
+    assert repr(Point("m", frozenset({"b", "a"}))) == "Point(m/{a,b})"
+
+
 def test_validate_model_bad_point():
     frame = frame_fork()
     bogus = Point("r", frozenset({"zz"}))

@@ -3,15 +3,17 @@ replayers are not vacuous: corrupting a witness must make its replay fail."""
 
 import dataclasses
 
+import pytest
+
 from itl import catalog, suite
 from itl.catalog import MALFORMED_DOCUMENTS, f1_model, frame_chain2, frame_fork
 from itl.documents import resolve_point, validate_frame_doc, validate_model_doc
 from itl.morphisms import PointMap, check_frame_pmorphism
 from itl.semantics import frame_valid
-from itl.structures import Model, points
+from itl.structures import Model, Violation, points
 from itl.suite import (
     Battery, _replay_document_violation, _replay_map_violation,
-    _replay_relation_violation,
+    _replay_pv_violation, _replay_relation_violation,
 )
 from itl.bisimulation import PointRelation, check_bisimulation
 from itl.formula import parse
@@ -115,6 +117,46 @@ def test_relation_replayer_checks_the_anchor():
     # the same witness against a relation that links the anchors
     linked = PointRelation(identity.pairs | {anchor})
     assert not _replay_relation_violation(model, model, linked, violation)
+
+
+def forged_replays():
+    """(replayer, its structures, a forged violation that must not replay),
+    over the fork collapsed onto the two-moment chain: a p-morphism under
+    the empty valuations, with its graph."""
+    fork, chain = frame_fork(), frame_chain2()
+    pt = resolve_point
+    collapse = PointMap({
+        pt(fork, "r", "a"): pt(chain, "r", "a"),
+        pt(fork, "a", "a"): pt(chain, "a", "a"),
+        pt(fork, "b", "b"): pt(chain, "a", "a"),
+    })
+    src, dst = Model(fork, {}), Model(chain, {})
+    graph = PointRelation(frozenset(collapse.mapping.items()))
+    doc = next(doc for _, kind, doc in MALFORMED_DOCUMENTS if kind == "cycle")
+    unknown = Violation("no-such-kind", "", {"pair": ["r/a", "r/a"]})
+    return [
+        pytest.param(_replay_document_violation, (doc,), unknown,
+                     id="document-kind"),
+        # H-f is a relation condition the map checker leaves out
+        pytest.param(_replay_map_violation, (fork, chain, collapse),
+                     Violation("H-f", "", {"pair": ["a/a", "r/a"]}), id="map-kind"),
+        pytest.param(_replay_pv_violation, (src, dst, collapse), unknown,
+                     id="valuation-kind"),
+        pytest.param(_replay_pv_violation, (src, dst, collapse),
+                     Violation("PV", "", {"point": "a/a", "atom": "p"}),
+                     id="valuation-atom"),
+        pytest.param(_replay_relation_violation, (src, dst, graph), unknown,
+                     id="relation-kind"),
+    ]
+
+
+# The battery cannot reach the document replayer's rejection of an unknown
+# kind: criterion 9 replays only the kind the malformed catalogue expects,
+# and each has its branch.  Mutants in test_battery_mutants reach the map
+# and valuation ones.
+@pytest.mark.parametrize("replayer, structures, forged", forged_replays())
+def test_replayers_reject_forged_witnesses(replayer, structures, forged):
+    assert not replayer(*structures, forged)
 
 
 def test_valid_corpus_formulas_agrees_with_frame_valid():
