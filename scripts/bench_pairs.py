@@ -1,0 +1,147 @@
+"""Compare two checkouts on the benchmark in paired, alternating runs.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
+        [--pairs 10] [--first-seed 1500]
+
+For each workload of the change's ``BENCHMARK.json`` and each of ``--pairs``
+seeds, runs ``perfbench/run.py --workload W --seed N --seconds S --trace 0``
+once in each checkout, one process at a time, with the checkout as working
+directory; S is the ``run_seconds`` of that file.  The parent runs first
+for even pair numbers and the change for odd ones, so the machine's drift
+does not favour one side.  Writes per workload and per end-to-end metric of
+``BENCHMARK.json``: each side's median and interquartile range (inclusive
+quartiles), the change's median relative to the parent's, and the pairs in
+which the change read better.  Prints one line per run; exits 1 if any run
+failed or reported a failed request.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1500)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The final JSON line of one benchmark run."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=1800)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"error: {checkout} {workload} seed {seed} exited "
+                         f"{done.returncode}: {done.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
+    return {"median": round(statistics.median(values), 6),
+            "iqr": round(q3 - q1, 6)}
+
+
+def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
+    """Per metric, both sides' spread and the paired comparison."""
+    out = {}
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = {side: [run["metrics"][name]["value"] for run in runs[side]]
+                  for side in SIDES}
+        better = sum((c < p) if lower else (c > p)
+                     for p, c in zip(values["parent"], values["change"]))
+        parent_median = statistics.median(values["parent"])
+        out[name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            **{side: spread(values[side]) for side in SIDES},
+            "change_better_pairs": f"{better}/{len(values['parent'])}",
+            "change_vs_parent": round(
+                statistics.median(values["change"]) / parent_median - 1, 4)
+            if parent_median else None,
+        }
+    return out
+
+
+def commit_of(checkout: Path) -> str | None:
+    """The checkout's commit; None for a copy that is not a git checkout."""
+    if not (checkout / ".git").exists():
+        return None
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in checkouts.items():
+        if not (checkout / "perfbench" / "run.py").is_file():
+            raise SystemExit(f"error: no perfbench/run.py under {checkout} ({side})")
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    workloads = {}
+    bad = 0
+    for workload in [w["name"] for w in benchmark["workloads"]]:
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for k, seed in enumerate(seeds):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                result = run_once(checkouts[side], workload, seed, seconds)
+                runs[side].append(result)
+                bad += bool(result["failed"]) or not result["correct"]
+                wall = result["metrics"]["wall_s"]["value"]
+                print(f"{workload} seed {seed} {side}: wall_s {wall:.3f}, "
+                      f"failed {result['failed']}", flush=True)
+        workloads[workload] = {
+            "seeds": seeds,
+            "runs_per_side": len(seeds),
+            "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+            "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
+            "metrics": summarize(benchmark["end_to_end"], runs),
+        }
+    record = {
+        "description": "End-to-end metrics of the perfbench workloads at the "
+                       "parent commit and with the change, from paired runs "
+                       "that alternate which side runs first. Each side ran "
+                       "from its own copy of the tree; the commit of a copy "
+                       "that is not a git checkout is null. Times are scaled "
+                       "by run.py to its reference machine speed.",
+        "command": f"python3 perfbench/run.py --workload W --seed N "
+                   f"--seconds {seconds:g} --trace 0",
+        "seeds": seeds,
+        "commits": {side: commit_of(checkouts[side]) for side in SIDES},
+        "interpreter": f"{platform.python_implementation()} {platform.python_version()}",
+        "host": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}",
+        "statistics": "per metric: median and interquartile range (inclusive "
+                      "quartiles) of each side's runs, the change's median "
+                      "relative to the parent's, and the pairs (same seed) in "
+                      "which the change read better",
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -292,26 +292,24 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
     limits.nonnegative(max_depth, "max_depth")
     _require_valid_pairs(src, dst, [(p, q)])
     atoms = sorted(set(src.valuation) | set(dst.valuation)) or ["p"]
-    ev_src = Evaluator(src, mode=mode)
-    ev_dst = Evaluator(dst, mode=mode)
+    # both models in one evaluator, src in the low lane
+    ev = Evaluator(src, dst, mode=mode)
     i = src.frame.point_index[p]
-    j = dst.frame.point_index[q]
+    j = ev.offsets[1] + dst.frame.point_index[q]
 
     # candidates are evaluated a batch at a time; only a hit becomes a
-    # Formula, and a depth keeps only the slots whose signature is new
+    # Formula, and a depth keeps only the slots whose extension pair is new
     program = Program(mode)
-    src_masks: list[int] = []
-    dst_masks: list[int] = []
-    seen: set[tuple[int, int]] = set()
+    masks: list[int] = []
+    seen: set[int] = set()
     for start, level in _emit_by_depth(program, atoms, max_depth):
-        ev_src.run(program, masks=src_masks)
-        ev_dst.run(program, masks=dst_masks)
+        ev.run(program, masks=masks)
         for k in range(start, len(program)):
-            if (src_masks[k] >> i & 1) != (dst_masks[k] >> j & 1):
+            mask = masks[k]
+            if (mask >> i & 1) != (mask >> j & 1):
                 sub, (root,) = program.restrict([k])
                 return sub.formulas()[root]
-            sig = (src_masks[k], dst_masks[k])
-            if sig not in seen:
-                seen.add(sig)
+            if mask not in seen:
+                seen.add(mask)
                 level.append(k)
     return None

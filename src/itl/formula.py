@@ -26,6 +26,7 @@ import re
 from array import array
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import LanguageError, ParseError
 
@@ -82,8 +83,9 @@ class Formula:
 
     def __post_init__(self):
         # Hash once at construction, from the children's cached hashes: constant
-        # time per node and no recursion, however deep the formula.
-        vals = tuple(self.__dict__[f.name] for f in fields(self))
+        # time per node and no recursion, however deep the formula.  Here the
+        # instance dict holds exactly the fields, in field order.
+        vals = tuple(self.__dict__.values())
         object.__setattr__(self, "_hc", hash((type(self).__name__,) + vals))
 
 
@@ -168,8 +170,7 @@ def _is_atom_name(name) -> bool:
             and name not in _RESERVED)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "op", "atom", "(", ")", "&", "|", "->", "end"
     text: str
     pos: int
@@ -315,16 +316,16 @@ def read_formulas(text: str, mode: str = "LF") -> list[Formula]:
 def format_formula(formula: Formula) -> str:
     """Render a desugared formula; binary output is fully parenthesized."""
     out: list[str] = []
-    stack: list = [formula]  # formulas still to print, and literal pieces
+    stack: list = [formula]  # formulas still to print, and _Text pieces
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
+        if type(node) is _Text:
             out.append(node)
         elif isinstance(node, Atom):
             out.append(node.name)
         elif isinstance(node, And):
             out.append("(")
-            stack += (")", node.right, " & ", node.left)
+            stack += (_CLOSE, node.right, _AND, node.left)
         elif type(node) in _PREFIX:
             out.append(_PREFIX[type(node)])
             stack.append(node.sub)
@@ -333,6 +334,12 @@ def format_formula(formula: Formula) -> str:
     return "".join(out)
 
 
+class _Text(str):
+    """Literal text on the printer's stack; an operand that is a plain str
+    is not a formula."""
+
+
+_CLOSE, _AND = _Text(")"), _Text(" & ")
 _PREFIX = {Not: "~", G: "G ", H: "H ", L: "L ", F: "F "}
 
 

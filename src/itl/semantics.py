@@ -9,8 +9,10 @@ given for it.
 Extensions (the set of points where a subformula holds) are bitmasks over
 the frame's canonical point order.  Formulas are compiled to a
 :class:`~itl.formula.Program` and evaluated by one loop over its slots, so
-every subformula is evaluated once per model, however often it occurs, and
-nesting depth is not limited by recursion.
+every subformula is evaluated once, however often it occurs, and nesting
+depth is not limited by recursion.  An :class:`Evaluator` may hold several
+models, each in its own lane of bits of one mask (their disjoint union), so
+one run of a program evaluates it on all of them.
 """
 
 from __future__ import annotations
@@ -27,39 +29,69 @@ from .structures import Frame, Model, Point
 
 
 class Evaluator:
-    """Evaluates formulas on one model under one route (hist or rel)."""
+    """Evaluates formulas under one route (hist or rel) on the disjoint union
+    of one or more models.
 
-    def __init__(self, model: Model, relational: bool = False, mode: str = "LF"):
+    Model k's points take the bits from ``offsets[k]`` on, in its frame's
+    canonical order: its lane.  Truth at a point depends only on the tree the
+    point lies in, so each lane of a mask is that model's own extension, and
+    one run evaluates a program on every model at once.  The one-model
+    evaluator is the one-lane case."""
+
+    def __init__(self, *models: Model, relational: bool = False, mode: str = "LF"):
         check_mode(mode)
-        frame = model.frame
-        self.model = model
+        if not models:
+            raise ValueError("an evaluator needs at least one model")
+        self.models = models
         self.mode = mode
         self.relational = relational
-        self._full = full = frame.full_mask
-        self._index = frame.point_index
-        if relational:
-            g, h, l = (frame.rel_successor_masks, frame.rel_predecessor_masks,
-                       frame.rel_same_moment_masks)
+        frames = [model.frame for model in models]
+        self.offsets = offsets = []
+        width = 0
+        for frame in frames:
+            offsets.append(width)
+            width += len(frame.point_list)
+        self._full = full = (1 << width) - 1
+        names = (("rel_successor_masks", "rel_predecessor_masks",
+                  "rel_same_moment_masks") if relational else
+                 ("hist_future_masks", "hist_past_masks", "hist_class_masks"))
+        if len(frames) == 1:
+            # the frame's own tables: shifting by 0 would copy every int
+            g, h, l = (getattr(frames[0], name) for name in names)
+            chains = frames[0].future_chains
         else:
-            g, h, l = (frame.hist_future_masks, frame.hist_past_masks,
-                       frame.hist_class_masks)
-        self._atom_masks = {
-            atom: frame.mask_of(pts) for atom, pts in model.valuation.items()
-        }
+            g, h, l = (tuple(mask << offset
+                             for frame, offset in zip(frames, offsets)
+                             for mask in getattr(frame, name))
+                       for name in names)
+            chains = tuple(tuple(chain << offset for chain in point_chains)
+                           for frame, offset in zip(frames, offsets)
+                           for point_chains in frame.future_chains)
+        self._atom_masks: dict[str, int] = {}
+        for model, offset in zip(models, offsets):
+            for atom, pts in model.valuation.items():
+                self._atom_masks[atom] = (self._atom_masks.get(atom, 0)
+                                          | model.frame.mask_of(pts) << offset)
         # per modal opcode: the operator on masks, and its results so far by
         # operand mask (they depend on the tables only, not on the atoms)
         self._modal = {BOX_G: partial(_box, g, full), BOX_H: partial(_box, h, full),
                        BOX_L: partial(_box, l, full),
-                       WEAK_F: partial(_weak_future, frame.future_chains)}
+                       WEAK_F: partial(_weak_future, chains)}
         self._modal_memo: dict[int, dict[int, int]] = {op: {} for op in self._modal}
         # formulas asked for one at a time share one program and its masks
         self._program = Program(mode)
         self._masks: list[int] = []
 
+    def lanes(self, mask: int) -> list[int]:
+        """Per model, its part of a mask, as a mask over its own frame."""
+        ends = self.offsets[1:] + [self._full.bit_length()]
+        return [(mask >> start) & ((1 << end - start) - 1)
+                for start, end in zip(self.offsets, ends)]
+
     def run(self, program: Program, atom_masks: dict[str, int] | None = None,
             masks: list[int] | None = None) -> list[int]:
         """The extension mask of every slot of a program, in slot order, under
-        the model's valuation or else under the given atom masks.
+        the models' valuations or else under the given atom masks.
 
         Given the masks of an earlier run of the same program, which may have
         grown since, only the slots after them are evaluated, appended to
@@ -92,15 +124,23 @@ class Evaluator:
                 append(out)
         return masks
 
+    def _model(self) -> Model:
+        if len(self.models) > 1:
+            raise ValueError(f"this evaluator has {len(self.models)} models; "
+                             f"read their parts of a mask with lanes()")
+        return self.models[0]
+
     def extension_mask(self, formula: Formula) -> int:
+        self._model()
         slot = self._program.add(formula)
         return self.run(self._program, masks=self._masks)[slot]
 
     def extension(self, formula: Formula) -> frozenset[Point]:
-        return frozenset(self.model.frame.points_of(self.extension_mask(formula)))
+        frame = self._model().frame
+        return frozenset(frame.points_of(self.extension_mask(formula)))
 
     def holds(self, point: Point, formula: Formula) -> bool:
-        i = self._index.get(point)
+        i = self._model().frame.point_index.get(point)
         if i is None:
             raise InvalidPointError(f"{point.text()} is not a point of the model")
         return bool(self.extension_mask(formula) >> i & 1)

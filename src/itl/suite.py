@@ -21,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import islice, product
+from itertools import islice, product, repeat
 
 from . import catalog
 from .bisimulation import (
@@ -52,14 +52,20 @@ _BIT_CHARS = [(b"0" * (1 << bit) + b"1" * (1 << bit)) * (128 >> bit)
               for bit in range(8)]
 
 
-def _point_columns(masks: list[int], n: int) -> list[str]:
-    """Per point i < n, the string of its bits over the masks: '1' where
-    mask k has bit i, '0' elsewhere."""
+def _point_columns(masks: list[int], n: int) -> list[int]:
+    """Per point i < n, its bits over the masks as one int: the bit of mask
+    k is bit ``len(masks) - 1 - k``."""
     width = (n + 7) // 8
     data = bytes(masks) if width == 1 else b"".join(
-        m.to_bytes(width, "little") for m in masks)
-    return [data[i // 8::width].translate(_BIT_CHARS[i % 8]).decode("ascii")
+        map(int.to_bytes, masks, repeat(width), repeat("little")))
+    # base 2 is exempt from the int-digit limit of str conversions
+    return [int(data[i // 8::width].translate(_BIT_CHARS[i % 8]), 2)
             for i in range(n)]
+
+
+def _lanes_differing(ev: Evaluator, a: int, b: int) -> int:
+    """The number of ev's models on which masks a and b differ."""
+    return 0 if a == b else sum(lane != 0 for lane in ev.lanes(a ^ b))
 
 
 def _all_pairs(src: Model, dst: Model):
@@ -173,14 +179,25 @@ class Battery:
         """The corpus as a program: slot k is formula k of corpus(mode)."""
         return corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, mode)
 
-    def signatures(self, model: Model, mode: str) -> list[str]:
-        """Per point, the bit-string of truth values over the whole corpus;
-        computed once per frame, valuation and mode."""
-        key = (model.frame, frozenset(model.valuation.items()), mode)
-        if key not in self._signatures:
-            masks = Evaluator(model, mode=mode).run(self.corpus_program(mode))
-            self._signatures[key] = _point_columns(masks, len(model.frame.point_list))
-        return self._signatures[key]
+    def signatures(self, model: Model, mode: str) -> list[int]:
+        """Per point, its truth values over the whole corpus as the bits of
+        one int; computed once per frame, valuation and mode."""
+        return self.signatures_of([model], mode)[0]
+
+    def signatures_of(self, models, mode: str) -> list[list[int]]:
+        """The signatures of each of the models.  Those not computed yet are
+        computed together, by one run of the corpus over their union."""
+        keys = [(model.frame, frozenset(model.valuation.items()), mode)
+                for model in models]
+        todo = {key: model for key, model in zip(keys, models)
+                if key not in self._signatures}
+        if todo:
+            sizes = [len(model.frame.point_list) for model in todo.values()]
+            ev = Evaluator(*todo.values(), mode=mode)
+            columns = _point_columns(ev.run(self.corpus_program(mode)), sum(sizes))
+            for key, offset, size in zip(todo, ev.offsets, sizes):
+                self._signatures[key] = columns[offset:offset + size]
+        return [self._signatures[key] for key in keys]
 
     # ------------------------------------------------------------------
     # criterion 1: the two semantics agree
@@ -192,11 +209,12 @@ class Battery:
         formulas = self.battery_formulas
         program = Program("L")
         roots = [program.add(phi) for phi in formulas]
-        disagreements = 0
-        for model in models:
-            by_clauses = Evaluator(model, relational=False, mode="L").run(program)
-            by_relations = Evaluator(model, relational=True, mode="L").run(program)
-            disagreements += sum(by_clauses[r] != by_relations[r] for r in roots)
+        # every model at once, one lane each
+        ev = Evaluator(*models, relational=False, mode="L")
+        by_clauses = ev.run(program)
+        by_relations = Evaluator(*models, relational=True, mode="L").run(program)
+        disagreements = sum(_lanes_differing(ev, by_clauses[r], by_relations[r])
+                            for r in roots)
         detail = (f"{len(models)} models x {len(formulas)} formulas x all "
                   f"points, {disagreements} disagreements")
         return disagreements == 0, detail
@@ -219,10 +237,10 @@ class Battery:
                 pairs.append((program.add(parse(f"{surface} ({s})", "LF")),
                               program.add(parse(f"{expansion}({s})", "LF"))))
         structural_mismatches = sum(a != b for a, b in pairs)
-        disagreements = 0
-        for model in models:
-            masks = Evaluator(model, mode="LF").run(program)
-            disagreements += sum(masks[a] != masks[b] for a, b in pairs)
+        ev = Evaluator(*models, mode="LF")
+        masks = ev.run(program)
+        disagreements = sum(_lanes_differing(ev, masks[a], masks[b])
+                            for a, b in pairs)
         detail = (f"{len(pairs)} abbreviation pairs x {len(models)} models: "
                   f"{structural_mismatches} parse mismatches, "
                   f"{disagreements} evaluation disagreements")
@@ -326,9 +344,9 @@ class Battery:
         triples = self._model_pmorphisms
         mismatches = 0
         for mode in MODES:
-            for src, dst, f in triples:
-                sig_src = self.signatures(src, mode)
-                sig_dst = self.signatures(dst, mode)
+            sigs = self.signatures_of(
+                [model for src, dst, _ in triples for model in (src, dst)], mode)
+            for (src, dst, f), sig_src, sig_dst in zip(triples, sigs[::2], sigs[1::2]):
                 dst_index = dst.frame.point_index
                 mismatches += sum(sig != sig_dst[dst_index[f(p)]]
                                   for p, sig in zip(src.frame.point_list, sig_src))
@@ -397,19 +415,22 @@ class Battery:
         nonempty = 0
         check_failures = 0
         agreement_failures = 0
-        for src, dst, mode, rel in self.relations:
-            if not rel.pairs:
-                continue
-            nonempty += 1
-            anchor = rel.sorted_pairs()[0]
-            if not check_bisimulation(src, dst, rel, anchor, mode).ok:
-                check_failures += 1
-                continue
-            sig_src = self.signatures(src, mode)
-            sig_dst = self.signatures(dst, mode)
-            src_index, dst_index = src.frame.point_index, dst.frame.point_index
-            agreement_failures += sum(sig_src[src_index[p]] != sig_dst[dst_index[q]]
-                                      for p, q in rel.pairs)
+        for mode in MODES:
+            relations = [(src, dst, rel) for src, dst, m, rel in self.relations
+                         if m == mode and rel.pairs]
+            nonempty += len(relations)
+            # one corpus run per mode over the models of its relations
+            sigs = self.signatures_of([model for src, dst, _ in relations
+                                       for model in (src, dst)], mode)
+            for (src, dst, rel), sig_src, sig_dst in zip(relations, sigs[::2],
+                                                        sigs[1::2]):
+                anchor = rel.sorted_pairs()[0]
+                if not check_bisimulation(src, dst, rel, anchor, mode).ok:
+                    check_failures += 1
+                    continue
+                src_index, dst_index = src.frame.point_index, dst.frame.point_index
+                agreement_failures += sum(sig_src[src_index[p]] != sig_dst[dst_index[q]]
+                                          for p, q in rel.pairs)
         # graphs of the model p-morphisms of criterion 5
         graph_failures = 0
         for mode in MODES:

@@ -4,29 +4,61 @@ counter above zero in their detail lines.  Without a mutant the battery of
 the same seed passes every criterion, which
 ``test_suite_battery.test_the_catalogue_is_built_once_per_battery`` checks.
 
-Criteria 4 to 10 count failures in these places, each reached by a mutant:
-criterion 4's disagreement, criterion 5's evaluation mismatches, criterion
+The criteria count failures in these places, each reached by a mutant:
+criterion 1's disagreements between the routes (and its count, summed over
+the lanes of one evaluator, equals the sum of one-model counts), criterion
+2's parse mismatches, criterion 3's separation example, criterion 4's
+disagreement, criterion 5's evaluation mismatches, criterion
 6's validity violations and pullback PV failures, criterion 7's condition,
 agreement and graph failures, criterion 8's unbroken pairs, criterion 9's
 replay failures of document, map, valuation and relation witnesses and of
 distinguishing formulas, and criterion 10's missed documents.  Criterion 9
 sums its failures in one count, so its mutants each break one kind of
 witness; the map and valuation ones also reach their replayers' rejection of
-a kind they do not know.  ``test_suite_battery`` forges the rest."""
+a kind they do not know.  ``test_suite_battery`` forges the rest.
+
+The mutants of criteria 1-3 and the recount of criterion 1 take about 1.6 s
+together (CPython 3.11 on a 2-core x86-64 machine), most of it criterion 2's
+8,000 parses."""
 
 import re
 from dataclasses import replace
 
 import pytest
 
-from itl import bisimulation, morphisms, suite
+from itl import bisimulation, formula, morphisms, semantics, suite
 from itl.bisimulation import PointRelation
-from itl.formula import parse
-from itl.structures import Report
+from itl.formula import G, Not, Program, parse
+from itl.semantics import Evaluator
+from itl.structures import Frame, Report
 from itl.suite import Battery
 
 SEED = 0
 COUNT = r"[1-9]\d*"
+
+
+def hist_g_reads_the_past(monkeypatch):
+    # the hist route's G quantifies over the H table; rel is untouched
+    monkeypatch.setattr(Frame, "hist_future_masks",
+                        property(lambda frame: frame.hist_past_masks))
+
+
+def parse_expands_p_as_f(monkeypatch):
+    # P x reads as ~G ~x.  Criterion 2's evaluation counter cannot be reached
+    # without a parse mismatch: a pair that parses alike compiles to one slot
+    monkeypatch.setitem(formula._UNARY_BUILD, "P", lambda x: Not(G(Not(x))))
+
+
+def weak_future_is_f(monkeypatch):
+    # F x holds where some history of the class has a later x point: f x
+    def some_later_point(chains, sub_mask):
+        out = 0
+        for i, point_chains in enumerate(chains):
+            if any(chain & sub_mask for chain in point_chains):
+                out |= 1 << i
+        return out
+
+    monkeypatch.setattr(semantics, "_weak_future", some_later_point)
 
 
 def characterization_always_true(monkeypatch):
@@ -139,6 +171,12 @@ def distinguishing_returns_a_fixed_atom(monkeypatch):
 
 # (mutant, {criterion: a pattern its FAIL detail must contain})
 MUTANTS = [
+    (hist_g_reads_the_past, {
+        1: f", {COUNT} disagreements"}),
+    (parse_expands_p_as_f, {
+        2: f": {COUNT} parse mismatches"}),
+    (weak_future_is_f, {
+        3: "CLI output and exit codes DIFFER"}),
     (characterization_always_true, {
         4: "checker and characterization DISAGREE"}),
     (pullback_drops_every_atom, {
@@ -178,3 +216,18 @@ def test_mutant_fails_the_criteria_it_names(monkeypatch, mutant, expected):
         assert not result.passed, result.line()
         assert re.search(pattern, result.detail), result.line()
 
+
+
+def test_criterion_1_counts_what_one_model_evaluators_count(monkeypatch):
+    hist_g_reads_the_past(monkeypatch)
+    battery = Battery(SEED)
+    detail = battery.criterion_1().detail
+    program = Program("L")
+    roots = [program.add(phi) for phi in battery.battery_formulas]
+    expected = 0
+    for model in battery.battery_models:
+        by_clauses = Evaluator(model, relational=False, mode="L").run(program)
+        by_relations = Evaluator(model, relational=True, mode="L").run(program)
+        expected += sum(by_clauses[r] != by_relations[r] for r in roots)
+    assert expected > 0
+    assert detail.endswith(f", {expected} disagreements"), detail

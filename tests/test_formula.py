@@ -127,6 +127,9 @@ def test_a_non_formula_is_rejected(build):
     # not a string: the printer's stack also holds literal text
     with pytest.raises(TypeError, match="not a formula: None"):
         build(Not(None))
+    # nor a string, though the printer's literal text is one
+    with pytest.raises(TypeError, match="not a formula: 'p'"):
+        build(Not("p"))
 
 
 @given(seed=st.integers(0, 100_000))

@@ -269,7 +269,8 @@ def test_search_matches_brute_force_enumeration(seed, mode, surjective):
 @given(seed=st.integers(0, 10 ** 6), policy=st.sampled_from(INDIST_POLICIES),
        surjective=st.booleans())
 def test_search_lists_the_same_maps_in_both_modes(seed, policy, surjective):
-    # the search gates on G/H/L only; on finite frames F-f and F-b follow
+    # after every pick the search refines on G/H/L only; on finite frames
+    # F-f and F-b follow
     rng = random.Random(seed)
     src, dst = (gen_random_frame(rng.randrange(2 ** 32), rng.randint(1, 5),
                                  rng.choice((2, 3)), policy) for _ in range(2))

@@ -10,10 +10,10 @@ from itl.errors import (
     BoundExceededError, InvalidBoundError, InvalidPointError, LanguageError,
 )
 from itl.formula import (
-    Program, corpus_program, enumerate_formulas, format_formula, parse,
+    BOX_G, BOX_H, BOX_L, WEAK_F, Program, corpus_program, enumerate_formulas, format_formula, parse,
     random_formula,
 )
-from itl.generate import gen_random_model
+from itl.generate import INDIST_POLICIES, gen_random_model
 from itl.semantics import (
     Evaluator, eval_hist, eval_rel, frame_sat, frame_valid, model_sat,
     model_valid,
@@ -242,6 +242,58 @@ def test_program_matches_naive_eval_on_larger_models(seed, mode):
             assert one_by_one.extension_mask(phi) == masks[root]
             for i, point in enumerate(pts):
                 assert bool(masks[root] >> i & 1) == naive_eval(model, point, phi)
+
+
+# ---------------------------------------------------------------------------
+# several models in one evaluator, one lane each
+# ---------------------------------------------------------------------------
+
+@given(seeds=st.lists(st.tuples(st.integers(0, 10_000),
+                                st.sampled_from(INDIST_POLICIES)),
+                      min_size=1, max_size=6),
+       mode=st.sampled_from(["L", "LF"]))
+def test_each_lane_is_its_own_models_evaluation(seeds, mode):
+    # 0 to 2 atoms per model, so some lanes lack an atom the program reads
+    models = [gen_random_model(seed, 1 + seed % 5, branching=2 + seed % 2,
+                               indist_policy=policy, n_atoms=seed % 3)
+              for seed, policy in seeds]
+    program = Program(mode)
+    for k in range(6):
+        program.add(random_formula(seeds[0][0] * 7 + k, 4, ("p0", "p1"), mode=mode))
+    for relational in (False, True):
+        ev = Evaluator(*models, relational=relational, mode=mode)
+        own = [Evaluator(model, relational=relational, mode=mode).run(program)
+               for model in models]
+        for k, mask in enumerate(ev.run(program)):
+            assert ev.lanes(mask) == [masks[k] for masks in own]
+
+
+def test_a_one_model_evaluator_holds_its_frames_own_tables():
+    # shifting a table by 0 would copy each of its ints, and the copies add
+    # up on large frames
+    model = f1_model()
+    frame = model.frame
+    routes = {False: ("hist_future_masks", "hist_past_masks", "hist_class_masks"),
+              True: ("rel_successor_masks", "rel_predecessor_masks",
+                     "rel_same_moment_masks")}
+    for relational, names in routes.items():
+        modal = Evaluator(model, relational=relational)._modal
+        for op, name in zip((BOX_G, BOX_H, BOX_L), names):
+            assert modal[op].args[0] is getattr(frame, name)
+        assert modal[WEAK_F].args[0] is frame.future_chains
+
+
+def test_a_many_model_evaluator_answers_no_one_model_question():
+    model = f1_model()
+    ev = Evaluator(model, model)
+    assert ev.offsets == [0, len(model.frame.point_list)]
+    for ask in (ev.extension_mask, ev.extension):
+        with pytest.raises(ValueError, match="2 models"):
+            ask(parse("p"))
+    with pytest.raises(ValueError, match="2 models"):
+        ev.holds(fork_point(model, "r", "a"), parse("p"))
+    with pytest.raises(ValueError):
+        Evaluator()
 
 
 def test_corpus_program_slots_follow_enumeration_order():
