@@ -6,6 +6,7 @@ verification battery exercising the preservation properties."""
 from .bisimulation import (
     PointRelation,
     bisimilar,
+    bisimulation_failures,
     check_bisimulation,
     find_distinguishing_formula,
     greatest_bisimulation,
@@ -42,6 +43,8 @@ from .morphisms import (
     check_frame_pmorphism,
     check_model_pmorphism,
     check_set_characterization,
+    frame_pmorphism_failures,
+    model_pmorphism_failures,
     pullback_valuation,
     search_pmorphisms,
 )

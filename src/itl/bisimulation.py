@@ -11,6 +11,9 @@ The conditions are decided by one routine, ``_first_failure``, that reads the
 point relations from the frames' masks (``rel_*_masks``, ``future_chains``)
 and the checked relation from per-point masks and their converse.  The
 p-morphism checker in ``morphisms`` runs the same routine on a map's graph.
+``bisimulation_failures`` validates a relation and its anchor when called
+and returns the stream of raw failures, tested as it is read;
+``check_bisimulation`` formats the whole stream into a ``Report``.
 
 PV reads the labelling of each model (``Model.labels``, the atoms true at
 each point).  The greatest relation satisfying the per-pair conditions
@@ -54,15 +57,16 @@ needs finiteness: a history of the paper's infinite trees may have no last
 moment, and there the F conditions must be checked.
 
 For a map's graph H-f follows from G-f, so a map passing the G/H/L
-conditions passes F-f and F-b as well.  ``check_bisimulation`` still tests
-and reports the F conditions in mode "LF": a relation that fails a G/H
-condition at one pair may fail F at another, and the report names both.
+conditions passes F-f and F-b as well.  The checker still tests and reports
+the F conditions in mode "LF": a relation that fails a G/H condition at one
+pair may fail F at another, and the report names both.
 
 Every entry point rejects an unknown mode with the evaluator's ValueError.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import limits
@@ -97,14 +101,12 @@ class PointRelation:
         return sorted(self.pairs, key=lambda pq: (point_key(pq[0]), point_key(pq[1])))
 
 
-def _relation_masks(src: Frame, dst: Frame, pairs) -> tuple[list[int], list[int]]:
-    """Per source point the mask of its related target points, and per target
-    point the mask of its related source points."""
-    src_index, dst_index = src.point_index, dst.point_index
-    rel = [0] * len(src.point_list)
-    conv = [0] * len(dst.point_list)
-    for p, q in pairs:
-        i, j = src_index[p], dst_index[q]
+def _relation_masks(n: int, m: int, pairs) -> tuple[list[int], list[int]]:
+    """For (source index, target index) pairs over ``n`` source and ``m``
+    target points: per source point the mask of its related target points,
+    and per target point the mask of its related source points."""
+    rel, conv = [0] * n, [0] * m
+    for i, j in pairs:
         rel[i] |= 1 << j
         conv[j] |= 1 << i
     return rel, conv
@@ -157,67 +159,93 @@ def _pair_text(pair: tuple[Point, Point]) -> list[str]:
     return [pair[0].text(), pair[1].text()]
 
 
-def _pair_violations(src: Model, dst: Model, pair: tuple[Point, Point],
-                     rel, conv, mode: str) -> list[Violation]:
-    """Failures of the per-pair conditions for one related pair."""
-    p, q = pair
-    i, j = src.frame.point_index[p], dst.frame.point_index[q]
-    out = []
-    atom = _pv_failure(src, dst, i, j)
-    if atom is not None:
-        out.append(Violation(
-            "PV", f"{p.text()} and {q.text()} disagree on atom {atom!r}",
-            {"pair": _pair_text(pair), "atom": atom}))
-    for kind in _pair_conditions(mode):
-        w = _first_failure(kind, src.frame, dst.frame, i, j, rel, conv)
-        if w is None:
-            continue
-        if kind == "F-f":
-            message = f"no history of {p.text()} tracks history {w!r} of {q.text()}"
-            witness = {"pair": _pair_text(pair), "target_history": w}
-        elif kind == "F-b":
-            message = (f"history {w!r} of {p.text()} is tracked by no history "
-                       f"of {q.text()}")
-            witness = {"pair": _pair_text(pair), "history": w}
-        else:
-            here, there = (p, q) if kind.endswith("-f") else (q, p)
-            message = (f"{_NOUNS[kind[0]]} {w.text()} of {here.text()} has no "
-                       f"related counterpart for {there.text()}")
-            witness = {"pair": _pair_text(pair), "witness_point": w.text()}
-        out.append(Violation(kind, message, witness))
-    return out
+def _relation_violation(src: Model, dst: Model, kind: str,
+                        pair: tuple[int, int], w) -> Violation:
+    """The report entry for a raw failure of :func:`bisimulation_failures`."""
+    p, q = src.frame.point_list[pair[0]], dst.frame.point_list[pair[1]]
+    if kind == "B":
+        return Violation(kind, f"the relation does not link the anchors "
+                               f"{p.text()} and {q.text()}",
+                         {"anchor": _pair_text((p, q))})
+    if kind == "PV":
+        return Violation(kind, f"{p.text()} and {q.text()} disagree on atom {w!r}",
+                         {"pair": _pair_text((p, q)), "atom": w})
+    if kind == "F-f":
+        return Violation(kind, f"no history of {p.text()} tracks history {w!r} "
+                               f"of {q.text()}",
+                         {"pair": _pair_text((p, q)), "target_history": w})
+    if kind == "F-b":
+        return Violation(kind, f"history {w!r} of {p.text()} is tracked by no "
+                               f"history of {q.text()}",
+                         {"pair": _pair_text((p, q)), "history": w})
+    here, there = (p, q) if kind.endswith("-f") else (q, p)
+    return Violation(kind, f"{_NOUNS[kind[0]]} {w.text()} of {here.text()} has no "
+                           f"related counterpart for {there.text()}",
+                     {"pair": _pair_text((p, q)), "witness_point": w.text()})
 
 
-def _require_valid_pairs(src: Model, dst: Model, pairs) -> None:
-    """Raise for the first foreign point, in the order of ``pairs``."""
+def _pair_indices(src: Model, dst: Model, pairs) -> list[tuple[int, int]]:
+    """Each pair as (source index, target index); raises for the first
+    foreign point, in the order of ``pairs``."""
     src_index = src.frame.point_index
     dst_index = dst.frame.point_index
+    out = []
     for p, q in pairs:
         if p not in src_index:
             raise InvalidPointError(f"{p.text()} is not a point of the source model")
         if q not in dst_index:
             raise InvalidPointError(f"{q.text()} is not a point of the target model")
+        out.append((src_index[p], dst_index[q]))
+    return out
+
+
+def _relation_failures(src: Model, dst: Model, pairs: list[tuple[int, int]],
+                       rel, conv, unlinked: tuple[int, int] | None, mode: str):
+    """Per related pair in order, PV and then each per-pair condition it
+    fails; last, B for the anchor pair ``unlinked`` if it is not None."""
+    sf, df = src.frame, dst.frame
+    kinds = _pair_conditions(mode)
+    for i, j in pairs:
+        atom = _pv_failure(src, dst, i, j)
+        if atom is not None:
+            yield "PV", (i, j), atom
+        for kind in kinds:
+            w = _first_failure(kind, sf, df, i, j, rel, conv)
+            if w is not None:
+                yield kind, (i, j), w
+    if unlinked is not None:
+        yield "B", unlinked, None
+
+
+def bisimulation_failures(src: Model, dst: Model, relation: PointRelation,
+                          anchor: tuple[Point, Point], mode: str = "LF"
+                          ) -> Iterator[tuple[str, tuple[int, int], object]]:
+    """The failures of ``relation`` as a bisimulation linking ``anchor``, as
+    raw ``(kind, (i, j), witness)`` in reporting order: for each related
+    pair of point indices, in the canonical pair order, the conditions of
+    ``conditions_for(mode)`` it fails with their first witness (an atom for
+    PV, a point for G/H/L, a history's leaf for F), then (last) B with the
+    anchor's indices and no witness if the anchors are not linked, so a
+    report separates "not a bisimulation" from "does not link the anchors".
+
+    The mode, the pairs and the anchor are validated by this call; the
+    conditions are tested as the iterator is read, so
+    ``next(failures, None) is None`` decides the relation at its first
+    failure."""
+    check_mode(mode)
+    pairs = _pair_indices(src, dst, relation.sorted_pairs())
+    (linked,) = _pair_indices(src, dst, [anchor])
+    rel, conv = _relation_masks(len(src.frame.point_list),
+                                len(dst.frame.point_list), pairs)
+    unlinked = None if anchor in relation.pairs else linked
+    return _relation_failures(src, dst, pairs, rel, conv, unlinked, mode)
 
 
 def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
                        anchor: tuple[Point, Point], mode: str = "LF") -> Report:
-    """Check every related pair, then (last) that the anchors are linked, so
-    the report separates "not a bisimulation" from "does not link the anchors".
-    """
-    check_mode(mode)
-    pairs = relation.sorted_pairs()
-    _require_valid_pairs(src, dst, pairs)
-    _require_valid_pairs(src, dst, [anchor])
-    rel, conv = _relation_masks(src.frame, dst.frame, pairs)
-    violations = []
-    for pair in pairs:
-        violations.extend(_pair_violations(src, dst, pair, rel, conv, mode))
-    if anchor not in relation.pairs:
-        violations.append(Violation(
-            "B", f"the relation does not link the anchors "
-                 f"{anchor[0].text()} and {anchor[1].text()}",
-            {"anchor": _pair_text(anchor)}))
-    return Report(tuple(violations))
+    """Every failure of :func:`bisimulation_failures`, formatted."""
+    return Report(tuple(_relation_violation(src, dst, *failure) for failure in
+                        bisimulation_failures(src, dst, relation, anchor, mode)))
 
 
 def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:
@@ -271,7 +299,7 @@ def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRela
 
 
 def bisimilar(src: Model, p: Point, dst: Model, q: Point, mode: str = "LF") -> bool:
-    _require_valid_pairs(src, dst, [(p, q)])
+    _pair_indices(src, dst, [(p, q)])
     return (p, q) in greatest_bisimulation(src, dst, mode).pairs
 
 
@@ -290,12 +318,11 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
     up to depth max_depth does.
     """
     limits.nonnegative(max_depth, "max_depth")
-    _require_valid_pairs(src, dst, [(p, q)])
+    ((i, j),) = _pair_indices(src, dst, [(p, q)])
     atoms = sorted(set(src.valuation) | set(dst.valuation)) or ["p"]
     # both models in one evaluator, src in the low lane
     ev = Evaluator(src, dst, mode=mode)
-    i = src.frame.point_index[p]
-    j = ev.offsets[1] + dst.frame.point_index[q]
+    j += ev.offsets[1]
 
     # candidates are evaluated a batch at a time; only a hit becomes a
     # Formula, and a depth keeps only the slots whose extension pair is new

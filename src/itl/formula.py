@@ -12,6 +12,11 @@ desugars during parsing:
 ``F`` and its dual ``g`` belong only to the extended language (mode "LF");
 mode "L" rejects them.
 
+One parser serves two representations: :func:`parse` builds a
+:class:`Formula` tree, and :meth:`Program.parse` builds straight into a
+program's slots.  It is given the primitive builders of its target and
+desugars the surface operators over them, in one place.
+
 A :class:`Program` is the compiled form the evaluator runs: formulas as a
 topologically ordered list of ``(op, a, b)`` over integer slots, with equal
 subformulas sharing a slot.  Parsing, printing and compiling walk formulas
@@ -25,7 +30,7 @@ import random
 import re
 from array import array
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .errors import LanguageError, ParseError
@@ -125,6 +130,9 @@ class F(Formula):
     sub: Formula
 
 
+_FORMULA_UNARY = {"~": Not, "G": G, "H": H, "L": L, "F": F}
+
+
 def atoms_of(formula: Formula) -> frozenset[str]:
     out: set[str] = set()
     stack = [formula]
@@ -214,29 +222,10 @@ def _tokenize(text: str, mode: str) -> list[_Token]:
     return tokens
 
 
-def _or(a: Formula, b: Formula) -> Formula:
-    return Not(And(Not(a), Not(b)))
-
-
-def _implies(a: Formula, b: Formula) -> Formula:
-    return Not(And(a, Not(b)))
-
-
-_UNARY_BUILD = {
-    "~": Not,
-    "G": G,
-    "H": H,
-    "L": L,
-    "F": F,
-    "P": lambda x: Not(H(Not(x))),
-    "f": lambda x: Not(G(Not(x))),
-    "M": lambda x: Not(L(Not(x))),
-    "g": lambda x: Not(F(Not(x))),
-}
-
-
-# binary connectives: precedence and builder; '->' alone is right-associative
-_BINARY = {"&": (3, And), "|": (2, _or), "->": (1, _implies)}
+# the surface operators, each the dual ~X~ of a primitive box X
+_DUALS = {"P": "H", "f": "G", "M": "L", "g": "F"}
+# binary connectives and their precedence; '->' alone is right-associative
+_BINARY = {"&": 3, "|": 2, "->": 1}
 _OPEN = "("
 
 
@@ -245,38 +234,59 @@ def parse(text: str, mode: str = "LF") -> Formula:
 
     Atoms match [a-z][a-zA-Z0-9_]* except the reserved operator words f, g.
     Unary operators bind tightest, then &, then |, then right-associative ->.
+    """
+    return _parse(text, check_mode(mode), Atom, _FORMULA_UNARY, And)
+
+
+def _parse(text: str, mode: str, atom, unary, conj):
+    """Parse ``text`` through the builders of one representation: ``atom``
+    takes an atom name, ``unary`` maps each primitive operator (``~ G H L
+    F``) to its builder and ``conj`` builds a conjunction.  The surface
+    operators desugar here, over those builders.
+
     Precedence climbing over an explicit stack of pending operators, so
     nesting depth is unbounded.
     """
-    check_mode(mode)
     tokens = _tokenize(text, mode)
-    operands: list[Formula] = []
-    # pending operators: a unary builder, _OPEN, or a binary token text
+    neg = unary["~"]
+    prefix = dict(unary)
+    for surface, box in _DUALS.items():
+        prefix[surface] = lambda x, box=unary[box]: neg(box(neg(x)))
+
+    def binary(op: str, a, b):
+        if op == "&":
+            return conj(a, b)
+        if op == "|":
+            return neg(conj(neg(a), neg(b)))
+        return neg(conj(a, neg(b)))
+
+    operands: list = []
+    # pending operators: a unary operator's token, _OPEN, or a binary's text
     pending: list = []
     i = 0
 
     def reduce_binaries(floor: int) -> None:
-        while pending and pending[-1] in _BINARY and _BINARY[pending[-1]][0] >= floor:
-            build = _BINARY[pending.pop()][1]
+        while pending and pending[-1] in _BINARY and _BINARY[pending[-1]] >= floor:
+            op = pending.pop()
             right = operands.pop()
-            operands.append(build(operands.pop(), right))
+            operands.append(binary(op, operands.pop(), right))
 
     while True:
         # an operand: prefix operators and '(' until an atom
         tok = tokens[i]
         i += 1
         if tok.kind == "op":
-            pending.append(_UNARY_BUILD[tok.text])
+            pending.append(tok)
             continue
         if tok.kind == "(":
             pending.append(_OPEN)
             continue
         if tok.kind != "atom":
             raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
-        operand: Formula = Atom(tok.text)
+        operand = atom(tok.text)
         while True:
-            while pending and callable(pending[-1]):
-                operand = pending.pop()(operand)
+            while pending and type(pending[-1]) is _Token:
+                operand = prefix[pending.pop().text](operand)
             operands.append(operand)
             tok = tokens[i]
             if tok.kind in _BINARY:
@@ -293,7 +303,7 @@ def parse(text: str, mode: str = "LF") -> Formula:
             pending.pop()
             operand = operands.pop()
         i += 1
-        precedence = _BINARY[tok.kind][0]
+        precedence = _BINARY[tok.kind]
         # left-associative operators reduce their equals; '->' does not
         reduce_binaries(precedence + (tok.kind == "->"))
         pending.append(tok.kind)
@@ -440,7 +450,8 @@ def _emit_by_depth(program: Program, atoms, max_depth: int):
 
 # opcodes: an atom, the two boolean connectives, the three boxes, weak future
 ATOM, NOT, AND, BOX_G, BOX_H, BOX_L, WEAK_F = range(7)
-_UNARY_OPCODES = {Not: NOT, G: BOX_G, H: BOX_H, L: BOX_L, F: WEAK_F}
+_PRIMITIVES = {"~": NOT, "G": BOX_G, "H": BOX_H, "L": BOX_L, "F": WEAK_F}
+_UNARY_OPCODES = {_FORMULA_UNARY[op]: code for op, code in _PRIMITIVES.items()}
 _UNARY_CLASSES = {op: cls for cls, op in _UNARY_OPCODES.items()}
 
 
@@ -497,6 +508,16 @@ class Program:
         if slot is None:
             slot = self._keys[key] = self.emit(op, a, b)
         return slot
+
+    def parse(self, text: str) -> int:
+        """Parse ``text`` in the program's mode straight into the program,
+        with no :class:`Formula` in between; returns its slot, the one
+        ``add(parse(text, mode))`` gives, and raises the errors of
+        :func:`parse` (the slots of the part read before an error stay)."""
+        node = self._node
+        return _parse(text, self.mode, lambda name: node(ATOM, self.atom(name)),
+                      {op: partial(node, code) for op, code in _PRIMITIVES.items()},
+                      partial(node, AND))
 
     def add(self, formula: Formula) -> int:
         """Compile a formula into the program; returns its slot."""

@@ -12,15 +12,24 @@ checked as its graph by the condition routine of ``bisimulation``, over the
 frames' relation masks.  The forward condition for the converse order (H-f)
 is left out: for a function it follows from G-f.
 
+Each check is a stream of raw failures: ``frame_pmorphism_failures`` and
+``model_pmorphism_failures`` validate the mode and the map when called and
+return an iterator of ``(kind, i, witness)`` that tests the conditions as
+it is read, so a yes/no question stops at the first failure.
+``check_frame_pmorphism`` and ``check_model_pmorphism`` format the whole
+stream into a ``Report``.
+
 The search is the bisimulation fixpoint plus a choice (see
 ``search_pmorphisms``), so it decides the G/H/L conditions only and finds
-the same maps in "L" and "LF".  ``check_frame_pmorphism`` still tests and
-reports F-f and F-b in mode "LF", since it checks any map.
+the same maps in "L" and "LF".  The checkers still test and report F-f and
+F-b in mode "LF", since they check any map.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from . import limits
 from .bisimulation import (LF_CONDITIONS, _first_failure, _pv_failure, _refine,
@@ -73,6 +82,16 @@ def _require_total(src: Frame, dst: Frame, f: PointMap) -> None:
             raise ValueError(f"image {q.text()} is not a point of the target frame")
 
 
+def _images(src: Frame, dst: Frame, f: PointMap) -> list[int]:
+    """Per source point, the index of its image; raises as ``_require_total``
+    for a map that is not total from ``src`` into ``dst``."""
+    mapping, dst_index = f.mapping, dst.point_index
+    images = [dst_index.get(mapping.get(p)) for p in src.point_list]
+    if len(mapping) != len(images) or None in images:
+        _require_total(src, dst, f)  # raises: a point or an image is missing
+    return images
+
+
 def _violation(kind: str, p: Point, f: PointMap, w) -> Violation:
     """The report entry for a failure of the graph pair (p, f(p))."""
     fp = f(p)
@@ -93,6 +112,10 @@ def _violation(kind: str, p: Point, f: PointMap, w) -> Violation:
         return Violation(kind, f"history {w!r} of {p.text()} is tracked by no "
                                f"history of {fp.text()}",
                          {"point": p.text(), "history": w})
+    if kind == "PV":
+        return Violation(kind, f"{p.text()} and its image {fp.text()} disagree on "
+                               f"atom {w!r}",
+                         {"point": p.text(), "atom": w})
     message = {
         "G-b": f"{w.text()} succeeds the image of {p.text()} but no successor "
                f"of {p.text()} maps onto it",
@@ -104,10 +127,11 @@ def _violation(kind: str, p: Point, f: PointMap, w) -> Violation:
     return Violation(kind, message, {"point": p.text(), "target": w.text()})
 
 
-def _map_failures(src: Frame, dst: Frame, images, rel, conv, mode: str):
+def _map_failures(src: Frame, dst: Frame, images: list[int], mode: str):
     """Per condition in ``conditions_for(mode)``, the first failing source
-    point index and its witness, for the map ``images`` with graph masks
-    ``rel`` / ``conv``."""
+    point index and its witness, for the map ``images`` (per source point,
+    the index of its image), checked as its graph."""
+    rel, conv = _relation_masks(len(images), len(dst.point_list), enumerate(images))
     for kind in conditions_for(mode):
         for i, j in enumerate(images):
             w = _first_failure(kind, src, dst, i, j, rel, conv)
@@ -116,34 +140,58 @@ def _map_failures(src: Frame, dst: Frame, images, rel, conv, mode: str):
                 break
 
 
+def _valuation_failures(src: Model, dst: Model, images: list[int]):
+    """PV at the first source point whose image disagrees on an atom, with
+    the first such atom."""
+    for i, j in enumerate(images):
+        atom = _pv_failure(src, dst, i, j)
+        if atom is not None:
+            yield "PV", i, atom
+            return
+
+
+def frame_pmorphism_failures(src: Frame, dst: Frame, f: PointMap,
+                             mode: str = "LF") -> Iterator[tuple[str, int, object]]:
+    """The failures of ``f`` as a p-morphism, as raw ``(kind, i, witness)``
+    in reporting order: per condition of ``conditions_for(mode)``, the first
+    failing source point index ``i`` and its witness (a point, or a
+    history's leaf for F-f and F-b).
+
+    The mode and the map are validated by this call; the conditions are
+    tested as the iterator is read, so ``next(failures, None) is None``
+    decides the map at its first failure."""
+    check_mode(mode)
+    return _map_failures(src, dst, _images(src, dst, f), mode)
+
+
+def model_pmorphism_failures(src: Model, dst: Model, f: PointMap,
+                             mode: str = "LF") -> Iterator[tuple[str, int, object]]:
+    """The failures of :func:`frame_pmorphism_failures`, then valuation
+    agreement (PV): the first source point whose image disagrees, with the
+    first such atom as witness."""
+    check_mode(mode)
+    images = _images(src.frame, dst.frame, f)
+    return chain(_map_failures(src.frame, dst.frame, images, mode),
+                 _valuation_failures(src, dst, images))
+
+
+def _report(src: Frame, f: PointMap, failures) -> Report:
+    return Report(tuple(_violation(kind, src.point_list[i], f, w)
+                        for kind, i, w in failures))
+
+
 def check_frame_pmorphism(src: Frame, dst: Frame, f: PointMap,
                           mode: str = "LF") -> Report:
-    """Per-condition check; at most one minimal witness per failed condition."""
-    check_mode(mode)
-    _require_total(src, dst, f)
-    rel, conv = _relation_masks(src, dst, f.mapping.items())
-    images = [dst.point_index[f(p)] for p in src.point_list]
-    return Report(tuple(
-        _violation(kind, src.point_list[i], f, w)
-        for kind, i, w in _map_failures(src, dst, images, rel, conv, mode)))
+    """Per-condition check; at most one minimal witness per failed condition:
+    :func:`frame_pmorphism_failures`, formatted."""
+    return _report(src, f, frame_pmorphism_failures(src, dst, f, mode))
 
 
 def check_model_pmorphism(src: Model, dst: Model, f: PointMap,
                           mode: str = "LF") -> Report:
-    """Frame conditions plus valuation agreement (PV) on every atom in use."""
-    report = check_frame_pmorphism(src.frame, dst.frame, f, mode)
-    violations = list(report.violations)
-    dst_index = dst.frame.point_index
-    for i, p in enumerate(src.frame.point_list):
-        atom = _pv_failure(src, dst, i, dst_index[f(p)])
-        if atom is not None:
-            violations.append(Violation(
-                "PV",
-                f"{p.text()} and its image {f(p).text()} disagree on "
-                f"atom {atom!r}",
-                {"point": p.text(), "atom": atom}))
-            break
-    return Report(tuple(violations))
+    """Frame conditions plus valuation agreement (PV) on every atom in use:
+    :func:`model_pmorphism_failures`, formatted."""
+    return _report(src.frame, f, model_pmorphism_failures(src, dst, f, mode))
 
 
 def check_set_characterization(src: Frame, dst: Frame, f: PointMap) -> bool:

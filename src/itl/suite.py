@@ -4,12 +4,18 @@ Each criterion is a method of :class:`Battery` returning a timed
 :class:`CriterionResult`.  The materials the criteria share are built once
 per battery instance and read by every criterion that needs them: the
 random models and formulas, the frame catalogue, the p-morphisms between
-catalogue frames (one search per ordered frame pair), the greatest
+catalogue frames (one search per ordered frame pair) and the greatest
 bisimulations between catalogue models (one fixpoint per ordered model
-pair), and per-model truth signatures over the exhaustive formula corpus.
-The search and the fixpoint give the same answer in both modes (see
+pair).  The search and the fixpoint give the same answer in both modes (see
 ``bisimulation``), so each map and each relation is found once and checked
 in both.  All randomness flows from the battery seed.
+
+The battery builds only what it reads.  A criterion that asks whether a map
+or a relation passes reads the first element of the checker's failure
+stream; reports are formatted only for the witnesses criterion 9 replays.
+Criterion 2 parses its texts straight into one program, and truth
+signatures over the exhaustive corpus come from one run per call of
+``signatures_of``, transposing only its distinct masks.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from itertools import islice, product, repeat
 
 from . import catalog
 from .bisimulation import (
-    PointRelation, check_bisimulation, find_distinguishing_formula,
-    greatest_bisimulation,
+    PointRelation, bisimulation_failures, check_bisimulation,
+    find_distinguishing_formula, greatest_bisimulation,
 )
 from .documents import parse_point, resolve_point, validate_doc
 from .formula import (
@@ -36,7 +42,8 @@ from .formula import (
 from .generate import gen_random_model
 from .morphisms import (
     PointMap, check_frame_pmorphism, check_model_pmorphism,
-    check_set_characterization, pullback_valuation, search_pmorphisms,
+    check_set_characterization, frame_pmorphism_failures,
+    model_pmorphism_failures, pullback_valuation, search_pmorphisms,
 )
 from .semantics import Evaluator, eval_hist, eval_rel
 from .structures import (
@@ -61,6 +68,12 @@ def _point_columns(masks: list[int], n: int) -> list[int]:
     # base 2 is exempt from the int-digit limit of str conversions
     return [int(data[i // 8::width].translate(_BIT_CHARS[i % 8]), 2)
             for i in range(n)]
+
+
+def _passes(failures) -> bool:
+    """Whether a checker's failure stream is empty; reads at most its first
+    failure."""
+    return next(failures, None) is None
 
 
 def _lanes_differing(ev: Evaluator, a: int, b: int) -> int:
@@ -114,7 +127,6 @@ class Battery:
 
     def __init__(self, seed: int = 42):
         self.seed = seed
-        self._signatures: dict = {}
         self._valid: dict = {}
 
     # ------------------------------------------------------------------
@@ -179,25 +191,23 @@ class Battery:
         """The corpus as a program: slot k is formula k of corpus(mode)."""
         return corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, mode)
 
-    def signatures(self, model: Model, mode: str) -> list[int]:
-        """Per point, its truth values over the whole corpus as the bits of
-        one int; computed once per frame, valuation and mode."""
-        return self.signatures_of([model], mode)[0]
-
     def signatures_of(self, models, mode: str) -> list[list[int]]:
-        """The signatures of each of the models.  Those not computed yet are
-        computed together, by one run of the corpus over their union."""
-        keys = [(model.frame, frozenset(model.valuation.items()), mode)
-                for model in models]
-        todo = {key: model for key, model in zip(keys, models)
-                if key not in self._signatures}
-        if todo:
-            sizes = [len(model.frame.point_list) for model in todo.values()]
-            ev = Evaluator(*todo.values(), mode=mode)
-            columns = _point_columns(ev.run(self.corpus_program(mode)), sum(sizes))
-            for key, offset, size in zip(todo, ev.offsets, sizes):
-                self._signatures[key] = columns[offset:offset + size]
-        return [self._signatures[key] for key in keys]
+        """Per model, per point, its truth values over the whole corpus as
+        the bits of one int, from one run of the corpus over the union of
+        the distinct models (by frame and valuation).  Each bit stands for
+        one distinct mask of that run, so two points of these models have
+        equal signatures exactly when every corpus formula has the same
+        truth value at both; signatures of different calls are not
+        comparable."""
+        keys = [(model.frame, frozenset(model.valuation.items())) for model in models]
+        distinct = dict(zip(keys, models))
+        sizes = [len(model.frame.point_list) for model in distinct.values()]
+        ev = Evaluator(*distinct.values(), mode=mode)
+        masks = list(dict.fromkeys(ev.run(self.corpus_program(mode))))
+        columns = _point_columns(masks, sum(sizes))
+        lanes = {key: columns[offset:offset + size]
+                 for key, offset, size in zip(distinct, ev.offsets, sizes)}
+        return [lanes[key] for key in keys]
 
     # ------------------------------------------------------------------
     # criterion 1: the two semantics agree
@@ -228,14 +238,15 @@ class Battery:
         models = self.battery_models
         formulas = self.battery_formulas
         wrappers = (("P", "~H ~"), ("f", "~G ~"), ("M", "~L ~"), ("g", "~F ~"))
-        # hash-consed: two formulas share a slot exactly when they are equal
+        # parsed straight into one hash-consed program: two formulas share a
+        # slot exactly when they are equal
         program = Program("LF")
         pairs = []
         for phi in formulas:
             s = format_formula(phi)
             for surface, expansion in wrappers:
-                pairs.append((program.add(parse(f"{surface} ({s})", "LF")),
-                              program.add(parse(f"{expansion}({s})", "LF"))))
+                pairs.append((program.parse(f"{surface} ({s})"),
+                              program.parse(f"{expansion}({s})")))
         structural_mismatches = sum(a != b for a, b in pairs)
         ev = Evaluator(*models, mode="LF")
         masks = ev.run(program)
@@ -295,7 +306,7 @@ class Battery:
     def _c4_data(self) -> tuple[bool, int, list]:
         """(checker and characterization agree, number of p-morphisms,
         up to 60 failing (source, target, map, report)) over the sampled
-        maps."""
+        maps.  Only the failing samples kept are checked to a report."""
         frames = list(self.frames.values())
         rng = random.Random(self.seed + 4)
         agree = True
@@ -308,13 +319,14 @@ class Battery:
             mapping = {p: dst_pts[rng.randrange(len(dst_pts))]
                        for p in points(src)}
             f = PointMap(mapping)
-            report = check_frame_pmorphism(src, dst, f, mode="L")
-            if report.ok != check_set_characterization(src, dst, f):
+            ok = _passes(frame_pmorphism_failures(src, dst, f, mode="L"))
+            if ok != check_set_characterization(src, dst, f):
                 agree = False
-            if report.ok:
+            if ok:
                 passing += 1
             elif len(failing_samples) < 60:
-                failing_samples.append((src, dst, f, report))
+                failing_samples.append(
+                    (src, dst, f, check_frame_pmorphism(src, dst, f, mode="L")))
         return agree, passing, failing_samples
 
     @_criterion(4, "pmorphism-characterization")
@@ -398,7 +410,8 @@ class Battery:
                               - self.valid_corpus_formulas(dst))
             for src_model, dst_model in self._pullbacks(
                     src, dst, f, index[src] * 37 + index[dst]):
-                if not check_model_pmorphism(src_model, dst_model, f, mode="L").ok:
+                if not _passes(model_pmorphism_failures(src_model, dst_model, f,
+                                                        mode="L")):
                     pv_failures += 1
         detail = (f"{len(maps)} surjective maps on frames <= 4 "
                   f"points, corpus {len(self.corpus_program('L'))}: "
@@ -425,7 +438,7 @@ class Battery:
             for (src, dst, rel), sig_src, sig_dst in zip(relations, sigs[::2],
                                                         sigs[1::2]):
                 anchor = rel.sorted_pairs()[0]
-                if not check_bisimulation(src, dst, rel, anchor, mode).ok:
+                if not _passes(bisimulation_failures(src, dst, rel, anchor, mode)):
                     check_failures += 1
                     continue
                 src_index, dst_index = src.frame.point_index, dst.frame.point_index
@@ -436,8 +449,8 @@ class Battery:
         for mode in MODES:
             for src, dst, f in self._model_pmorphisms:
                 graph = PointRelation(frozenset(f.mapping.items()))
-                if not check_bisimulation(src, dst, graph,
-                                          graph.sorted_pairs()[0], mode).ok:
+                if not _passes(bisimulation_failures(src, dst, graph,
+                                                     graph.sorted_pairs()[0], mode)):
                     graph_failures += 1
         detail = (f"{nonempty} greatest bisimulations verified and "
                   f"agreement-checked over the corpus "
@@ -461,9 +474,8 @@ class Battery:
                 if pair in rel.pairs:
                     continue
                 extended = PointRelation(rel.pairs | {pair})
-                report = check_bisimulation(src, dst, extended, pair, mode)
                 readded += 1
-                if report.ok:
+                if _passes(bisimulation_failures(src, dst, extended, pair, mode)):
                     unbroken += 1
         detail = (f"{readded} re-added pairs across all model pairs and "
                   f"modes, {unbroken} failed to break a condition")

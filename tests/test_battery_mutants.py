@@ -8,16 +8,18 @@ The criteria count failures in these places, each reached by a mutant:
 criterion 1's disagreements between the routes (and its count, summed over
 the lanes of one evaluator, equals the sum of one-model counts), criterion
 2's parse mismatches, criterion 3's separation example, criterion 4's
-disagreement, criterion 5's evaluation mismatches, criterion
+disagreement (from the characterization's side and from the checker's
+failure stream), criterion 5's evaluation mismatches, criterion
 6's validity violations and pullback PV failures, criterion 7's condition,
-agreement and graph failures, criterion 8's unbroken pairs, criterion 9's
+agreement and graph failures, criterion 8's unbroken pairs (from the
+fixpoint and from the relation checker's failure stream), criterion 9's
 replay failures of document, map, valuation and relation witnesses and of
 distinguishing formulas, and criterion 10's missed documents.  Criterion 9
 sums its failures in one count, so its mutants each break one kind of
 witness; the map and valuation ones also reach their replayers' rejection of
 a kind they do not know.  ``test_suite_battery`` forges the rest.
 
-The mutants of criteria 1-3 and the recount of criterion 1 take about 1.6 s
+The mutants of criteria 1-3 and the recount of criterion 1 take about 1.5 s
 together (CPython 3.11 on a 2-core x86-64 machine), most of it criterion 2's
 8,000 parses."""
 
@@ -28,7 +30,7 @@ import pytest
 
 from itl import bisimulation, formula, morphisms, semantics, suite
 from itl.bisimulation import PointRelation
-from itl.formula import G, Not, Program, parse
+from itl.formula import Program, parse
 from itl.semantics import Evaluator
 from itl.structures import Frame, Report
 from itl.suite import Battery
@@ -46,7 +48,7 @@ def hist_g_reads_the_past(monkeypatch):
 def parse_expands_p_as_f(monkeypatch):
     # P x reads as ~G ~x.  Criterion 2's evaluation counter cannot be reached
     # without a parse mismatch: a pair that parses alike compiles to one slot
-    monkeypatch.setitem(formula._UNARY_BUILD, "P", lambda x: Not(G(Not(x))))
+    monkeypatch.setitem(formula._DUALS, "P", "G")
 
 
 def weak_future_is_f(monkeypatch):
@@ -151,16 +153,38 @@ def map_checker_invents_l_back(monkeypatch):
 
 def relation_witness_is_the_pair(monkeypatch):
     # a G/H/L witness names the checked pair's own point, not a neighbour
-    pair_violations = bisimulation._pair_violations
+    relation_violation = bisimulation._relation_violation
 
-    def own_point(src, dst, pair, *args):
-        return [replace(v, witness={
-                    **v.witness,
-                    "witness_point": pair[v.kind.endswith("-b")].text()})
-                if "witness_point" in v.witness else v
-                for v in pair_violations(src, dst, pair, *args)]
+    def own_point(*args):
+        v = relation_violation(*args)
+        if "witness_point" not in v.witness:
+            return v
+        return replace(v, witness={
+            **v.witness, "witness_point": v.witness["pair"][v.kind.endswith("-b")]})
 
-    monkeypatch.setattr(bisimulation, "_pair_violations", own_point)
+    monkeypatch.setattr(bisimulation, "_relation_violation", own_point)
+
+
+def map_stream_drops_g_back(monkeypatch):
+    # the checker's stream never yields G-b; the characterization, criterion
+    # 4's oracle, is untouched
+    map_failures = morphisms._map_failures
+
+    def without_g_back(*args):
+        return (failure for failure in map_failures(*args) if failure[0] != "G-b")
+
+    monkeypatch.setattr(morphisms, "_map_failures", without_g_back)
+
+
+def relation_stream_stops_after_the_first_pair(monkeypatch):
+    # only the first related pair is checked, so a re-added pair later in
+    # the pair order breaks nothing the stream reports
+    relation_failures = bisimulation._relation_failures
+
+    def first_pair_only(src, dst, pairs, *args):
+        return relation_failures(src, dst, pairs[:1], *args)
+
+    monkeypatch.setattr(bisimulation, "_relation_failures", first_pair_only)
 
 
 def distinguishing_returns_a_fixed_atom(monkeypatch):
@@ -189,7 +213,11 @@ MUTANTS = [
         7: f"\\({COUNT} condition failures"}),
     (conditions_drop_l_back, {
         7: f"\\(0 condition failures, {COUNT} agreement failures\\)"}),
+    (map_stream_drops_g_back, {
+        4: "checker and characterization DISAGREE"}),
     (fixpoint_drops_its_last_pair, {
+        8: f", {COUNT} failed to break a condition"}),
+    (relation_stream_stops_after_the_first_pair, {
         8: f", {COUNT} failed to break a condition"}),
     (validator_misnames_a_duplicate, {
         9: f", {COUNT} replay failures"}),

@@ -49,6 +49,12 @@ def collapse_models():
     return src, dst, f
 
 
+def point_masks(src, dst, pairs):
+    """The relation masks of point pairs between two frames."""
+    return _relation_masks(len(src.point_list), len(dst.point_list), [
+        (src.point_index[p], dst.point_index[q]) for p, q in pairs])
+
+
 def relation_candidates(src, dst, pair, kind):
     """(routine result, replayable witness) for every witness a violation of
     kind at pair could name, in canonical order."""
@@ -110,7 +116,7 @@ def test_condition_routine_matches_relation_replayer(seed, mode):
     greatest = greatest_bisimulation(src, dst, mode).pairs
     for pairs in (frozenset(x for x in universe if rng.random() < 0.5), greatest):
         relation = PointRelation(pairs)
-        rel, conv = _relation_masks(src.frame, dst.frame, pairs)
+        rel, conv = point_masks(src.frame, dst.frame, pairs)
         for pair in universe:
             i = src.frame.point_index[pair[0]]
             j = dst.frame.point_index[pair[1]]
@@ -126,7 +132,7 @@ def test_condition_routine_on_map_graphs_matches_map_replayer(seed, mode):
     rng = random.Random(seed)
     dst_pts = points(dst)
     f = PointMap({p: dst_pts[rng.randrange(len(dst_pts))] for p in points(src)})
-    rel, conv = _relation_masks(src, dst, f.mapping.items())
+    rel, conv = point_masks(src, dst, f.mapping.items())
     kinds = MAP_CONDITIONS + (F_CONDITIONS if mode == "LF" else ())
     for i, p in enumerate(points(src)):
         j = dst.point_index[f(p)]
@@ -396,7 +402,7 @@ def first_disagreement(src, dst, p, q):
 
 def pv_relation(src, dst):
     """The masks of the pairs that agree on every atom of the valuations."""
-    return _relation_masks(src.frame, dst.frame, [
+    return point_masks(src.frame, dst.frame, [
         (p, q) for p in points(src.frame) for q in points(dst.frame)
         if first_disagreement(src, dst, p, q) is None])
 

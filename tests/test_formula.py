@@ -144,6 +144,46 @@ def test_roundtrip_l(seed):
     assert parse(format_formula(phi), mode="L") == phi
 
 
+# surface text from the grammar: every operator, redundant parentheses and
+# spacing, atoms that look like operator words
+SURFACE = st.recursive(
+    st.sampled_from(["p", "q", "fx", "gp", "r_1"]),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["~", "G ", "H ", "L", "F ", "P ", "f ", "M ", "g "]),
+                  sub).map("".join),
+        st.tuples(sub, st.sampled_from([" & ", "|", " -> ", "&"]), sub).map("".join),
+        sub.map(lambda text: f"( {text})")),
+    max_leaves=12)
+# text that is mostly not a formula
+NOISE = st.text(alphabet="pqfgGHLFPM~&|->() @X1_\t", max_size=16)
+
+
+def parsed_or_raised(parse_text):
+    """What ``parse_text()`` returns, or the type, position and message of
+    the syntax error it raises."""
+    try:
+        return parse_text()
+    except ParseError as err:
+        return type(err), err.position, str(err)
+
+
+@given(text=st.one_of(SURFACE, NOISE), mode=st.sampled_from(("L", "LF")))
+def test_program_parse_is_the_slot_of_the_parsed_formula(text, mode):
+    straight = Program(mode)
+    got = parsed_or_raised(lambda: straight.parse(text))
+    expected = parsed_or_raised(lambda: parse(text, mode))
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    # equal formulas share a slot, so a second route adds no slot
+    size = len(straight)
+    assert straight.add(expected) == got
+    assert len(straight) == size
+    via_tree = Program(mode)
+    slot = via_tree.add(expected)
+    assert (via_tree.parse(text), len(via_tree)) == (slot, size)
+
+
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
