@@ -13,6 +13,14 @@ every subformula is evaluated once, however often it occurs, and nesting
 depth is not limited by recursion.  An :class:`Evaluator` may hold several
 models, each in its own lane of bits of one mask (their disjoint union), so
 one run of a program evaluates it on all of them.
+
+A modal kernel (``_box`` for G, H and L, ``_weak_future`` for F) decides
+each point with one AND of its table entry against the operand, writes one
+``"0"``/``"1"`` digit per point, last point first, and reads the whole mask
+with one ``int(digits, 2)``.  Growing the mask a bit at a time would cost a
+big-int shift and OR per point, O(n) each, so O(n²) per call.  The digits
+start with ``"0"``, so a frame of no points gives the empty mask, and a
+base-2 ``int()`` is not bound by ``sys.get_int_max_str_digits()``.
 """
 
 from __future__ import annotations
@@ -149,27 +157,22 @@ class Evaluator:
 def _box(targets, full: int, sub_mask: int) -> int:
     """Points all of whose targets lie in sub_mask."""
     missing = full ^ sub_mask
-    out = 0
-    bit = 1
-    for target in targets:
-        if target & missing == 0:
-            out |= bit
-        bit <<= 1
-    return out
+    return int("0" + "".join(["0" if target & missing else "1"
+                              for target in reversed(targets)]), 2)
 
 
 def _weak_future(chains, sub_mask: int) -> int:
     """Points each of whose future chains meets sub_mask."""
-    out = 0
-    bit = 1
-    for point_chains in chains:
+    digits = ["0"]
+    append = digits.append
+    for point_chains in reversed(chains):
         for chain in point_chains:
             if chain & sub_mask == 0:
+                append("0")
                 break
         else:
-            out |= bit
-        bit <<= 1
-    return out
+            append("1")
+    return int("".join(digits), 2)
 
 
 def eval_hist(model: Model, point: Point, formula: Formula, mode: str = "LF") -> bool:

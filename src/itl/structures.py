@@ -12,6 +12,9 @@ one class of histories at it.
 Each history is walked once: ``Tree.chains`` lists per leaf the moments of
 its history from the root up, ``Tree.through`` the leaves through each moment,
 and all history-based views, the "hist" tables included, are read off them.
+The "hist" tables read one suffix-OR list per history (per depth, the mask
+of its points at that depth or deeper), so a point's future along a history
+is one entry and its past the XOR of two, with no OR over a slice per point.
 """
 
 from __future__ import annotations
@@ -235,72 +238,85 @@ class Frame:
         return tuple(reduce(or_, chains, 0) for chains in self.future_chains)
 
     @cached_property
-    def _history_bits(self) -> dict[str, list[int]]:
-        """Per leaf, the bit of the point on each moment of its history, from
-        the root up: a moment's position in the list is its depth."""
+    def _hist_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Per point: its future chains, and its past mask.
+
+        Each history gets one suffix-OR list, from the root up: entry k is
+        the OR of the bits of its points at depth k or deeper, the last
+        entry 0.  A point at depth d reads entry d + 1 of each history of
+        its class as that history's future chain, and entry 0 XOR entry d
+        as its past along it.  The lists are dropped once the tables are
+        read off them."""
         bit = {(p.moment, leaf): 1 << i
                for i, p in enumerate(self.point_list) for leaf in p.block}
-        return {leaf: [bit[(m, leaf)] for m in chain]
-                for leaf, chain in self.tree.chains.items()}
+        suffixes = {}
+        for leaf, chain in self.tree.chains.items():
+            acc = 0
+            suffix = [0]
+            for m in reversed(chain):
+                acc |= bit[(m, leaf)]
+                suffix.append(acc)
+            suffix.reverse()
+            suffixes[leaf] = suffix
+        ancestors = self.tree.ancestors
+        chains, past = [], []
+        for p in self.point_list:
+            depth = len(ancestors[p.moment])
+            lists = [suffixes[leaf] for leaf in sorted(p.block)]
+            chains.append(tuple(suffix[depth + 1] for suffix in lists))
+            mask = 0
+            for suffix in lists:
+                mask |= suffix[0] ^ suffix[depth]
+            past.append(mask)
+        return tuple(chains), tuple(past)
 
     @cached_property
     def future_chains(self) -> tuple[tuple[int, ...], ...]:
         """Per point, per history of its class: later points along it."""
-        bits, ancestors = self._history_bits, self.tree.ancestors
-        return tuple(
-            tuple(reduce(or_, bits[leaf][len(ancestors[p.moment]) + 1:], 0)
-                  for leaf in sorted(p.block))
-            for p in self.point_list)
+        return self._hist_tables[0]
 
     @cached_property
     def hist_past_masks(self) -> tuple[int, ...]:
-        bits, ancestors = self._history_bits, self.tree.ancestors
-        return tuple(
-            reduce(or_, (b for leaf in p.block
-                         for b in bits[leaf][:len(ancestors[p.moment])]), 0)
-            for p in self.point_list)
+        return self._hist_tables[1]
 
     @cached_property
     def hist_class_masks(self) -> tuple[int, ...]:
         index = self.point_index
-        out = []
-        for p in self.point_list:
+        at_moment = {}
+        for m, blocks in self.blocks_at.items():
             mask = 0
-            for block in self.blocks_at[p.moment]:
-                mask |= 1 << index[Point(p.moment, block)]
-            out.append(mask)
-        return tuple(out)
+            for block in blocks:
+                mask |= 1 << index[Point(m, block)]
+            at_moment[m] = mask
+        return tuple(at_moment[p.moment] for p in self.point_list)
 
     @cached_property
     def _rel_tables(self) -> tuple[tuple[int, ...], ...]:
         """Successor, predecessor and same-moment masks of the point relations.
 
         A point's predecessors are the classes, at the ancestors of its
-        moment, that contain its class; successors are read off by
-        transposing the predecessors.  The ancestor sets and the blocks are
+        moment, that contain its class; each predecessor found records the
+        point among its successors.  The ancestor sets and the classes are
         walked directly, not the histories the "hist" tables are built from.
         """
-        pts, index = self.point_list, self.point_index
-        ancestors, blocks_at = self.tree.ancestors, self.blocks_at
-        predecessors = []
-        for p in pts:
-            mask = 0
-            for s in ancestors[p.moment]:
-                for block in blocks_at[s]:
-                    if block >= p.block:
-                        mask |= 1 << index[Point(s, block)]
-            predecessors.append(mask)
-        successors = [0] * len(pts)
-        for i, mask in enumerate(predecessors):
-            while mask:
-                low = mask & -mask
-                successors[low.bit_length() - 1] |= 1 << i
-                mask ^= low
-        at_moment: dict[str, int] = {}
+        pts, ancestors = self.point_list, self.tree.ancestors
+        # per moment, its classes with their indices and bits
+        classes: dict[str, list[tuple[frozenset[str], int, int]]] = {}
         for i, p in enumerate(pts):
-            at_moment[p.moment] = at_moment.get(p.moment, 0) | 1 << i
-        same = tuple(at_moment[p.moment] for p in pts)
-        return tuple(successors), tuple(predecessors), same
+            classes.setdefault(p.moment, []).append((p.block, i, 1 << i))
+        predecessors, successors = [], [0] * len(pts)
+        for i, p in enumerate(pts):
+            mask, own = 0, 1 << i
+            for s in ancestors[p.moment]:
+                for block, j, bit in classes[s]:
+                    if block >= p.block:
+                        mask |= bit
+                        successors[j] |= own
+            predecessors.append(mask)
+        same = {m: reduce(or_, (bit for _, _, bit in entries))
+                for m, entries in classes.items()}
+        return (tuple(successors), tuple(predecessors),
+                tuple(same[p.moment] for p in pts))
 
     @cached_property
     def rel_successor_masks(self) -> tuple[int, ...]:
@@ -479,11 +495,11 @@ def _indist_violations(frame: Frame) -> list[Violation]:
                 f"history {leaf!r} through {m!r} is in no class",
                 {"moment": m, "missing": leaf}))
 
-    if not partitions_ok:
+    if not partitions_ok or _coherent_at_parents(frame):
         return out
 
     # Backward coherence: histories sharing a class at t share one at every
-    # earlier moment.
+    # earlier moment.  Some parent failed; list every pair that fails.
     block_of = frame.block_of
     for t in sorted(declared):
         for block in frame.blocks_at[t]:
@@ -499,6 +515,17 @@ def _indist_violations(frame: Frame) -> list[Violation]:
                             {"histories": [anchor, other],
                              "merged_at": t, "split_at": s}))
     return out
+
+
+def _coherent_at_parents(frame: Frame) -> bool:
+    """Whether the histories of each class share a class at its moment's
+    parent.  On a valid tree with valid partitions this is backward
+    coherence: the class they share at the parent shares one at its own
+    parent, and so on down to the root."""
+    block_of, parents = frame.block_of, frame.tree.parents_map
+    return all(block <= block_of[(s, next(iter(block)))]
+               for t, blocks in frame.blocks_at.items()
+               for s in parents[t] for block in blocks)
 
 
 def validate_frame(frame: Frame) -> Report:

@@ -18,7 +18,7 @@ from itl.semantics import (
     Evaluator, eval_hist, eval_rel, frame_sat, frame_valid, model_sat,
     model_valid,
 )
-from itl.structures import Model, Point, points
+from itl.structures import Frame, IndistFunction, Model, Point, Tree, points
 from itl.suite import CORPUS_ATOMS, CORPUS_DEPTH, Battery
 from oracles import naive_eval
 
@@ -281,6 +281,33 @@ def test_a_one_model_evaluator_holds_its_frames_own_tables():
         for op, name in zip((BOX_G, BOX_H, BOX_L), names):
             assert modal[op].args[0] is getattr(frame, name)
         assert modal[WEAK_F].args[0] is frame.future_chains
+
+
+def test_lanes_wider_than_the_int_string_limit_are_each_models_evaluation():
+    # the kernels read each mask from a string of one digit per point; a
+    # base-2 int() is exempt from the int-string digit limit (4,300 by
+    # default), so a union of more points than that still evaluates
+    model = gen_random_model(3, 100, branching=3, indist_policy="coarsened")
+    lanes = 4301 // len(model.frame.point_list) + 1
+    program = Program("LF")
+    for k in range(6):
+        program.add(random_formula(k, 4, ("p0", "p1"), mode="LF"))
+    for text in ("G p0", "H p0", "L p0", "F p0", "f p1"):
+        program.add(parse(text))
+    for relational in (False, True):
+        ev = Evaluator(*[model] * lanes, relational=relational)
+        assert ev.offsets[-1] + len(model.frame.point_list) > 4300
+        own = Evaluator(model, relational=relational).run(program)
+        for k, mask in enumerate(ev.run(program)):
+            assert ev.lanes(mask) == [own[k]] * lanes
+
+
+def test_a_frame_of_no_points_evaluates_to_the_empty_mask():
+    empty = Model(Frame(Tree((), ()), IndistFunction({})), {})
+    for relational in (False, True):
+        ev = Evaluator(empty, relational=relational)
+        for text in ("G p", "H p", "L p", "F p", "~p"):
+            assert ev.extension_mask(parse(text)) == 0
 
 
 def test_a_many_model_evaluator_answers_no_one_model_question():

@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given, strategies as st
 
 import pytest
@@ -68,6 +70,51 @@ def test_coherence_violation_witness():
     assert violation.witness["merged_at"] == "m"
     assert violation.witness["split_at"] == "r"
     assert sorted(violation.witness["histories"]) == ["a", "b"]
+
+
+def test_coherence_violations_at_a_grandparent_are_all_listed():
+    # a and b share a class at n and at its parent m, but not at r: m's
+    # failure at its parent reveals the incoherence, and the report still
+    # lists n's pair with its grandparent
+    frame = make_frame(
+        ["r", "m", "n", "a", "b"],
+        [["r", "m"], ["m", "n"], ["n", "a"], ["n", "b"]],
+        {"r": [["a"], ["b"]], "m": [["a", "b"]], "n": [["a", "b"]],
+         "a": [["a"]], "b": [["b"]]})
+    report = validate_frame(frame)
+    assert report.kinds() == ("backward-coherence",) * 2
+    assert [(v.witness["merged_at"], v.witness["split_at"], v.witness["histories"])
+            for v in report.violations] == [("m", "r", ["a", "b"]),
+                                            ("n", "r", ["a", "b"])]
+
+
+@given(seed=st.integers(0, 5000))
+def test_coherence_violations_are_the_incoherent_pairs(seed):
+    # a random partition of the histories at every moment, coherent or not
+    rng = random.Random(seed)
+    tree = gen_random_frame(seed, 1 + seed % 12, branching=2 + seed % 2).tree
+    classes = {}
+    for m in tree.moments:
+        leaves = list(tree.through[m])
+        parts = rng.randint(1, len(leaves))
+        blocks: list[list[str]] = [[] for _ in range(parts)]
+        for leaf in leaves:
+            blocks[rng.randrange(parts)].append(leaf)
+        classes[m] = [block for block in blocks if block]
+    frame = Frame(tree, IndistFunction(
+        {m: tuple(map(tuple, blocks)) for m, blocks in classes.items()}))
+    class_of = {(m, leaf): k for m, blocks in classes.items()
+                for k, block in enumerate(blocks) for leaf in block}
+    expected = [(t, s, sorted(block)[:1] + [other])
+                for t in sorted(tree.moments)
+                for block in sorted(classes[t], key=min)
+                for s in sorted(tree.ancestors[t])
+                for other in sorted(block)[1:]
+                if class_of[(s, min(block))] != class_of[(s, other)]]
+    report = validate_frame(frame)
+    assert set(report.kinds()) <= {"backward-coherence"}
+    assert [(v.witness["merged_at"], v.witness["split_at"], v.witness["histories"])
+            for v in report.violations] == expected
 
 
 def test_point_repr_lists_the_class():
