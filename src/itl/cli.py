@@ -21,7 +21,7 @@ from .bisimulation import (
 )
 from .documents import dumps
 from .errors import ItlError
-from .formula import Not, format_formula, parse
+from .formula import MODES, Not, format_formula, parse
 from .generate import INDIST_POLICIES, gen_random_model
 from .morphisms import (
     check_frame_pmorphism, check_model_pmorphism,
@@ -331,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--at", required=True, metavar="MOMENT/REP")
     p.add_argument("--formula", required=True)
-    p.add_argument("--mode", choices=["L", "LF"], default="LF")
+    p.add_argument("--mode", choices=MODES, default="LF")
     p.add_argument("--semantics", choices=["hist", "rel", "both"],
                    default="hist")
 
@@ -341,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--sat", action="store_true")
     group.add_argument("--valid", action="store_true")
-    p.add_argument("--mode", choices=["L", "LF"], default="LF")
+    p.add_argument("--mode", choices=MODES, default="LF")
     p.add_argument("--max-enum", type=int, default=None,
                    help=f"valuation-enumeration bound (default "
                         f"{limits.DEFAULT_VALUATION_BOUND}, env {limits.ENV_VAR})")
@@ -350,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("src_frame")
     p.add_argument("dst_frame")
     p.add_argument("map")
-    p.add_argument("--mode", choices=["L", "LF"], default="LF")
+    p.add_argument("--mode", choices=MODES, default="LF")
     p.add_argument("--model", nargs=2, metavar=("SRC_MODEL", "DST_MODEL"),
                    help="also check valuation agreement between two models")
 
@@ -358,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "enumerate the p-morphisms between two frames")
     p.add_argument("src_frame")
     p.add_argument("dst_frame")
-    p.add_argument("--mode", choices=["L", "LF"], default="LF")
+    p.add_argument("--mode", choices=MODES, default="LF")
     p.add_argument("--surjective", action="store_true")
     p.add_argument("--limit", type=int, default=None)
 
@@ -369,13 +369,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation")
     p.add_argument("--anchors", nargs=2, required=True,
                    metavar=("SRC_POINT", "DST_POINT"))
-    p.add_argument("--mode", choices=["L", "LF"], default="LF")
+    p.add_argument("--mode", choices=MODES, default="LF")
 
     p = add("bisim-max", _cmd_bisim_max,
             "print the greatest bisimulation between two models")
     p.add_argument("src_model")
     p.add_argument("dst_model")
-    p.add_argument("--mode", choices=["L", "LF"], default="LF")
+    p.add_argument("--mode", choices=MODES, default="LF")
 
     p = add("distinguish", _cmd_distinguish,
             "search for a formula telling two points apart")
@@ -383,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dst_model")
     p.add_argument("--anchors", nargs=2, required=True,
                    metavar=("SRC_POINT", "DST_POINT"))
-    p.add_argument("--mode", choices=["L", "LF"], default="LF")
+    p.add_argument("--mode", choices=MODES, default="LF")
     p.add_argument("--max-depth", type=int, default=4)
 
     p = add("gen", _cmd_gen, "generate a random model document")

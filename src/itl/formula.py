@@ -31,7 +31,6 @@ import re
 from array import array
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 from .errors import LanguageError, ParseError
 
@@ -178,13 +177,9 @@ def _is_atom_name(name) -> bool:
             and name not in _RESERVED)
 
 
-class _Token(NamedTuple):
-    kind: str  # "op", "atom", "(", ")", "&", "|", "->", "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str, mode: str) -> list[_Token]:
+def _tokenize(text: str, mode: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as ``(kind, text, pos)`` tuples; kind is
+    "op", "atom", "(", ")", "&", "|", "->" or "end"."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -194,17 +189,17 @@ def _tokenize(text: str, mode: str) -> list[_Token]:
             continue
         if c in "()&|~":
             kind = "op" if c == "~" else c
-            tokens.append(_Token(kind, c, i))
+            tokens.append((kind, c, i))
             i += 1
         elif c == "-":
             if text[i:i + 2] != "->":
                 raise ParseError("expected '->'", i)
-            tokens.append(_Token("->", "->", i))
+            tokens.append(("->", "->", i))
             i += 2
         elif c in _UPPER_OPS:
             if c in _LF_ONLY and mode == "L":
                 raise LanguageError(f"'{c}' is not in language L", i)
-            tokens.append(_Token("op", c, i))
+            tokens.append(("op", c, i))
             i += 1
         else:
             m = _ATOM_RE.match(text, i)
@@ -214,11 +209,11 @@ def _tokenize(text: str, mode: str) -> list[_Token]:
             if word in _RESERVED:
                 if word in _LF_ONLY and mode == "L":
                     raise LanguageError(f"'{word}' is not in language L", i)
-                tokens.append(_Token("op", word, i))
+                tokens.append(("op", word, i))
             else:
-                tokens.append(_Token("atom", word, i))
+                tokens.append(("atom", word, i))
             i = m.end()
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
@@ -261,7 +256,8 @@ def _parse(text: str, mode: str, atom, unary, conj):
         return neg(conj(a, neg(b)))
 
     operands: list = []
-    # pending operators: a unary operator's token, _OPEN, or a binary's text
+    # pending operators: a unary operator's token (the only tuples), _OPEN,
+    # or a binary's text
     pending: list = []
     i = 0
 
@@ -274,39 +270,39 @@ def _parse(text: str, mode: str, atom, unary, conj):
     while True:
         # an operand: prefix operators and '(' until an atom
         tok = tokens[i]
+        kind, word, pos = tok
         i += 1
-        if tok.kind == "op":
+        if kind == "op":
             pending.append(tok)
             continue
-        if tok.kind == "(":
+        if kind == "(":
             pending.append(_OPEN)
             continue
-        if tok.kind != "atom":
-            raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
-        operand = atom(tok.text)
+        if kind != "atom":
+            raise ParseError(f"unexpected {word or 'end of input'!r}", pos)
+        operand = atom(word)
         while True:
-            while pending and type(pending[-1]) is _Token:
-                operand = prefix[pending.pop().text](operand)
+            while pending and type(pending[-1]) is tuple:
+                operand = prefix[pending.pop()[1]](operand)
             operands.append(operand)
-            tok = tokens[i]
-            if tok.kind in _BINARY:
+            kind, word, pos = tokens[i]
+            if kind in _BINARY:
                 break
             # ')' or the end closes everything back to the innermost '('
             reduce_binaries(0)
             if _OPEN not in pending[-1:]:
-                if tok.kind != "end":
-                    raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+                if kind != "end":
+                    raise ParseError(f"unexpected {word!r}", pos)
                 return operands.pop()
-            if tok.kind != ")":
-                raise ParseError("expected ')'", tok.pos)
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
             i += 1
             pending.pop()
             operand = operands.pop()
         i += 1
-        precedence = _BINARY[tok.kind]
         # left-associative operators reduce their equals; '->' does not
-        reduce_binaries(precedence + (tok.kind == "->"))
-        pending.append(tok.kind)
+        reduce_binaries(_BINARY[kind] + (kind == "->"))
+        pending.append(kind)
 
 
 def read_formulas(text: str, mode: str = "LF") -> list[Formula]:

@@ -36,8 +36,7 @@ from .bisimulation import (
 )
 from .documents import parse_point, resolve_point, validate_doc
 from .formula import (
-    MODES, Program, corpus_program, enumerate_formulas, format_formula, parse,
-    random_formula,
+    MODES, Program, corpus_program, format_formula, parse, random_formula,
 )
 from .generate import gen_random_model
 from .morphisms import (
@@ -63,8 +62,7 @@ def _point_columns(masks: list[int], n: int) -> list[int]:
     """Per point i < n, its bits over the masks as one int: the bit of mask
     k is bit ``len(masks) - 1 - k``."""
     width = (n + 7) // 8
-    data = bytes(masks) if width == 1 else b"".join(
-        map(int.to_bytes, masks, repeat(width), repeat("little")))
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
     # base 2 is exempt from the int-digit limit of str conversions
     return [int(data[i // 8::width].translate(_BIT_CHARS[i % 8]), 2)
             for i in range(n)]
@@ -184,11 +182,9 @@ class Battery:
         for valuation in ({}, catalog.random_valuation(self.seed + 50_000 + tag, dst)):
             yield Model(src, pullback_valuation(valuation, f)), Model(dst, valuation)
 
-    def corpus(self, mode: str):
-        return enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, mode)
-
     def corpus_program(self, mode: str) -> Program:
-        """The corpus as a program: slot k is formula k of corpus(mode)."""
+        """The corpus as a program: slot k is formula k of
+        ``enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, mode)``."""
         return corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, mode)
 
     def signatures_of(self, models, mode: str) -> list[list[int]]:

@@ -2,6 +2,8 @@
 replayers are not vacuous: corrupting a witness must make its replay fail."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,15 @@ from itl.morphisms import PointMap, check_frame_pmorphism
 from itl.semantics import frame_valid
 from itl.structures import Model, Violation, points
 from itl.suite import (
-    Battery, _replay_document_violation, _replay_map_violation,
-    _replay_pv_violation, _replay_relation_violation,
+    CORPUS_ATOMS, CORPUS_DEPTH, Battery, _point_columns,
+    _replay_document_violation, _replay_map_violation, _replay_pv_violation,
+    _replay_relation_violation,
 )
 from itl.bisimulation import PointRelation, check_bisimulation
-from itl.formula import parse
+from itl.formula import enumerate_formulas, parse
+
+BATTERY_GOLDEN = (Path(__file__).resolve().parent.parent
+                  / "perfbench" / "golden" / "battery.json")
 
 
 def report_for(doc):
@@ -162,9 +168,9 @@ def test_replayers_reject_forged_witnesses(replayer, structures, forged):
 def test_valid_corpus_formulas_agrees_with_frame_valid():
     battery = Battery(seed=42)
     frame = frame_chain2()
-    corpus = battery.corpus("L")
+    corpus = enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, "L")
     got = battery.valid_corpus_formulas(frame)
-    # spot-check both членships against the public exact checker
+    # spot-check both memberships against the public exact checker
     sample = [0, 1, 5, 17, 100, 2000, 30000, len(corpus) - 1]
     for idx in sample:
         assert (idx in got) == frame_valid(frame, corpus[idx], mode="L")
@@ -177,7 +183,8 @@ def test_the_catalogue_is_built_once_per_battery(monkeypatch):
     # criteria 4 to 7 share Battery.frames; criterion 6 filters it by size.
     # Criteria 5 to 7 share one search per ordered pair of the 8 catalogue
     # frames, and criteria 7 to 9 one fixpoint per ordered pair of the 16
-    # catalogue models, each checked in both modes.
+    # catalogue models, each checked in both modes.  The same run's detail
+    # lines must be the ones recorded for seed 0.
     calls = {"catalog_frames": 0, "search_pmorphisms": 0,
              "greatest_bisimulation": 0}
 
@@ -197,3 +204,15 @@ def test_the_catalogue_is_built_once_per_battery(monkeypatch):
     assert all(r.passed for r in results)
     assert calls == {"catalog_frames": 1, "search_pmorphisms": 64,
                      "greatest_bisimulation": 256}
+    recorded = json.loads(BATTERY_GOLDEN.read_text(encoding="utf-8"))["0"]
+    assert [r.detail for r in results] == recorded
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 70])
+def test_point_columns_transposes_the_masks(n):
+    masks = [0, (1 << n) - 1, 1, 1 << (n - 1), 0b1011 & ((1 << n) - 1),
+             int("10" * n, 2) >> n]
+    expected = [sum((mask >> i & 1) << (len(masks) - 1 - k)
+                    for k, mask in enumerate(masks))
+                for i in range(n)]
+    assert _point_columns(masks, n) == expected
