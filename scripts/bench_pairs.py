@@ -10,9 +10,9 @@ directory; S is the ``run_seconds`` of that file.  The parent runs first
 for even pair numbers and the change for odd ones, so the machine's drift
 does not favour one side.  Writes per workload and per end-to-end metric of
 ``BENCHMARK.json``: each side's median and interquartile range (inclusive
-quartiles), the change's median relative to the parent's, and the pairs in
-which the change read better.  Prints one line per run; exits 1 if any run
-failed or reported a failed request.
+quartiles), the change's median relative to the parent's, the pairs in
+which the change read better, and a verdict (see ``verdict``).  Prints one
+line per run; exits 1 if any run failed or reported a failed request.
 """
 
 from __future__ import annotations
@@ -62,23 +62,58 @@ def spread(values: list[float]) -> dict:
             "iqr": round(q3 - q1, 6)}
 
 
+def better_pairs(metric: dict, parent: list[float], change: list[float]) -> int:
+    """The pairs (same seed) in which the change read better."""
+    lower = metric["better"] == "lower"
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """The reading of one metric by the rules a change is judged by, the
+    first that applies:
+
+    - ``worse``: the change's median is worse than the parent's by more
+      than the metric's ``bound`` (a fraction of the parent's median);
+    - ``unresolved``: either side's interquartile range is wider than the
+      bound times its median, too wide to tell, unless every run of the
+      change read better than every run of the parent;
+    - ``better``: the change read better in at least 9 of 10 pairs, and the
+      medians differ by more than the parent's interquartile range;
+    - ``unchanged``: anything else.
+    """
+    sign = 1 if metric["better"] == "lower" else -1
+    bound = metric["bound"]
+    p, c = spread(parent), spread(change)
+    if sign * (c["median"] - p["median"]) > bound * abs(p["median"]):
+        return "worse"
+    apart = (max(change) < min(parent) if sign > 0
+             else min(change) > max(parent))
+    if not apart and any(side["iqr"] > bound * abs(side["median"])
+                         for side in (p, c)):
+        return "unresolved"
+    if (10 * better_pairs(metric, parent, change) >= 9 * len(parent)
+            and sign * (p["median"] - c["median"]) > p["iqr"]):
+        return "better"
+    return "unchanged"
+
+
 def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
-    """Per metric, both sides' spread and the paired comparison."""
+    """Per metric, both sides' spread, the paired comparison and the verdict."""
     out = {}
     for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         values = {side: [run["metrics"][name]["value"] for run in runs[side]]
                   for side in SIDES}
-        better = sum((c < p) if lower else (c > p)
-                     for p, c in zip(values["parent"], values["change"]))
         parent_median = statistics.median(values["parent"])
+        wins = better_pairs(metric, values["parent"], values["change"])
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
             **{side: spread(values[side]) for side in SIDES},
-            "change_better_pairs": f"{better}/{len(values['parent'])}",
+            "change_better_pairs": f"{wins}/{len(values['parent'])}",
             "change_vs_parent": round(
                 statistics.median(values["change"]) / parent_median - 1, 4)
             if parent_median else None,
+            "verdict": verdict(metric, values["parent"], values["change"]),
         }
     return out
 
@@ -135,8 +170,13 @@ def main(argv=None) -> int:
         "host": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}",
         "statistics": "per metric: median and interquartile range (inclusive "
                       "quartiles) of each side's runs, the change's median "
-                      "relative to the parent's, and the pairs (same seed) in "
-                      "which the change read better",
+                      "relative to the parent's, the pairs (same seed) in "
+                      "which the change read better, and the verdict: worse "
+                      "(median worse by more than the bound), unresolved "
+                      "(either side's IQR wider than the bound, unless every "
+                      "change run read better than every parent run), "
+                      "better (at least 9/10 pairs, medians apart by more "
+                      "than the parent's IQR) or unchanged",
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

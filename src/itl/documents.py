@@ -17,6 +17,7 @@ violations by the validate_*_doc functions.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 from .errors import DocumentError, InvalidPointError
 from .formula import _is_atom_name
@@ -31,10 +32,19 @@ def _expect(cond: bool, message: str) -> None:
         raise DocumentError(message)
 
 
+# Each collection's shape is decided by whole-collection type tests; the
+# element-by-element checks, which name the first bad element, run only
+# when a test fails.
+
+def _all(values, cls) -> bool:
+    return all(map(isinstance, values, repeat(cls)))
+
+
 def _string_list(value, label: str) -> list[str]:
     _expect(isinstance(value, list), f"{label} must be an array")
-    for i, item in enumerate(value):
-        _expect(isinstance(item, str), f"{label}[{i}] must be a string")
+    if not _all(value, str):
+        for i, item in enumerate(value):
+            _expect(isinstance(item, str), f"{label}[{i}] must be a string")
     return value
 
 
@@ -44,6 +54,23 @@ def _pair(value, label: str) -> tuple[str, str]:
     _expect(all(isinstance(x, str) for x in value),
             f"{label} must contain strings")
     return value[0], value[1]
+
+
+def _are_string_lists(values) -> bool:
+    """Whether every value is an array of strings."""
+    return _all(values, list) and _all(chain.from_iterable(values), str)
+
+
+def _are_pairs(values) -> bool:
+    """Whether every value is a 2-element array of strings."""
+    return _are_string_lists(values) and set(map(len, values)) <= {2}
+
+
+def _pairs(entries: list, label: str) -> list[tuple[str, str]]:
+    if not _are_pairs(entries):
+        for i, entry in enumerate(entries):
+            _pair(entry, f"{label}[{i}]")
+    return list(map(tuple, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +84,17 @@ def frame_from_doc(data) -> Frame:
         _expect(key in data, f"frame document lacks {key!r}")
     moments = tuple(_string_list(data["moments"], "moments"))
     _expect(isinstance(data["edges"], list), "edges must be an array")
-    edges = tuple(_pair(e, f"edges[{i}]") for i, e in enumerate(data["edges"]))
-    _expect(isinstance(data["indist"], dict), "indist must be an object")
-    classes_at = {}
-    for m, blocks in data["indist"].items():
-        _expect(isinstance(blocks, list), f"indist[{m!r}] must be an array")
-        classes_at[m] = tuple(
-            tuple(_string_list(b, f"indist[{m!r}][{i}]"))
-            for i, b in enumerate(blocks))
+    edges = tuple(_pairs(data["edges"], "edges"))
+    indist = data["indist"]
+    _expect(isinstance(indist, dict), "indist must be an object")
+    partitions = indist.values()
+    if not (_all(partitions, list)
+            and _are_string_lists(list(chain.from_iterable(partitions)))):
+        for m, blocks in indist.items():
+            _expect(isinstance(blocks, list), f"indist[{m!r}] must be an array")
+            for i, b in enumerate(blocks):
+                _string_list(b, f"indist[{m!r}][{i}]")
+    classes_at = {m: tuple(map(tuple, blocks)) for m, blocks in indist.items()}
     return Frame(Tree(moments, edges), IndistFunction(classes_at))
 
 
@@ -83,12 +113,12 @@ def frame_to_doc(frame: Frame) -> dict:
 
 def resolve_point(frame: Frame, moment: str, rep: str) -> Point:
     """The point of the frame named by a moment and any member of its class."""
-    block = frame.block_of.get((moment, rep))
-    if block is None:
+    i = frame.index_at(moment, rep)
+    if i is None:
         raise InvalidPointError(
             f"{moment}/{rep} does not name a point: no class at {moment!r} "
             f"contains history {rep!r}")
-    return Point(moment, block)
+    return frame.point_list[i]
 
 
 def parse_point(frame: Frame, text: str) -> Point:
@@ -104,37 +134,53 @@ def is_model_doc(data) -> bool:
     return "valuation" in data
 
 
-def read_model_doc(data) -> tuple[Report, Model | None]:
-    """Validate a model document and, when it is valid, build the model from
-    the frame that was validated.  Shape problems raise DocumentError."""
+def _check_model_doc(data) -> tuple[Report, Frame | None, dict[str, set[int]]]:
+    """Validate a model document: its report and, when it is valid, its
+    frame and per atom the indices of the points of its extension.  Shape
+    problems raise DocumentError."""
     frame = frame_from_doc(data)
     report = validate_frame(frame)
     if not report.ok:
-        return report, None
+        return report, None, {}
     valuation_data = data.get("valuation", {})
     _expect(isinstance(valuation_data, dict), "valuation must be an object")
-    problems, valuation = [], {}
-    for atom in sorted(valuation_data):
+    atoms = sorted(valuation_data)
+    entry_lists = valuation_data.values()
+    if not (_all(entry_lists, list)
+            and _are_pairs(list(chain.from_iterable(entry_lists)))):
+        for atom in atoms:
+            entries = valuation_data[atom]
+            _expect(isinstance(entries, list), f"valuation[{atom!r}] must be an array")
+            _pairs(entries, f"valuation[{atom!r}]")
+    problems, extensions = [], {}
+    for atom in atoms:
         if not _is_atom_name(atom):
             problems.append(_invalid_atom(atom))
-        entries = valuation_data[atom]
-        _expect(isinstance(entries, list), f"valuation[{atom!r}] must be an array")
-        extension = set()
-        for i, entry in enumerate(entries):
-            moment, rep = _pair(entry, f"valuation[{atom!r}][{i}]")
-            block = frame.block_of.get((moment, rep))
-            if block is None:
+        extension = extensions[atom] = set()
+        for moment, rep in valuation_data[atom]:
+            i = frame.index_at(moment, rep)
+            if i is None:
                 problems.append(Violation(
                     "valuation-invalid-point",
                     f"valuation of {atom!r} names {moment}/{rep}, which is not "
                     f"a point of the frame",
                     {"atom": atom, "point": f"{moment}/{rep}"}))
             else:
-                extension.add(Point(moment, block))
-        valuation[atom] = frozenset(extension)
+                extension.add(i)
     if problems:
-        return Report(tuple(problems)), None
-    return report, Model(frame, valuation)
+        return Report(tuple(problems)), None, {}
+    return report, frame, extensions
+
+
+def read_model_doc(data) -> tuple[Report, Model | None]:
+    """Validate a model document and, when it is valid, build the model from
+    the frame that was validated.  Shape problems raise DocumentError."""
+    report, frame, extensions = _check_model_doc(data)
+    if frame is None:
+        return report, None
+    pts = frame.point_list
+    return report, Model(frame, {atom: frozenset(map(pts.__getitem__, extension))
+                                 for atom, extension in extensions.items()})
 
 
 def model_from_doc(data) -> Model:
@@ -166,7 +212,7 @@ def validate_frame_doc(data) -> Report:
 
 def validate_model_doc(data) -> Report:
     """Like validate_frame_doc, plus valuation points must resolve."""
-    return read_model_doc(data)[0]
+    return _check_model_doc(data)[0]
 
 
 def validate_doc(data) -> Report:
@@ -180,14 +226,18 @@ def validate_doc(data) -> Report:
 
 def point_pairs_from_doc(data, src: Frame, dst: Frame, label: str):
     _expect(isinstance(data, list), f"{label} document must be an array")
+    shaped = (_all(data, list) and set(map(len, data)) <= {2}
+              and _are_pairs(list(chain.from_iterable(data))))
     pairs = []
     for i, entry in enumerate(data):
-        _expect(isinstance(entry, list) and len(entry) == 2,
-                f"{label}[{i}] must be a 2-element array of points")
-        a = _pair(entry[0], f"{label}[{i}][0]")
-        b = _pair(entry[1], f"{label}[{i}][1]")
+        if not shaped:
+            _expect(isinstance(entry, list) and len(entry) == 2,
+                    f"{label}[{i}] must be a 2-element array of points")
+            _pair(entry[0], f"{label}[{i}][0]")
+            _pair(entry[1], f"{label}[{i}][1]")
+        (pm, pr), (qm, qr) = entry
         try:
-            pairs.append((resolve_point(src, *a), resolve_point(dst, *b)))
+            pairs.append((resolve_point(src, pm, pr), resolve_point(dst, qm, qr)))
         except InvalidPointError as exc:
             raise DocumentError(f"{label}[{i}]: {exc}") from exc
     return pairs

@@ -518,6 +518,9 @@ class Program:
     def add(self, formula: Formula) -> int:
         """Compile a formula into the program; returns its slot."""
         by_id = self._by_id
+        slot = by_id.get(id(formula))
+        if slot is not None:
+            return slot
         self._held.append(formula)
         stack = [formula]
         while stack:

@@ -14,6 +14,12 @@ depth is not limited by recursion.  An :class:`Evaluator` may hold several
 models, each in its own lane of bits of one mask (their disjoint union), so
 one run of a program evaluates it on all of them.
 
+One-model evaluators share their model's program for their mode
+(``Model.programs``): the hist and rel evaluators of one model compile each
+formula once.  Each keeps its own masks and modal memo, computed from its
+own route's tables, and at each call it also runs the slots that its
+siblings added since its last call.
+
 A modal kernel (``_box`` for G, H and L, ``_weak_future`` for F) decides
 each point with one AND of its table entry against the operand, writes one
 ``"0"``/``"1"`` digit per point, last point first, and reads the whole mask
@@ -44,7 +50,14 @@ class Evaluator:
     canonical order: its lane.  Truth at a point depends only on the tree the
     point lies in, so each lane of a mask is that model's own extension, and
     one run evaluates a program on every model at once.  The one-model
-    evaluator is the one-lane case."""
+    evaluator is the one-lane case.
+
+    The one-model questions (``extension_mask``, ``extension``, ``holds``)
+    compile into the model's program for the evaluator's mode, which all
+    of the model's one-model evaluators share, and run the slots added
+    since the evaluator's last call, its siblings' included.  The masks
+    and the modal memo are the evaluator's own.  An evaluator of several
+    models has a program of its own."""
 
     def __init__(self, *models: Model, relational: bool = False, mode: str = "LF"):
         check_mode(mode)
@@ -86,8 +99,11 @@ class Evaluator:
                        BOX_L: partial(_box, l, full),
                        WEAK_F: partial(_weak_future, chains)}
         self._modal_memo: dict[int, dict[int, int]] = {op: {} for op in self._modal}
-        # formulas asked for one at a time share one program and its masks
-        self._program = Program(mode)
+        # formulas asked for one at a time: a one-model evaluator compiles
+        # them into its model's program for the mode, shared with its
+        # siblings; the masks are its own
+        self._program = (models[0].programs[mode] if len(models) == 1
+                         else Program(mode))
         self._masks: list[int] = []
 
     def lanes(self, mask: int) -> list[int]:
@@ -148,10 +164,23 @@ class Evaluator:
         return frozenset(frame.points_of(self.extension_mask(formula)))
 
     def holds(self, point: Point, formula: Formula) -> bool:
-        i = self._model().frame.point_index.get(point)
-        if i is None:
-            raise InvalidPointError(f"{point.text()} is not a point of the model")
+        i = _index_of(self._model().frame, point)
         return bool(self.extension_mask(formula) >> i & 1)
+
+    def _once(self, formula: Formula) -> int:
+        """One formula's extension mask, compiled into a program of its own.
+        For a throwaway evaluator: on its model's shared program, its first
+        call would also run every slot its siblings compiled."""
+        program = Program(self.mode)
+        root = program.add(formula)
+        return self.run(program)[root]
+
+
+def _index_of(frame: Frame, point: Point) -> int:
+    i = frame.point_index.get(point)
+    if i is None:
+        raise InvalidPointError(f"{point.text()} is not a point of the model")
+    return i
 
 
 def _box(targets, full: int, sub_mask: int) -> int:
@@ -175,25 +204,31 @@ def _weak_future(chains, sub_mask: int) -> int:
     return int("".join(digits), 2)
 
 
+def _holds_once(model: Model, point: Point, formula: Formula, mode: str,
+                relational: bool) -> bool:
+    ev = Evaluator(model, relational=relational, mode=mode)
+    i = _index_of(model.frame, point)
+    return bool(ev._once(formula) >> i & 1)
+
+
 def eval_hist(model: Model, point: Point, formula: Formula, mode: str = "LF") -> bool:
     """Truth at a point by the history-quantifying clauses."""
-    return Evaluator(model, relational=False, mode=mode).holds(point, formula)
+    return _holds_once(model, point, formula, mode, relational=False)
 
 
 def eval_rel(model: Model, point: Point, formula: Formula, mode: str = "LF") -> bool:
     """Truth at a point quantifying over the derived point relations."""
-    return Evaluator(model, relational=True, mode=mode).holds(point, formula)
+    return _holds_once(model, point, formula, mode, relational=True)
 
 
 def model_valid(model: Model, formula: Formula, mode: str = "LF") -> bool:
     """True when the formula holds at every point of the model."""
-    ev = Evaluator(model, mode=mode)
-    return ev.extension_mask(formula) == model.frame.full_mask
+    return Evaluator(model, mode=mode)._once(formula) == model.frame.full_mask
 
 
 def model_sat(model: Model, formula: Formula, mode: str = "LF") -> Point | None:
     """The canonically first point satisfying the formula, if any."""
-    mask = Evaluator(model, mode=mode).extension_mask(formula)
+    mask = Evaluator(model, mode=mode)._once(formula)
     first = model.frame.points_of(mask & -mask)
     return first[0] if first else None
 

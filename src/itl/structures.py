@@ -9,22 +9,33 @@ every moment, the histories passing through it, and may only merge classes
 when moving down the tree.  An evaluation point is a pair of a moment and
 one class of histories at it.
 
-Each history is walked once: ``Tree.chains`` lists per leaf the moments of
-its history from the root up, ``Tree.through`` the leaves through each moment,
-and all history-based views, the "hist" tables included, are read off them.
-The "hist" tables read one suffix-OR list per history (per depth, the mask
-of its points at that depth or deeper), so a point's future along a history
-is one entry and its past the XOR of two, with no OR over a slice per point.
+The order views come from one walk down from the roots (``Tree._walk``):
+each node's parents, children, strict ancestors (its parent's plus the
+parent) and chain (its parent's plus itself), so that ``Tree.chains`` lists
+per leaf the moments of its history from the root up and ``Tree.through``
+the leaves through each moment.  Only nodes on or below a cycle or a node
+of two parents, which only invalid inputs have, are left to a
+cycle-tolerant walk up the edges.  A frame's points are numbered moment by
+moment (``Frame.first_point``), so the per-moment views and the "hist"
+tables index them without building a point.  The "hist" tables read one
+suffix-OR list per history (per depth, the mask of its points at that
+depth or deeper), so a point's future along a history is one entry and its
+past the XOR of two, with no OR over a slice per point.
+
+Validation decides first and describes only failures: whole-set tests pass
+a valid tree and each moment's partition, and the element-by-element loops
+that word the violations run only where a test fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate, chain
 from operator import or_
 
 from .errors import InvalidPointError
-from .formula import _is_atom_name
+from .formula import MODES, Program, _is_atom_name
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,30 +58,42 @@ class Tree:
     def _nodes(self) -> tuple[str, ...]:
         # Declared moments plus any edge endpoints, so that validation can
         # reason about malformed inputs without key errors.
-        extra = {m for e in self.edges for m in e} - self.moment_set
-        return tuple(sorted(self.moment_set | extra))
-
-    def _adjacency(self, a: int) -> dict[str, tuple[str, ...]]:
-        """Per node, the sorted nodes at the other end of the edges that have
-        it at end ``a`` (0 for the parent, 1 for the child)."""
-        out: dict[str, set[str]] = {m: set() for m in self._nodes}
-        for edge in self.edges:
-            out[edge[a]].add(edge[1 - a])
-        return {m: tuple(sorted(ns)) for m, ns in out.items()}
+        return tuple(sorted(self.moment_set.union(chain.from_iterable(self.edges))))
 
     @cached_property
-    def children_map(self) -> dict[str, tuple[str, ...]]:
-        return self._adjacency(0)
+    def _walk(self) -> tuple[dict, dict, dict, dict]:
+        """Per node: its parents, its children, its strict ancestors and its
+        chain (the ancestors from the root up, then itself), from one walk
+        down from the roots.
 
-    @cached_property
-    def parents_map(self) -> dict[str, tuple[str, ...]]:
-        return self._adjacency(1)
-
-    @cached_property
-    def ancestors(self) -> dict[str, frozenset[str]]:
-        """Strict ancestors of each node, by a cycle-tolerant walk up the edges."""
-        parents, out = self.parents_map, {}
-        for start in self._nodes:
+        The walk enters only nodes of one parent, which in a valid tree are
+        all but the roots.  Such a node takes its parent's ancestors plus the
+        parent, one set shared by all the parent's children, and its
+        parent's chain plus itself.  Nodes of several parents or on a cycle,
+        and the nodes below them, are left to a cycle-tolerant walk up the
+        edges; only invalid inputs have them."""
+        nodes = self._nodes
+        up: dict[str, list[str]] = {m: [] for m in nodes}
+        down: dict[str, list[str]] = {m: [] for m in nodes}
+        for parent, child in sorted(set(self.edges)):
+            down[parent].append(child)
+            up[child].append(parent)
+        parents = {m: tuple(ps) for m, ps in up.items()}
+        children = {m: tuple(cs) for m, cs in down.items()}
+        stack = [m for m in nodes if not parents[m]]
+        ancestors: dict[str, frozenset[str]] = dict.fromkeys(stack, frozenset())
+        chains: dict[str, tuple[str, ...]] = {m: (m,) for m in stack}
+        while stack:
+            m = stack.pop()
+            below, path = ancestors[m] | {m}, chains[m]
+            for c in children[m]:
+                if len(parents[c]) == 1:
+                    ancestors[c] = below
+                    chains[c] = path + (c,)
+                    if children[c]:
+                        stack.append(c)
+        unvisited = [m for m in nodes if m not in ancestors]
+        for start in unvisited:
             seen: set[str] = set()
             stack = list(parents[start])
             while stack:
@@ -78,28 +101,44 @@ class Tree:
                 if node not in seen:
                     seen.add(node)
                     stack.extend(parents[node])
-            out[start] = frozenset(seen)
-        return out
+            ancestors[start] = frozenset(seen)
+        for m in unvisited:
+            # by their own number of ancestors, then name
+            chains[m] = tuple(sorted(ancestors[m], key=lambda a: (
+                len(ancestors[a]), a))) + (m,)
+        return parents, children, ancestors, chains
+
+    @cached_property
+    def children_map(self) -> dict[str, tuple[str, ...]]:
+        return self._walk[1]
+
+    @cached_property
+    def parents_map(self) -> dict[str, tuple[str, ...]]:
+        return self._walk[0]
+
+    @cached_property
+    def ancestors(self) -> dict[str, frozenset[str]]:
+        """Strict ancestors of each node."""
+        return self._walk[2]
 
     @cached_property
     def leaves(self) -> tuple[str, ...]:
         """Order-maximal moments, sorted."""
-        return tuple(m for m in sorted(self.moment_set) if not self.children_map[m])
+        children = self.children_map
+        return tuple(m for m in sorted(self.moment_set) if not children[m])
 
     @cached_property
     def chains(self) -> dict[str, tuple[str, ...]]:
         """Per leaf, the moments of its history from the root up."""
-        ancestors = self.ancestors
-        return {leaf: tuple(sorted(ancestors[leaf],
-                                   key=lambda m: (len(ancestors[m]), m))) + (leaf,)
-                for leaf in self.leaves}
+        chains = self._walk[3]
+        return {leaf: chains[leaf] for leaf in self.leaves}
 
     @cached_property
     def through(self) -> dict[str, tuple[str, ...]]:
         """Per node, the sorted leaves of the histories containing it."""
         out: dict[str, list[str]] = {m: [] for m in self._nodes}
-        for leaf, chain in self.chains.items():
-            for m in chain:
+        for leaf, history in self.chains.items():
+            for m in history:
                 out[m].append(leaf)
         return {m: tuple(ls) for m, ls in out.items()}
 
@@ -165,21 +204,37 @@ class Frame:
 
     @cached_property
     def blocks_at(self) -> dict[str, tuple[frozenset[str], ...]]:
-        out = {}
+        """Per moment, in sorted order, its nonempty classes sorted by
+        representative."""
+        classes_at, out = self.indist.classes_at, {}
         for m in sorted(self.tree.moment_set):
-            blocks = [frozenset(b) for b in self.indist.classes_at.get(m, ())]
-            out[m] = tuple(sorted((b for b in blocks if b), key=min))
+            blocks = map(frozenset, filter(None, classes_at.get(m, ())))
+            out[m] = tuple(sorted(blocks, key=min))
         return out
+
+    @cached_property
+    def first_point(self) -> dict[str, int]:
+        """Per moment, the index of its first point.  A moment's points are
+        consecutive, one per class in the order of ``blocks_at``."""
+        out, i = {}, 0
+        for m, blocks in self.blocks_at.items():
+            out[m] = i
+            i += len(blocks)
+        return out
+
+    def index_at(self, moment: str, leaf: str) -> int | None:
+        """The index of the point at ``moment`` whose class contains the
+        history ``leaf``, or None if there is none."""
+        for k, block in enumerate(self.blocks_at.get(moment, ())):
+            if leaf in block:
+                return self.first_point[moment] + k
+        return None
 
     @cached_property
     def block_of(self) -> dict[tuple[str, str], frozenset[str]]:
         """(moment, leaf) -> the class at that moment containing the history."""
-        out = {}
-        for m, blocks in self.blocks_at.items():
-            for block in blocks:
-                for leaf in block:
-                    out[(m, leaf)] = block
-        return out
+        return {(m, leaf): block for m, blocks in self.blocks_at.items()
+                for block in blocks for leaf in block}
 
     @cached_property
     def histories_through_map(self) -> dict[str, tuple[History, ...]]:
@@ -190,11 +245,8 @@ class Frame:
 
     @cached_property
     def point_list(self) -> tuple[Point, ...]:
-        pts = []
-        for m in sorted(self.tree.moment_set):
-            for block in self.blocks_at[m]:
-                pts.append(Point(m, block))
-        return tuple(pts)
+        return tuple(Point(m, block) for m, blocks in self.blocks_at.items()
+                     for block in blocks)
 
     @cached_property
     def point_index(self) -> dict[Point, int]:
@@ -241,33 +293,37 @@ class Frame:
     def _hist_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Per point: its future chains, and its past mask.
 
-        Each history gets one suffix-OR list, from the root up: entry k is
-        the OR of the bits of its points at depth k or deeper, the last
-        entry 0.  A point at depth d reads entry d + 1 of each history of
-        its class as that history's future chain, and entry 0 XOR entry d
-        as its past along it.  The lists are dropped once the tables are
-        read off them."""
-        bit = {(p.moment, leaf): 1 << i
-               for i, p in enumerate(self.point_list) for leaf in p.block}
+        Each history gets one row, from the root up: entry k is the bit of
+        its class's point at depth k.  Its suffix-OR list has entry k the OR
+        of the row from k on, the last entry 0.  A point at depth d reads
+        entry d + 1 of each history of its class as that history's future
+        chain, and entry 0 XOR entry d as its past along it.  The lists are
+        dropped once the tables are read off them."""
+        ancestors, first = self.tree.ancestors, self.first_point
+        rows = {leaf: [0] * len(history)
+                for leaf, history in self.tree.chains.items()}
+        for m, blocks in self.blocks_at.items():
+            depth = len(ancestors[m])
+            for i, block in enumerate(blocks, first[m]):
+                bit = 1 << i
+                for leaf in block:
+                    rows[leaf][depth] = bit
         suffixes = {}
-        for leaf, chain in self.tree.chains.items():
-            acc = 0
-            suffix = [0]
-            for m in reversed(chain):
-                acc |= bit[(m, leaf)]
-                suffix.append(acc)
+        for leaf, row in rows.items():
+            suffix = list(accumulate(reversed(row), or_))
             suffix.reverse()
+            suffix.append(0)
             suffixes[leaf] = suffix
-        ancestors = self.tree.ancestors
         chains, past = [], []
-        for p in self.point_list:
-            depth = len(ancestors[p.moment])
-            lists = [suffixes[leaf] for leaf in sorted(p.block)]
-            chains.append(tuple(suffix[depth + 1] for suffix in lists))
-            mask = 0
-            for suffix in lists:
-                mask |= suffix[0] ^ suffix[depth]
-            past.append(mask)
+        for m, blocks in self.blocks_at.items():
+            depth = len(ancestors[m])
+            for block in blocks:
+                lists = [suffixes[leaf] for leaf in sorted(block)]
+                chains.append(tuple([suffix[depth + 1] for suffix in lists]))
+                mask = 0
+                for suffix in lists:
+                    mask |= suffix[0] ^ suffix[depth]
+                past.append(mask)
         return tuple(chains), tuple(past)
 
     @cached_property
@@ -281,14 +337,11 @@ class Frame:
 
     @cached_property
     def hist_class_masks(self) -> tuple[int, ...]:
-        index = self.point_index
-        at_moment = {}
+        first, out = self.first_point, []
         for m, blocks in self.blocks_at.items():
-            mask = 0
-            for block in blocks:
-                mask |= 1 << index[Point(m, block)]
-            at_moment[m] = mask
-        return tuple(at_moment[p.moment] for p in self.point_list)
+            n = len(blocks)
+            out += [((1 << n) - 1) << first[m]] * n
+        return tuple(out)
 
     @cached_property
     def _rel_tables(self) -> tuple[tuple[int, ...], ...]:
@@ -349,6 +402,12 @@ class Model:
                     true_at[i].add(atom)
         return tuple(frozenset(atoms) for atoms in true_at)
 
+    @cached_property
+    def programs(self) -> dict[str, Program]:
+        """Per mode, the program that the model's one-model evaluators
+        compile into and share."""
+        return {mode: Program(mode) for mode in MODES}
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -386,6 +445,8 @@ def _tree_violations(tree: Tree) -> list[Violation]:
             "empty-structure", "the structure declares no moments", {}))
         return out
 
+    if _is_tree(tree):
+        return out
     seen_moments: set[str] = set()
     for m in tree.moments:
         if m in seen_moments:
@@ -447,6 +508,19 @@ def _tree_violations(tree: Tree) -> list[Violation]:
     return out
 
 
+def _is_tree(tree: Tree) -> bool:
+    """Whether the tree has none of the violations listed below: its moments
+    are distinct and can be written in points, its edges are distinct, join
+    declared moments and give each child one parent, and no moment is its
+    own ancestor."""
+    moments, edges = tree.moments, tree.edges
+    return (len(tree.moment_set) == len(moments) and "" not in tree.moment_set
+            and "/" not in "".join(moments)
+            and len(set(edges)) == len(edges) == len({c for _, c in edges})
+            and len(tree._nodes) == len(moments)
+            and not any(m in ancestors for m, ancestors in tree.ancestors.items()))
+
+
 def _indist_violations(frame: Frame) -> list[Violation]:
     out = []
     tree = frame.tree
@@ -464,32 +538,35 @@ def _indist_violations(frame: Frame) -> list[Violation]:
             f"no indistinguishability partition is declared at moment {m!r}",
             {"moment": m}))
 
+    # a moment's classes partition the histories through it exactly when
+    # they are nonempty and their leaves, sorted, are its sorted leaves
+    # (most often there is one class, of them all, listed in order)
     partitions_ok = True
     for m in sorted(declared):
-        blocks = classes_at.get(m, ())
-        through = set(tree.through[m])
+        blocks, through = classes_at.get(m, ()), tree.through[m]
+        if blocks == (through,) or (all(blocks) and tuple(
+                sorted(chain.from_iterable(blocks))) == through):
+            continue
+        partitions_ok = False
+        through = set(through)
         placed: set[str] = set()
         for block in blocks:
             if not block:
-                partitions_ok = False
                 out.append(Violation(
                     "empty-block", f"empty class at moment {m!r}", {"moment": m}))
             for leaf in block:
                 if leaf not in through:
-                    partitions_ok = False
                     out.append(Violation(
                         "partition-coverage",
                         f"{leaf!r} is not the leaf of a history through {m!r}",
                         {"moment": m, "extraneous": leaf}))
                 elif leaf in placed:
-                    partitions_ok = False
                     out.append(Violation(
                         "partition-overlap",
                         f"history {leaf!r} appears in two classes at {m!r}",
                         {"moment": m, "leaf": leaf}))
                 placed.add(leaf)
         for leaf in sorted(through - placed):
-            partitions_ok = False
             out.append(Violation(
                 "partition-coverage",
                 f"history {leaf!r} through {m!r} is in no class",
@@ -522,10 +599,24 @@ def _coherent_at_parents(frame: Frame) -> bool:
     parent.  On a valid tree with valid partitions this is backward
     coherence: the class they share at the parent shares one at its own
     parent, and so on down to the root."""
-    block_of, parents = frame.block_of, frame.tree.parents_map
-    return all(block <= block_of[(s, next(iter(block)))]
-               for t, blocks in frame.blocks_at.items()
-               for s in parents[t] for block in blocks)
+    blocks_at, tree = frame.blocks_at, frame.tree
+    children, through = tree.children_map, tree.through
+    for s, above in blocks_at.items():
+        if len(above) == 1:
+            continue  # one class at s holds every history through it
+        for t in children[s]:
+            # most often one class at s holds every history through t
+            anchor = through[t][0]
+            for c in above:
+                if anchor in c:
+                    break
+            if c.issuperset(through[t]):
+                continue
+            for block in blocks_at[t]:
+                anchor = next(iter(block))
+                if not any(anchor in c and block <= c for c in above):
+                    return False
+    return True
 
 
 def validate_frame(frame: Frame) -> Report:
@@ -566,7 +657,8 @@ def validate_model(model: Model) -> Report:
 
 def histories(tree: Tree) -> tuple[History, ...]:
     """All maximal chains, one per order-maximal moment, sorted by leaf."""
-    return tuple(History(leaf, frozenset(chain)) for leaf, chain in tree.chains.items())
+    return tuple(History(leaf, frozenset(history))
+                 for leaf, history in tree.chains.items())
 
 
 def histories_through(frame: Frame, moment: str) -> tuple[History, ...]:

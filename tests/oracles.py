@@ -87,3 +87,32 @@ def undivided_pairs(tree, moment) -> set[tuple[str, str]]:
             if any(tree.lt(moment, s) for s in shared):
                 out.add((a, b))
     return out
+
+
+def tree_views(moments, edges) -> dict:
+    """The order views of a tree by their definitions, on any graph: the
+    strict ancestors are the closure of the parent edges, grown to a
+    fixpoint; a leaf's chain lists its ancestors by their own number of
+    ancestors, then name, followed by the leaf."""
+    nodes = sorted(set(moments) | {m for edge in edges for m in edge})
+    parents = {m: tuple(sorted({a for a, b in edges if b == m})) for m in nodes}
+    children = {m: tuple(sorted({b for a, b in edges if a == m})) for m in nodes}
+    reach = {m: set(parents[m]) for m in nodes}
+    grown = True
+    while grown:
+        grown = False
+        for m in nodes:
+            for p in list(reach[m]):
+                if not reach[p] <= reach[m]:
+                    reach[m] |= reach[p]
+                    grown = True
+    ancestors = {m: frozenset(reach[m]) for m in nodes}
+    leaves = tuple(m for m in sorted(set(moments)) if not children[m])
+    chains = {leaf: tuple(sorted(ancestors[leaf],
+                                 key=lambda m: (len(ancestors[m]), m))) + (leaf,)
+              for leaf in leaves}
+    through = {m: tuple(leaf for leaf in leaves if m in chains[leaf])
+               for m in nodes}
+    return {"parents_map": parents, "children_map": children,
+            "ancestors": ancestors, "leaves": leaves, "chains": chains,
+            "through": through}

@@ -1,0 +1,65 @@
+"""The verdict that ``scripts/bench_pairs.py`` writes per metric, on
+synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_bench_pairs()
+LOWER = {"name": "wall_s", "better": "lower", "bound": 0.25}
+HIGHER = {"name": "throughput_rps", "better": "higher", "bound": 0.25}
+PARENT = [3.0, 3.1, 2.9, 3.05, 2.95, 3.0, 3.1, 2.9, 3.02, 2.98]  # IQR 0.085
+
+
+def shifted(values, by):
+    return [v + by for v in values]
+
+
+@pytest.mark.parametrize("change, expected", [
+    (shifted(PARENT, -0.5), "better"),  # 10/10 pairs, medians 0.5 apart
+    (shifted(PARENT, -0.05), "unchanged"),  # 10/10 pairs, within the IQR
+    (shifted(PARENT, -0.5)[:8] + [3.2, 3.2], "unchanged"),  # 8/10 pairs
+    (shifted(PARENT, -0.5)[:9] + [3.2], "better"),  # 9/10 pairs
+    (shifted(PARENT, 0.5), "unchanged"),  # worse, but within the bound
+    (shifted(PARENT, 0.8), "worse"),  # median 27% worse
+    ([2.0, 4.0, 1.0, 5.0, 2.0, 4.0, 1.0, 5.0, 2.0, 4.0], "unresolved"),
+])
+def test_verdicts_of_a_lower_is_better_metric(change, expected):
+    assert bench_pairs.verdict(LOWER, PARENT, change) == expected
+
+
+def test_verdicts_of_a_higher_is_better_metric():
+    assert bench_pairs.verdict(HIGHER, PARENT, shifted(PARENT, 0.5)) == "better"
+    assert bench_pairs.verdict(HIGHER, PARENT, shifted(PARENT, -0.8)) == "worse"
+    assert bench_pairs.verdict(HIGHER, PARENT, PARENT) == "unchanged"
+
+
+def test_a_wide_spread_is_resolved_when_every_change_run_reads_better():
+    wide = [2.0, 2.6, 1.6, 2.7, 2.0, 2.6, 1.6, 2.7, 2.0, 2.6]
+    assert bench_pairs.verdict(LOWER, PARENT, wide) == "better"
+    assert bench_pairs.verdict(LOWER, PARENT, wide[:9] + [2.95]) == "unresolved"
+
+
+def test_a_worse_median_outranks_a_wide_spread():
+    wide_and_worse = [5.0, 9.0, 4.0, 10.0, 5.0, 9.0, 4.0, 10.0, 5.0, 9.0]
+    assert bench_pairs.verdict(LOWER, PARENT, wide_and_worse) == "worse"
+
+
+def test_summaries_carry_the_verdict():
+    runs = {side: [{"metrics": {"wall_s": {"value": v}}} for v in values]
+            for side, values in (("parent", PARENT),
+                                 ("change", shifted(PARENT, -0.5)))}
+    summary = bench_pairs.summarize([{**LOWER, "unit": "s"}], runs)["wall_s"]
+    assert summary["verdict"] == "better"
+    assert summary["change_better_pairs"] == "10/10"

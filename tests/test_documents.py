@@ -36,6 +36,30 @@ def test_canonical_dump_is_insensitive_to_input_order():
     assert frame_to_doc(frame_from_doc(scrambled)) == frame_to_doc(frame_fork())
 
 
+def _fork_with(**parts):
+    return {**frame_to_doc(frame_fork()), **parts}
+
+
+SHAPE_ERRORS_OF_THE_FIRST_BAD_ELEMENT = [
+    (_fork_with(moments=["a", 1, "b", 2]), r"moments\[1\] must be a string"),
+    (_fork_with(edges=[["r", "a"], ["r"], [1, 2]]),
+     r"edges\[1\] must be a 2-element array"),
+    (_fork_with(edges=[["r", "a"], ["r", 1], ["r"]]),
+     r"edges\[1\] must contain strings"),
+    (_fork_with(indist={"a": [["a"]], "b": "x", "r": 5}),
+     r"indist\['b'\] must be an array"),
+    (_fork_with(indist={"a": [["a"], [1], [2]], "b": [[3]]}),
+     r"indist\['a'\]\[1\]\[0\] must be a string"),
+    (_fork_with(indist={"a": [["a"], "x"], "b": [5]}),
+     r"indist\['a'\]\[1\] must be an array"),
+    (_fork_with(valuation={"q": 5, "p": "x"}), r"valuation\['p'\] must be an array"),
+    (_fork_with(valuation={"p": [["a", "a"], ["a"], [1, 2]], "q": [[3, 4]]}),
+     r"valuation\['p'\]\[1\] must be a 2-element array"),
+    (_fork_with(valuation={"p": [["a", "a"], [1, "a"], ["a", 2]]}),
+     r"valuation\['p'\]\[1\] must contain strings"),
+]
+
+
 def test_shape_errors():
     with pytest.raises(DocumentError):
         frame_from_doc({"moments": ["a"], "edges": []})  # missing indist
@@ -47,6 +71,16 @@ def test_shape_errors():
         frame_from_doc({"moments": ["a"], "edges": [], "indist": {"a": "x"}})
     with pytest.raises(DocumentError):
         model_from_doc({**frame_to_doc(frame_fork()), "valuation": []})
+    # two bad elements in one collection: the message names the first
+    for doc, message in SHAPE_ERRORS_OF_THE_FIRST_BAD_ELEMENT:
+        with pytest.raises(DocumentError, match=f"^{message}$"):
+            validate_doc(doc)
+    fork = frame_fork()
+    with pytest.raises(DocumentError,
+                       match=r"^map\[1\]\[0\] must be a 2-element array$"):
+        map_from_doc([[["a", "a"], ["a", "a"]], [["a"], ["a", "a"]], 5], fork, fork)
+    with pytest.raises(DocumentError, match=r"^map\[0\]: zz/a does not name a point"):
+        map_from_doc([[["zz", "a"], ["a", "a"]], 5], fork, fork)
 
 
 def test_model_from_doc_rejects_invalid():

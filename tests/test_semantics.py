@@ -359,6 +359,60 @@ def test_weak_future_rejected_in_mode_l_leaves_evaluator_usable():
         ev.run(corpus_program(("p",), 1, "LF"))
 
 
+# ---------------------------------------------------------------------------
+# one program per model and mode, shared by its one-model evaluators
+# ---------------------------------------------------------------------------
+
+def test_one_model_evaluators_share_their_models_program():
+    model = gen_random_model(3, 40, branching=3, indist_policy="coarsened")
+    formulas = [random_formula(k, 6, ("p0", "p1")) for k in range(100)]
+    hist = Evaluator(model, relational=False)
+    rel = Evaluator(model, relational=True)
+    program = model.programs["LF"]
+    assert hist._program is rel._program is Evaluator(model)._program is program
+    assert Evaluator(model, mode="L")._program is model.programs["L"] is not program
+    hist_masks = [hist.extension_mask(phi) for phi in formulas]
+    size = len(program)
+    rel_masks = [rel.extension_mask(phi) for phi in formulas]
+    assert len(program) == size  # the rel evaluator compiled nothing
+    # masks equal those of evaluators on a copy of the model, which has a
+    # program of its own
+    for relational, masks in ((False, hist_masks), (True, rel_masks)):
+        own = Evaluator(Model(model.frame, model.valuation), relational=relational)
+        assert own._program is not program
+        assert masks == [own.extension_mask(phi) for phi in formulas]
+
+
+def test_an_evaluator_runs_the_slots_its_siblings_added():
+    model = f1_model()
+    first, second = Evaluator(model), Evaluator(model, relational=True)
+    first.extension_mask(parse("G p"))
+    phi = parse("L p & F p")
+    own = Evaluator(Model(model.frame, model.valuation), relational=True)
+    assert second.extension_mask(phi) == own.extension_mask(phi)
+    # the first evaluator catches up on the second's slots at its next call
+    assert first.extension_mask(parse("p")) == model.frame.mask_of(model.valuation["p"])
+    assert len(first._masks) == len(second._masks) == len(model.programs["LF"])
+
+
+def test_mode_l_rejects_f_after_an_lf_sibling_compiled_it():
+    model = f1_model()
+    phi = parse("F p")
+    Evaluator(model, mode="LF").extension_mask(phi)
+    with pytest.raises(LanguageError):
+        Evaluator(model, mode="L").extension_mask(phi)
+    with pytest.raises(LanguageError):
+        eval_hist(model, model.frame.point_list[0], phi, mode="L")
+
+
+def test_a_multi_model_evaluator_keeps_a_program_of_its_own():
+    model = f1_model()
+    ev = Evaluator(model, model)
+    assert ev._program is not model.programs["LF"]
+    Evaluator(model).extension_mask(parse("G p"))
+    assert len(ev._program) == 0
+
+
 @pytest.mark.parametrize("text, shown", [
     ("~" * 100_000 + "p", "Not(sub=" * 100_000 + "Atom(name='p')" + ")" * 100_000),
     ("(" * 100_000 + "G p" + ")" * 100_000, "G(sub=Atom(name='p'))"),

@@ -16,7 +16,7 @@ from itl.structures import (
     future_points, histories, histories_through, points, precedes,
     same_moment, undividedness_indist, validate_frame, validate_model,
 )
-from oracles import maximal_chains, undivided_pairs
+from oracles import maximal_chains, tree_views, undivided_pairs
 
 
 def make_frame(moments, edges, indist):
@@ -265,6 +265,36 @@ def test_lt_is_reachability_on_any_graph(edges, moments):
     reach = _reachable(edges)
     nodes = sorted({m for e in edges for m in e} | set(moments))
     assert {(a, b) for a in nodes for b in nodes if tree.lt(a, b)} == reach
+
+
+TREE_FAULTS = ("second-parent", "cycle", "undeclared-endpoint", "duplicate-moment")
+
+
+@given(seed=st.integers(0, 5000),
+       faults=st.lists(st.sampled_from(TREE_FAULTS), max_size=3))
+def test_the_walk_views_match_their_definitions(seed, faults):
+    # generated trees, and the same with faults whose nodes the walk from
+    # the roots leaves to the cycle-tolerant walk: cycles, second parents
+    rng = random.Random(seed)
+    tree = gen_random_frame(seed, 1 + seed % 15, branching=1 + seed % 3).tree
+    moments, edges = list(tree.moments), list(tree.edges)
+    for fault in faults:
+        a, b = rng.choice(moments), rng.choice(moments)
+        if fault == "second-parent":
+            edges.append((a, b))
+        elif fault == "cycle":
+            below = [m for m in moments if tree.lt(a, m)] or [a]
+            edges.append((rng.choice(below), a))
+        elif fault == "undeclared-endpoint":
+            edges.append(rng.choice([(a, "ghost"), ("ghost", a)]))
+        else:
+            moments.append(a)
+    mutated = Tree(tuple(moments), tuple(edges))
+    expected = tree_views(moments, edges)
+    for view, value in expected.items():
+        assert getattr(mutated, view) == value, view
+    if not faults:
+        assert not _tree_violations(mutated)
 
 
 def _assert_rel_tables_match_the_relations(frame):
