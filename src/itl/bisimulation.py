@@ -17,19 +17,28 @@ and returns the stream of raw failures, tested as it is read;
 
 PV reads the labelling of each model (``Model.labels``, the atoms true at
 each point).  The greatest relation satisfying the per-pair conditions
-starts from the pairs with equal labels (``_atom_seed``, so PV is never
-tested pair by pair) and deletes violating pairs until a fixpoint
-(``_refine``, which takes any starting relation as masks and changes it in
-place); since every condition only asks for the existence of related
-witnesses, deletion is monotone and the fixpoint is the unique greatest
-such relation.
+starts from the pairs with equal labels, depth and height (``_atom_seed``,
+which groups each side's points by the three, so PV is never tested pair
+by pair) and deletes violating pairs until a fixpoint (``_refine``, which
+takes any starting relation as masks and changes it in place); since every
+condition only asks for the existence of related witnesses, deletion is
+monotone and the fixpoint is the unique greatest such relation.  By the
+two lemmas below no relation satisfying the conditions has a pair of
+unequal depth or height, so the seed drops no pair of that relation: the
+fixpoint is the one reached from the pairs with equal labels alone, in
+fewer sweeps.
 
 On finite frames the F conditions follow from the G/H conditions, so the
 fixpoint tests the six G/H/L conditions only and its answer is the same in
 both modes.  Write ``Z`` for a relation in which every pair satisfies G-f,
-G-b, H-f and H-b, and ``depth`` for the number of moments below a point's
+G-b, H-f and H-b, ``depth`` for the number of moments below a point's
 moment, which is also its number of predecessors (at each earlier moment of
-its history exactly one class contains its class).
+its history exactly one class contains its class), and ``height`` for the
+number of moments after a point on the longest history of its class.  The
+successors of a point lie on the histories of its class, and the point of
+each such history at its leaf is one (a leaf's class holds one history),
+so a point's height is the greatest depth of its successors less its own
+depth, or 0 if it has none.
 
 Lemma: related points have equal depth.  By strong induction on the depth
 ``d`` of ``p``, for ``p Z q``.  Each predecessor ``y`` of ``q`` has, by H-b,
@@ -38,6 +47,13 @@ a related predecessor ``x`` of ``p``, so ``depth(y) = depth(x) < d``; hence
 relates the immediate predecessor of ``p`` (depth ``d - 1``) to a
 predecessor of ``q``, of depth ``d - 1`` by induction; hence
 ``depth(q) >= d``.
+
+Lemma: related points have equal height.  Let ``p Z q``, so ``depth(p) =
+depth(q)``.  If ``q`` has no successor, ``height(q) = 0 <= height(p)``.
+Otherwise take a successor ``y`` of ``q`` of greatest depth; G-b gives a
+successor ``x`` of ``p`` with ``x Z y``, so ``depth(x) = depth(y)`` and
+``height(p) >= depth(x) - depth(p) = depth(y) - depth(q) = height(q)``.
+The same argument with G-f gives ``height(q) >= height(p)``.
 
 Theorem: every pair ``p Z q`` satisfies F-f and F-b.  The points later than
 ``p`` along a history of its class are successors of ``p`` (backward
@@ -50,11 +66,11 @@ successor of ``q``.  G-b gives a successor ``p'`` of ``p`` with
 is the leaf point of a history ``h`` of ``p``'s class.  Every point ``x``
 of ``h`` after ``p`` is ``p'`` (related to ``q_l``) or a predecessor of
 ``p'``, which H-f relates to a predecessor ``y`` of ``q_l``: a point of
-``h'``.  By the lemma ``depth(y) = depth(x) > depth(p) = depth(q)``, so
-``y`` lies on ``h'`` after ``q``, and ``h`` tracks ``h'``.  F-b is F-f for
-the converse relation, which satisfies the same four conditions.  The proof
-needs finiteness: a history of the paper's infinite trees may have no last
-moment, and there the F conditions must be checked.
+``h'``.  By the depth lemma ``depth(y) = depth(x) > depth(p) =
+depth(q)``, so ``y`` lies on ``h'`` after ``q``, and ``h`` tracks ``h'``.
+F-b is F-f for the converse relation, which satisfies the same four
+conditions.  The proof needs finiteness: a history of the paper's infinite
+trees may have no last moment, and there the F conditions must be checked.
 
 For a map's graph H-f follows from G-f, so a map passing the G/H/L
 conditions passes F-f and F-b as well.  The checker still tests and reports
@@ -248,19 +264,34 @@ def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
                         bisimulation_failures(src, dst, relation, anchor, mode)))
 
 
+def _depth_height(frame: Frame) -> list[tuple[int, int]]:
+    """Per point, in canonical order, its depth and height (see the module
+    docstring), read off the ancestor sets and the chains of the tree."""
+    ancestors = frame.tree.ancestors
+    top = {leaf: len(history) - 1 for leaf, history in frame.tree.chains.items()}
+    out = []
+    for m, blocks in frame.blocks_at.items():
+        depth = len(ancestors[m])
+        out += [(depth, max(map(top.__getitem__, block)) - depth) for block in blocks]
+    return out
+
+
 def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:
-    """The relation of the frame points that agree on every atom, as per-point
-    masks and their converse (see ``_relation_masks``): a source point is
-    related to the target points with the same label."""
-    def classes(labels) -> dict[frozenset[str], int]:
-        masks: dict[frozenset[str], int] = {}
-        for i, label in enumerate(labels):
-            masks[label] = masks.get(label, 0) | 1 << i
+    """The relation of the frame points that agree on every atom and have
+    equal depth and height, as per-point masks and their converse (see
+    ``_relation_masks``): a source point is related to the target points
+    with the same label, depth and height."""
+    def classes(keys) -> dict:
+        masks: dict = {}
+        for i, key in enumerate(keys):
+            masks[key] = masks.get(key, 0) | 1 << i
         return masks
 
-    src_classes, dst_classes = classes(src.labels), classes(dst.labels)
-    return ([dst_classes.get(label, 0) for label in src.labels],
-            [src_classes.get(label, 0) for label in dst.labels])
+    src_keys = list(zip(src.labels, _depth_height(src.frame)))
+    dst_keys = list(zip(dst.labels, _depth_height(dst.frame)))
+    src_classes, dst_classes = classes(src_keys), classes(dst_keys)
+    return ([dst_classes.get(key, 0) for key in src_keys],
+            [src_classes.get(key, 0) for key in dst_keys])
 
 
 def _refine(sf: Frame, df: Frame, rel: list[int], conv: list[int]) -> None:

@@ -16,7 +16,7 @@ from itertools import islice
 
 from . import documents, limits, suite
 from .bisimulation import (
-    check_bisimulation, conditions_for as bisim_conditions,
+    bisimilar, check_bisimulation, conditions_for as bisim_conditions,
     find_distinguishing_formula, greatest_bisimulation,
 )
 from .documents import dumps
@@ -250,8 +250,11 @@ def _cmd_distinguish(args) -> int:
     dst = _load_model(args.dst_model)
     p = documents.parse_point(src.frame, args.anchors[0])
     q = documents.parse_point(dst.frame, args.anchors[1])
-    formula = find_distinguishing_formula(src, p, dst, q, mode=args.mode,
-                                          max_depth=args.max_depth)
+    limits.nonnegative(args.max_depth, "max_depth")
+    # related points satisfy the same formulas, so the search would find none
+    formula = None if bisimilar(src, p, dst, q, args.mode) else \
+        find_distinguishing_formula(src, p, dst, q, mode=args.mode,
+                                    max_depth=args.max_depth)
     if args.json:
         print(dumps({"formula": format_formula(formula) if formula else None,
                      "max_depth": args.max_depth}))

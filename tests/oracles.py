@@ -116,3 +116,25 @@ def tree_views(moments, edges) -> dict:
     return {"parents_map": parents, "children_map": children,
             "ancestors": ancestors, "leaves": leaves, "chains": chains,
             "through": through}
+
+
+def depth_height(frame) -> dict:
+    """Per point, its depth and height by their definitions: the number of
+    moments below its moment, and the most moments after it on one history
+    of its class.  The order is the closure of the edges (``tree_views``)
+    and the histories are its maximal chains, each holding one leaf."""
+    tree = frame.tree
+    below = tree_views(tree.moments, tree.edges)["ancestors"]
+
+    def lt(a, b):
+        return a in below[b]
+
+    histories = maximal_chains(tree.moments, lt)
+    out = {}
+    for moment, classes in frame.indist.classes_at.items():
+        depth = sum(lt(s, moment) for s in tree.moments)
+        for leaves in filter(None, classes):
+            height = max(sum(lt(moment, s) for s in h)
+                         for h in histories if h & set(leaves))
+            out[Point(moment, frozenset(leaves))] = (depth, height)
+    return out

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from itl.bisimulation import (
-    PointRelation, _atom_seed, _first_failure, _pv_failure, _relation_masks,
-    bisimilar, check_bisimulation, find_distinguishing_formula,
+    PointRelation, _atom_seed, _first_failure, _pv_failure, _refine,
+    _relation_masks, bisimilar, check_bisimulation, find_distinguishing_formula,
     greatest_bisimulation,
 )
 from itl.catalog import (
-    catalog_frames, f1_model, frame_chain2, frame_fork, frame_single,
-    random_valuation,
+    catalog_frames, catalog_models, f1_model, frame_chain2, frame_fork,
+    frame_single, random_valuation,
 )
 from itl.documents import resolve_point
 from itl.errors import InvalidBoundError, InvalidPointError
@@ -22,6 +22,7 @@ from itl.morphisms import (
 from itl.semantics import Evaluator, eval_hist, eval_rel
 from itl.structures import Model, Point, Violation, points
 from itl.suite import _replay_map_violation, _replay_relation_violation
+from oracles import depth_height
 
 PAIR_CONDITIONS = ("G-f", "H-f", "L-f", "G-b", "H-b", "L-b")
 MAP_CONDITIONS = ("G-f", "G-b", "H-b", "L-f", "L-b")
@@ -359,6 +360,17 @@ def test_related_points_have_equal_depth(seed, policy):
         assert len(src_depth[p.moment]) == len(dst_depth[q.moment])
 
 
+@given(seed=st.integers(0, 10 ** 6), policy=st.sampled_from(INDIST_POLICIES))
+def test_related_points_have_equal_height(seed, policy):
+    # the fixpoint from the PV seed, which does not key on height
+    src, dst = model_pair(seed, policy)
+    src_shape, dst_shape = depth_height(src.frame), depth_height(dst.frame)
+    targets = dst.frame.points_of
+    for p, row in zip(points(src.frame), pv_fixpoint(src, dst)):
+        for q in targets(row):
+            assert src_shape[p][1] == dst_shape[q][1]
+
+
 def test_only_the_checkers_ask_for_the_f_conditions(monkeypatch):
     import itl.bisimulation
     import itl.morphisms
@@ -407,6 +419,23 @@ def pv_relation(src, dst):
         if first_disagreement(src, dst, p, q) is None])
 
 
+def seed_relation(src, dst):
+    """The masks of the pairs of ``pv_relation`` whose points have equal
+    depth and height."""
+    src_shape, dst_shape = depth_height(src.frame), depth_height(dst.frame)
+    return point_masks(src.frame, dst.frame, [
+        (p, q) for p in points(src.frame) for q in points(dst.frame)
+        if first_disagreement(src, dst, p, q) is None
+        and src_shape[p] == dst_shape[q]])
+
+
+def pv_fixpoint(src, dst) -> list[int]:
+    """The per-source-point masks of the fixpoint run from ``pv_relation``."""
+    rel, conv = pv_relation(src, dst)
+    _refine(src.frame, dst.frame, rel, conv)
+    return rel
+
+
 @given(seed=st.integers(0, 10 ** 6), src_atoms=st.integers(0, 3),
        dst_atoms=st.integers(0, 3))
 def test_pv_failure_is_the_first_atom_the_valuations_disagree_on(
@@ -427,7 +456,7 @@ def test_atom_seed_is_the_pairs_agreeing_on_every_atom(seed, src_atoms,
     dst = gen_random_model(seed + 1, 1 + (seed + 1) % 7, n_atoms=dst_atoms)
     if empty_atom:
         src = Model(src.frame, {**src.valuation, "q": frozenset()})
-    assert _atom_seed(src, dst) == pv_relation(src, dst)
+    assert _atom_seed(src, dst) == seed_relation(src, dst)
 
 
 def test_atom_seed_ignores_valuation_points_outside_the_frame():
@@ -439,9 +468,41 @@ def test_atom_seed_ignores_valuation_points_outside_the_frame():
                                  "q": frozenset({outside})})
     plain = Model(chain, {"p": frozenset({leaf})})
     for src, dst in ((with_outside, plain), (plain, with_outside)):
-        assert _atom_seed(src, dst) == pv_relation(src, dst)
+        assert _atom_seed(src, dst) == seed_relation(src, dst)
         identity = frozenset((p, p) for p in points(chain))
         assert greatest_bisimulation(src, dst, "LF").pairs == identity
+
+
+def assert_same_fixpoint(src, dst):
+    """The greatest bisimulation is the fixpoint run from the PV seed."""
+    expected = PointRelation(frozenset(
+        (p, q) for p, row in zip(points(src.frame), pv_fixpoint(src, dst))
+        for q in dst.frame.points_of(row)))
+    assert greatest_bisimulation(src, dst, "LF") == expected
+
+
+@given(seed=st.integers(0, 10 ** 6), policy=st.sampled_from(INDIST_POLICIES))
+def test_seed_keeps_the_fixpoint_of_the_pv_seed(seed, policy):
+    assert_same_fixpoint(*model_pair(seed, policy))
+
+
+def test_seed_keeps_the_fixpoint_on_large_relations():
+    # the self and foreign pairs of 60-moment models, about 70 points each,
+    # whose greatest bisimulations are large
+    models = [gen_random_model(s, 60, branching=2, indist_policy="coarsened")
+              for s in range(3, 11)]
+    for k, src in enumerate(models):
+        assert_same_fixpoint(src, src)
+        assert_same_fixpoint(src, models[(k + 1) % len(models)])
+
+
+def test_seed_keeps_the_fixpoint_on_the_catalogue():
+    # every ordered pair of catalogue models: p-morphic frames relate points
+    # whose classes differ in size and shape
+    models = catalog_models(49, catalog_frames()).values()
+    for src in models:
+        for dst in models:
+            assert_same_fixpoint(src, dst)
 
 
 @given(seed=st.integers(0, 500))

@@ -275,6 +275,52 @@ def test_distinguish(capsys):
     assert (code, out) == (1, "indistinguishable up to depth 3\n")
 
 
+def test_distinguish_answers_related_anchors_from_the_fixpoint(
+        tmp_path, capsys, monkeypatch):
+    chain = {"moments": ["r", "a"], "edges": [["r", "a"]],
+             "indist": {"r": [["a"]], "a": [["a"]]},
+             "valuation": {"p": [["a", "a"]]}}
+    fork = {**json.loads(Path(FORK).read_text()),
+            "valuation": {"p": [["a", "a"], ["b", "b"]]}}
+    paths = {}
+    for name, doc in (("chain", chain), ("fork", fork)):
+        paths[name] = str(tmp_path / f"{name}.model.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran on related anchors")
+
+    monkeypatch.setattr(itl.cli, "find_distinguishing_formula", no_search)
+    related = [(F1, F1, "r/a", "r/a"), (F1, F1, "b/b", "b/b"),
+               (paths["fork"], paths["chain"], "r/a", "r/a"),
+               (paths["fork"], paths["chain"], "b/b", "a/a")]
+    for src, dst, p, q in related:
+        call = ["distinguish", src, dst, "--anchors", p, q]
+        assert invoke(capsys, *call) == (1, "indistinguishable up to depth 4\n")
+        for depth in ("0", "2"):
+            code, out = invoke(capsys, *call, "--max-depth", depth)
+            assert (code, out) == (1, f"indistinguishable up to depth {depth}\n")
+            code, out = invoke(capsys, *call, "--max-depth", depth, "--json")
+            assert code == 1
+            assert json.loads(out) == {"formula": None, "max_depth": int(depth)}
+
+    # anchors the fixpoint does not relate still reach the search, whether
+    # it finds a formula or not
+    searched = []
+
+    def recording(*args, **kwargs):
+        searched.append(args)
+        return itl.bisimulation.find_distinguishing_formula(*args, **kwargs)
+
+    monkeypatch.setattr(itl.cli, "find_distinguishing_formula", recording)
+    code, out = invoke(capsys, "distinguish", F1, F1,
+                       "--anchors", "a/a", "b/b", "--max-depth", "2")
+    assert (code, out, len(searched)) == (0, "p\n", 1)
+    code, out = invoke(capsys, "distinguish", F1, F1,
+                       "--anchors", "r/a", "b/b", "--max-depth", "0")
+    assert (code, out, len(searched)) == (1, "indistinguishable up to depth 0\n", 2)
+
+
 def test_distinguish_finds_a_third_atom(tmp_path, capsys):
     paths = []
     for name, r in (("with_r", [["a", "a"]]), ("without_r", [])):
