@@ -75,8 +75,9 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
     - ``worse``: the change's median is worse than the parent's by more
       than the metric's ``bound`` (a fraction of the parent's median);
     - ``unresolved``: either side's interquartile range is wider than the
-      bound times its median, too wide to tell, unless every run of the
-      change read better than every run of the parent;
+      bound times the parent's median, the scale the change is judged on,
+      too wide to tell, unless every run of the change read better than
+      every run of the parent;
     - ``better``: the change read better in at least 9 of 10 pairs, and the
       medians differ by more than the parent's interquartile range;
     - ``unchanged``: anything else.
@@ -88,8 +89,7 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
         return "worse"
     apart = (max(change) < min(parent) if sign > 0
              else min(change) > max(parent))
-    if not apart and any(side["iqr"] > bound * abs(side["median"])
-                         for side in (p, c)):
+    if not apart and max(p["iqr"], c["iqr"]) > bound * abs(p["median"]):
         return "unresolved"
     if (10 * better_pairs(metric, parent, change) >= 9 * len(parent)
             and sign * (p["median"] - c["median"]) > p["iqr"]):
@@ -173,8 +173,9 @@ def main(argv=None) -> int:
                       "relative to the parent's, the pairs (same seed) in "
                       "which the change read better, and the verdict: worse "
                       "(median worse by more than the bound), unresolved "
-                      "(either side's IQR wider than the bound, unless every "
-                      "change run read better than every parent run), "
+                      "(either side's IQR wider than the bound times the "
+                      "parent's median, unless every change run read better "
+                      "than every parent run), "
                       "better (at least 9/10 pairs, medians apart by more "
                       "than the parent's IQR) or unchanged",
         "workloads": workloads,

@@ -85,47 +85,61 @@ class Formula:
             stack += reversed(pieces + [")"])
         return "".join(out)
 
-    def __post_init__(self):
-        # Hash once at construction, from the children's cached hashes: constant
-        # time per node and no recursion, however deep the formula.  Here the
-        # instance dict holds exactly the fields, in field order.
-        vals = tuple(self.__dict__.values())
-        object.__setattr__(self, "_hc", hash((type(self).__name__,) + vals))
 
+# Each constructor writes the fields, in field order, then ``_hc``, the hash of
+# ``(class name,) + fields``, into the instance dict: constant time at any depth.
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Atom(Formula):
     name: str
 
+    def __init__(self, name):
+        d = self.__dict__
+        d["name"] = name
+        d["_hc"] = hash(("Atom", name))
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Not(Formula):
-    sub: Formula
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class And(Formula):
     left: Formula
     right: Formula
 
+    def __init__(self, left, right):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["_hc"] = hash(("And", left, right))
 
-@dataclass(frozen=True, eq=False, repr=False)
-class G(Formula):
+
+class _Unary(Formula):
+    def __init__(self, sub):
+        d = self.__dict__
+        d["sub"] = sub
+        d["_hc"] = hash((type(self).__name__, sub))
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class Not(_Unary):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class H(Formula):
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class G(_Unary):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class L(Formula):
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class H(_Unary):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class F(Formula):
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class L(_Unary):
+    sub: Formula
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class F(_Unary):
     sub: Formula
 
 
@@ -406,34 +420,44 @@ def _emit_by_depth(program: Program, atoms, max_depth: int):
     After each batch, yields its first slot and the list of its depth, to
     which the caller appends the slots deeper depths build on; stops after a
     depth whose list stays empty."""
-    # emitted straight into the program's arrays: the corpus has no repeated
-    # formula, so it needs neither Formula objects nor hash-consing keys
+    # emitted straight into the program's arrays, one call per array and
+    # batch: the corpus has no repeated formula, so it needs neither Formula
+    # objects nor hash-consing keys
     unary = [NOT, BOX_G, BOX_H, BOX_L] + ([WEAK_F] if program.mode == "LF" else [])
-    emit = program.emit
+    ops, left, right = program.ops, program.left, program.right
+
+    def emit(codes: bytes, a: list[int], b: list[int]) -> None:
+        ops.frombytes(codes)
+        left.fromlist(a)
+        right.fromlist(b)
     levels: list[list[int]] = [[]]
     start = len(program)
-    for name in atoms:
-        emit(ATOM, program.atom(name))
+    emit(bytes([ATOM] * len(atoms)), [program.atom(name) for name in atoms],
+         [0] * len(atoms))
     yield start, levels[0]
     for _depth in range(max_depth):
         last = levels[-1]
         shallower = [k for level in levels[:-1] for k in level]
         new: list[int] = []
         start = len(program)
-        for op in unary:
-            for k in last:
-                emit(op, k)
+        emit(bytes(op for op in unary for _ in last), last * len(unary),
+             [0] * (len(unary) * len(last)))
+        program.has_f |= WEAK_F in unary and bool(last)
         yield start, new
+        ands = bytes([AND] * len(last))
         for a in last:
             start = len(program)
-            for b in last:
-                emit(AND, a, b)
+            emit(ands, [a] * len(last), last)
             yield start, new
+        # a & b, then b & a, for each shallower b
+        ands = bytes([AND] * (2 * len(shallower)))
         for a in last:
             start = len(program)
-            for b in shallower:
-                emit(AND, a, b)
-                emit(AND, b, a)
+            pairs = [a] * len(ands)
+            pairs[1::2] = shallower
+            swapped = [a] * len(ands)
+            swapped[::2] = shallower
+            emit(ands, pairs, swapped)
             yield start, new
         if not new:
             return
@@ -557,23 +581,25 @@ class Program:
         """The slots the given roots depend on, as a program of their own;
         returns it and the roots' slots in it."""
         ops, left, right = self.ops, self.left, self.right
-        need = bytearray(len(ops))
-        for r in roots:
-            need[r] = 1
-        for k in range(len(ops) - 1, -1, -1):
-            if need[k] and ops[k] != ATOM:
-                need[left[k]] = 1
-                if ops[k] == AND:
-                    need[right[k]] = 1
+        need = set(roots)
+        stack = list(need)
+        while stack:
+            k = stack.pop()
+            if ops[k] != ATOM:
+                for j in (left[k], right[k]) if ops[k] == AND else (left[k],):
+                    if j not in need:
+                        need.add(j)
+                        stack.append(j)
+        # operands come before their users, so slot order stays topological
+        order = sorted(need)
+        moved = dict(zip(order, range(len(order))))
         out = Program(self.mode)
-        moved: dict[int, int] = {}
-        for k, op in enumerate(ops):
-            if need[k]:
-                if op == ATOM:
-                    moved[k] = out.emit(ATOM, out.atom(self.atoms[left[k]]))
-                else:
-                    moved[k] = out.emit(op, moved[left[k]],
-                                        moved[right[k]] if op == AND else 0)
+        out.ops = array("B", [ops[k] for k in order])
+        out.left = array("l", [out.atom(self.atoms[left[k]]) if ops[k] == ATOM
+                               else moved[left[k]] for k in order])
+        out.right = array("l", [moved[right[k]] if ops[k] == AND else 0
+                                for k in order])
+        out.has_f = WEAK_F in out.ops
         return out, [moved[r] for r in roots]
 
     def formulas(self) -> tuple[Formula, ...]:

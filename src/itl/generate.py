@@ -9,6 +9,7 @@ keeps backward coherence without repair (see ``coarsened_indist``).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 
 from . import limits
 from .structures import (
@@ -27,16 +28,18 @@ def random_tree(seed: int, n_moments: int, branching: int = 2) -> Tree:
     rng = random.Random(seed)
     moments = [f"m{i}" for i in range(n_moments)]
     edges = []
-    child_count = {moments[0]: 0}
+    child_count = dict.fromkeys(moments, 0)
+    # the moments with fewer than ``branching`` children, sorted by name; the
+    # newest moment is always open, so the list is never empty
+    open_parents = [moments[0]]
     for m in moments[1:]:
-        open_parents = [p for p, c in child_count.items() if c < branching]
-        if not open_parents or rng.random() < 0.08:
-            child_count[m] = 0  # new root
-            continue
-        parent = rng.choice(sorted(open_parents))
-        child_count[parent] += 1
-        child_count[m] = 0
-        edges.append((parent, m))
+        if rng.random() >= 0.08:  # else a new root
+            parent = rng.choice(open_parents)
+            child_count[parent] += 1
+            edges.append((parent, m))
+            if child_count[parent] == branching:
+                del open_parents[bisect_left(open_parents, parent)]
+        insort(open_parents, m)
     return Tree(tuple(moments), tuple(edges))
 
 

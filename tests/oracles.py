@@ -5,10 +5,13 @@ no sharing of the library's evaluation machinery: plain recursion, explicit
 loops, no masks, no memoization.
 """
 
+import random
 from itertools import combinations
 
-from itl.formula import And, Atom, F, G, H, L, Not
-from itl.structures import Point
+from itl.formula import (
+    AND, ATOM, BOX_G, BOX_H, BOX_L, NOT, WEAK_F, And, Atom, F, G, H, L, Not, Program,
+)
+from itl.structures import Point, Tree
 
 
 def naive_eval(model, point, formula) -> bool:
@@ -138,3 +141,85 @@ def depth_height(frame) -> dict:
                          for h in histories if h & set(leaves))
             out[Point(moment, frozenset(leaves))] = (depth, height)
     return out
+
+
+# ---------------------------------------------------------------------------
+# builders, one item at a time: the quadratic tree, per-slot corpus emission
+# and the two-pass restriction the library's bulk builders must equal
+# ---------------------------------------------------------------------------
+
+def naive_random_tree(seed: int, n_moments: int, branching: int = 2) -> Tree:
+    """``generate.random_tree`` by rescanning and re-sorting every earlier
+    moment for each new one."""
+    rng = random.Random(seed)
+    moments = [f"m{i}" for i in range(n_moments)]
+    edges = []
+    child_count = {moments[0]: 0}
+    for m in moments[1:]:
+        open_parents = [p for p, c in child_count.items() if c < branching]
+        if not open_parents or rng.random() < 0.08:
+            child_count[m] = 0  # new root
+            continue
+        parent = rng.choice(sorted(open_parents))
+        child_count[parent] += 1
+        child_count[m] = 0
+        edges.append((parent, m))
+    return Tree(tuple(moments), tuple(edges))
+
+
+def naive_emit_by_depth(program: Program, atoms, max_depth: int):
+    """``formula._emit_by_depth`` with one ``Program.emit`` call per slot."""
+    unary = [NOT, BOX_G, BOX_H, BOX_L] + ([WEAK_F] if program.mode == "LF" else [])
+    emit = program.emit
+    levels: list[list[int]] = [[]]
+    start = len(program)
+    for name in atoms:
+        emit(ATOM, program.atom(name))
+    yield start, levels[0]
+    for _depth in range(max_depth):
+        last = levels[-1]
+        shallower = [k for level in levels[:-1] for k in level]
+        new: list[int] = []
+        start = len(program)
+        for op in unary:
+            for k in last:
+                emit(op, k)
+        yield start, new
+        for a in last:
+            start = len(program)
+            for b in last:
+                emit(AND, a, b)
+            yield start, new
+        for a in last:
+            start = len(program)
+            for b in shallower:
+                emit(AND, a, b)
+                emit(AND, b, a)
+            yield start, new
+        if not new:
+            return
+        levels.append(new)
+
+
+def naive_restrict(program: Program, roots) -> tuple[Program, list[int]]:
+    """``Program.restrict`` by marking every slot the roots need in one
+    backward scan of the whole program, then copying them in a forward scan."""
+    ops, left, right = program.ops, program.left, program.right
+    need = bytearray(len(ops))
+    for r in roots:
+        need[r] = 1
+    for k in range(len(ops) - 1, -1, -1):
+        if need[k] and ops[k] != ATOM:
+            need[left[k]] = 1
+            if ops[k] == AND:
+                need[right[k]] = 1
+    out = Program(program.mode)
+    moved: dict[int, int] = {}
+    for k, op in enumerate(ops):
+        if need[k]:
+            if op == ATOM:
+                moved[k] = out.emit(ATOM, out.atom(program.atoms[left[k]]))
+            else:
+                moved[k] = out.emit(op, moved[left[k]],
+                                    moved[right[k]] if op == AND else 0)
+    return out, [moved[r] for r in roots]

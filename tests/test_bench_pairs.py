@@ -46,9 +46,19 @@ def test_verdicts_of_a_higher_is_better_metric():
 
 
 def test_a_wide_spread_is_resolved_when_every_change_run_reads_better():
-    wide = [2.0, 2.6, 1.6, 2.7, 2.0, 2.6, 1.6, 2.7, 2.0, 2.6]
+    # IQR 0.9, wider than the bound times the parent's median (0.75)
+    wide = [1.8, 2.7, 1.0, 2.8, 1.8, 2.7, 1.0, 2.8, 1.8, 2.7]
     assert bench_pairs.verdict(LOWER, PARENT, wide) == "better"
     assert bench_pairs.verdict(LOWER, PARENT, wide[:9] + [2.95]) == "unresolved"
+
+
+def test_each_spread_is_judged_against_the_parents_median():
+    # the shape of a throughput the change raised by about 70%: the change's
+    # IQR (160) is within the bound of its own median (235) but wider than
+    # the bound of the parent's (135), and one change run reads worse
+    parent = [520, 540, 560, 530, 550, 545, 535, 525, 555, 541]
+    change = [800, 980, 1000, 850, 950, 1010, 820, 990, 930, 500]
+    assert bench_pairs.verdict(HIGHER, parent, change) == "unresolved"
 
 
 def test_a_worse_median_outranks_a_wide_spread():

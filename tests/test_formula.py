@@ -1,12 +1,16 @@
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import given, strategies as st
 
 from itl.errors import LanguageError, ParseError
 from itl.formula import (
-    And, Atom, F, G, H, L, Not, Program,
-    atoms_of, contains_f, enumerate_formulas, format_formula, parse,
-    random_formula, read_formulas,
+    MODES, And, Atom, F, G, H, L, Not, Program, _emit_by_depth,
+    atoms_of, contains_f, corpus_program, enumerate_formulas, format_formula,
+    parse, random_formula, read_formulas,
 )
+
+from oracles import naive_emit_by_depth, naive_restrict
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +123,44 @@ def test_formula_equality():
     assert And(shared, shared) != And(shared, H(Atom("p")))
     assert Atom("p") != "p"
     assert G(Atom("p")).__eq__("G p") is NotImplemented
+
+
+P = Atom("p")
+NODES = [P, Not(P), And(P, G(P)), G(P), H(P), L(P), F(P)]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_a_node_hashes_its_class_name_and_fields(node):
+    values = tuple(getattr(node, field.name) for field in fields(node))
+    assert hash(node) == hash((type(node).__name__,) + values)
+    # the instance dict is the fields, in field order, then the hash
+    assert list(vars(node)) == [field.name for field in fields(node)] + ["_hc"]
+
+
+def test_nodes_build_by_field_name():
+    assert Not(sub=P) == Not(P)
+    assert And(left=P, right=Not(P)) == And(P, Not(P))
+    assert Atom(name="p") == P
+    assert G(sub=P) != H(sub=P)
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_nodes_are_frozen(node):
+    name = fields(node)[0].name
+    before = dict(vars(node))
+    with pytest.raises(FrozenInstanceError):
+        setattr(node, name, P)
+    with pytest.raises(FrozenInstanceError):
+        node.extra = 1
+    with pytest.raises(FrozenInstanceError):
+        delattr(node, name)
+    assert vars(node) == before
+
+
+def test_a_node_of_a_non_formula_builds():
+    # the constructors check nothing; the printer and the compiler reject it
+    assert Not(None).sub is None
+    assert Not(None) == Not(None)
 
 
 @pytest.mark.parametrize("build", [format_formula, Program("LF").add],
@@ -262,3 +304,64 @@ def test_enumeration_shares_subformulas():
 
 def test_enumeration_mode_l_excludes_weak_future():
     assert not any(contains_f(phi) for phi in enumerate_formulas(("p",), 3, "L"))
+
+
+def program_state(program: Program):
+    return (program.mode, bytes(program.ops), list(program.left),
+            list(program.right), program.atoms, program.has_f)
+
+
+def emitted(emit_by_depth, atoms, max_depth: int, mode: str, keep: int):
+    """Drive an emitter as its callers do: after each batch, append every
+    ``keep``-th slot to the level (1: every slot, as the corpus does; more:
+    only some, as the distinguishing search does)."""
+    program = Program(mode)
+    batches = []
+    for start, level in emit_by_depth(program, atoms, max_depth):
+        batches.append((start, len(program), program.has_f))
+        level.extend(range(start, len(program), keep))
+    return batches, program_state(program)
+
+
+@given(atoms=st.lists(st.sampled_from("pqr"), max_size=3),
+       max_depth=st.integers(0, 3), mode=st.sampled_from(MODES),
+       keep=st.integers(1, 4))
+def test_batches_are_the_per_slot_batches(atoms, max_depth, mode, keep):
+    assert (emitted(_emit_by_depth, atoms, max_depth, mode, keep)
+            == emitted(naive_emit_by_depth, atoms, max_depth, mode, keep))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("max_depth", range(4))
+@pytest.mark.parametrize("atoms", [("p",), ("p", "q"), ("q", "p", "r")])
+def test_corpus_program_is_the_per_slot_corpus(atoms, max_depth, mode):
+    _, state = emitted(naive_emit_by_depth, atoms, max_depth, mode, 1)
+    assert program_state(corpus_program(atoms, max_depth, mode)) == state
+
+
+def parsed_program(texts, mode: str) -> Program:
+    program = Program(mode)
+    for text in texts:
+        try:
+            program.parse(text)
+        except ParseError:
+            pass
+    return program
+
+
+@given(data=st.data())
+def test_restrict_is_the_two_pass_restriction(data):
+    mode = data.draw(st.sampled_from(MODES))
+    program = data.draw(st.one_of(
+        st.just(corpus_program(("p", "q"), 2, mode)),
+        st.just(corpus_program(("p",), 3, mode)),
+        st.lists(SURFACE, min_size=1, max_size=6).map(
+            lambda texts: parsed_program(texts, mode))))
+    if not len(program):
+        return
+    roots = data.draw(st.lists(st.integers(0, len(program) - 1), max_size=8))
+    roots += data.draw(st.lists(st.sampled_from(roots), max_size=2)
+                       if roots else st.just([]))
+    got, moved = program.restrict(roots)
+    expected, expected_moved = naive_restrict(program, roots)
+    assert (program_state(got), moved) == (program_state(expected), expected_moved)

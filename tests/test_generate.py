@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,8 @@ from itl.generate import coarsened_indist, gen_random_model, random_tree
 from itl.structures import (
     Frame, points, undividedness_indist, validate_frame, validate_model,
 )
+
+from oracles import naive_random_tree
 
 
 def test_single_moment_model():
@@ -51,6 +55,25 @@ def test_coarsening_only_merges(seed):
         for block in base.blocks_at[moment]:
             anchor = min(block)
             assert block <= coarse.block_of[(moment, anchor)]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_moments=st.integers(1, 300),
+       branching=st.integers(1, 4))
+def test_random_tree_is_the_reference_tree(seed, n_moments, branching):
+    tree = random_tree(seed, n_moments, branching)
+    expected = naive_random_tree(seed, n_moments, branching)
+    assert (tree.moments, tree.edges) == (expected.moments, expected.edges)
+
+
+def test_a_large_random_tree_is_built_in_one_pass():
+    # rescanning every earlier moment per moment would take minutes here
+    tree = random_tree(1, 50_000, 3)
+    assert len(tree.moments) == 50_000
+    order = {m: k for k, m in enumerate(tree.moments)}
+    children = Counter(parent for parent, _ in tree.edges)
+    assert max(children.values()) == 3
+    assert all(order[parent] < order[child] for parent, child in tree.edges)
+    assert len({child for _, child in tree.edges}) == len(tree.edges)
 
 
 def test_bad_arguments():
