@@ -11,13 +11,15 @@ for even pair numbers and the change for odd ones, so the machine's drift
 does not favour one side.  Writes per workload and per end-to-end metric of
 ``BENCHMARK.json``: each side's median and interquartile range (inclusive
 quartiles), the change's median relative to the parent's, the pairs in
-which the change read better, and a verdict (see ``verdict``).  Prints one
-line per run; exits 1 if any run failed or reported a failed request.
+which the change read better, and a verdict (see ``verdict``).  Names the
+code each side ran by its commit and by ``source_digest``.  Prints one line
+per run; exits 1 if any run failed or reported a failed request.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -27,6 +29,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SOURCES = ("src", "perfbench")
+LEFTOVERS = {"__pycache__", ".work"}  # what runs leave there, in .gitignore
 
 
 def parse_args(argv=None):
@@ -127,6 +131,24 @@ def commit_of(checkout: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def source_digest(checkout: Path) -> str:
+    """The sha256 of the checkout's ``src/`` and ``perfbench/`` files: each
+    relative path, its length and its bytes, in the order of the paths,
+    leaving out what running the code leaves behind."""
+    files = {}
+    for top in SOURCES:
+        for path in (checkout / top).rglob("*"):
+            name = path.relative_to(checkout)
+            if path.is_file() and not LEFTOVERS.intersection(name.parts):
+                files[name.as_posix()] = path
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        data = files[name].read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -160,12 +182,15 @@ def main(argv=None) -> int:
                        "parent commit and with the change, from paired runs "
                        "that alternate which side runs first. Each side ran "
                        "from its own copy of the tree; the commit of a copy "
-                       "that is not a git checkout is null. Times are scaled "
-                       "by run.py to its reference machine speed.",
+                       "that is not a git checkout is null, and "
+                       "source_sha256 digests each side's src/ and "
+                       "perfbench/ files. Times are scaled by run.py to its "
+                       "reference machine speed.",
         "command": f"python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {seconds:g} --trace 0",
         "seeds": seeds,
         "commits": {side: commit_of(checkouts[side]) for side in SIDES},
+        "source_sha256": {side: source_digest(checkouts[side]) for side in SIDES},
         "interpreter": f"{platform.python_implementation()} {platform.python_version()}",
         "host": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}",
         "statistics": "per metric: median and interquartile range (inclusive "

@@ -38,7 +38,10 @@ number of moments after a point on the longest history of its class.  The
 successors of a point lie on the histories of its class, and the point of
 each such history at its leaf is one (a leaf's class holds one history),
 so a point's height is the greatest depth of its successors less its own
-depth, or 0 if it has none.
+depth, or 0 if it has none.  A point's predecessors are its parent point
+and that point's, and its successors its child points and theirs, so both
+are read off the point forest (``Frame.point_forest``): depth is the parent
+point's plus one, and height one more than the child points' greatest.
 
 Lemma: related points have equal depth.  By strong induction on the depth
 ``d`` of ``p``, for ``p Z q``.  Each predecessor ``y`` of ``q`` has, by H-b,
@@ -266,14 +269,16 @@ def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
 
 def _depth_height(frame: Frame) -> list[tuple[int, int]]:
     """Per point, in canonical order, its depth and height (see the module
-    docstring), read off the ancestor sets and the chains of the tree."""
-    ancestors = frame.tree.ancestors
-    top = {leaf: len(history) - 1 for leaf, history in frame.tree.chains.items()}
-    out = []
-    for m, blocks in frame.blocks_at.items():
-        depth = len(ancestors[m])
-        out += [(depth, max(map(top.__getitem__, block)) - depth) for block in blocks]
-    return out
+    docstring), read off the point forest in one pass down and one back up."""
+    forest, n = frame.point_forest, len(frame.point_list)
+    depth, height = [0] * n, [0] * n
+    for i, j in forest:
+        if j is not None:
+            depth[i] = depth[j] + 1
+    for i, j in reversed(forest):
+        if j is not None and height[j] <= height[i]:
+            height[j] = height[i] + 1
+    return list(zip(depth, height))
 
 
 def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:

@@ -22,6 +22,11 @@ suffix-OR list per history (per depth, the mask of its points at that
 depth or deeper), so a point's future along a history is one entry and its
 past the XOR of two, with no OR over a slice per point.
 
+Classes only merge moving down the tree, so the points form a forest
+(``Frame.point_forest``), and backward coherence holds when every point off
+a root has a parent point.  The "rel" tables and the bisimulation seed read
+the forest and the "hist" tables do not, so their agreement is a real check.
+
 Validation decides first and describes only failures: whole-set tests pass
 a valid tree and each moment's partition, and the element-by-element loops
 that word the violations run only where a test fails.
@@ -281,9 +286,9 @@ class Frame:
     # -- quantifier domains for the clause-by-clause semantics --
     #
     # The "hist" tables are read off the histories and classes exactly as the
-    # evaluation clauses quantify; the "rel" tables are read off the derived
-    # point relations.  The two are computed along different paths on purpose:
-    # their agreement is what the equivalence battery checks.
+    # evaluation clauses quantify; the "rel" tables are read off the point
+    # forest.  The two are computed along different paths on purpose: their
+    # agreement is what the equivalence battery checks.
 
     @cached_property
     def hist_future_masks(self) -> tuple[int, ...]:
@@ -344,32 +349,46 @@ class Frame:
         return tuple(out)
 
     @cached_property
+    def point_forest(self) -> tuple[tuple[int, int | None], ...]:
+        """Each point as (index, index of its parent point), after its parent
+        point: the point at its moment's parent whose class contains its
+        class, or None at a root and where no class there does (an incoherent
+        frame).  Read off the parent edges and the classes in one walk down
+        from the roots, which enters only declared moments of one parent: it
+        leaves out the points on or below a cycle or a moment of two parents,
+        which only invalid trees have."""
+        parents, children = self.tree.parents_map, self.tree.children_map
+        blocks_at, first = self.blocks_at, self.first_point
+        forest, stack = [], [m for m in blocks_at if not parents[m]]
+        while stack:
+            m = stack.pop()
+            up = parents[m]
+            for i, block in enumerate(blocks_at[m], first[m]):
+                j = self.index_at(up[0], next(iter(block))) if up else None
+                if j is not None and not block <= blocks_at[up[0]][j - first[up[0]]]:
+                    j = None
+                forest.append((i, j))
+            stack += [c for c in children[m] if len(parents[c]) == 1 and c in first]
+        return tuple(forest)
+
+    @cached_property
     def _rel_tables(self) -> tuple[tuple[int, ...], ...]:
         """Successor, predecessor and same-moment masks of the point relations.
 
-        A point's predecessors are the classes, at the ancestors of its
-        moment, that contain its class; each predecessor found records the
-        point among its successors.  The ancestor sets and the classes are
-        walked directly, not the histories the "hist" tables are built from.
-        """
-        pts, ancestors = self.point_list, self.tree.ancestors
-        # per moment, its classes with their indices and bits
-        classes: dict[str, list[tuple[frozenset[str], int, int]]] = {}
-        for i, p in enumerate(pts):
-            classes.setdefault(p.moment, []).append((p.block, i, 1 << i))
-        predecessors, successors = [], [0] * len(pts)
-        for i, p in enumerate(pts):
-            mask, own = 0, 1 << i
-            for s in ancestors[p.moment]:
-                for block, j, bit in classes[s]:
-                    if block >= p.block:
-                        mask |= bit
-                        successors[j] |= own
-            predecessors.append(mask)
-        same = {m: reduce(or_, (bit for _, _, bit in entries))
-                for m, entries in classes.items()}
-        return (tuple(successors), tuple(predecessors),
-                tuple(same[p.moment] for p in pts))
+        A point's predecessors are its parent point's plus that point, and
+        its successors its child points' plus those points: one pass down
+        the point forest and one back up."""
+        forest, first, same = self.point_forest, self.first_point, []
+        for m, blocks in self.blocks_at.items():
+            same += [((1 << len(blocks)) - 1) << first[m]] * len(blocks)
+        predecessors, successors = [0] * len(same), [0] * len(same)
+        for i, j in forest:
+            if j is not None:
+                predecessors[i] = predecessors[j] | 1 << j
+        for i, j in reversed(forest):
+            if j is not None:
+                successors[j] |= successors[i] | 1 << i
+        return tuple(successors), tuple(predecessors), tuple(same)
 
     @cached_property
     def rel_successor_masks(self) -> tuple[int, ...]:
@@ -439,12 +458,9 @@ class Report:
 
 
 def _tree_violations(tree: Tree) -> list[Violation]:
-    out = []
     if not tree.moments:
-        out.append(Violation(
-            "empty-structure", "the structure declares no moments", {}))
-        return out
-
+        return [Violation("empty-structure", "the structure declares no moments", {})]
+    out: list[Violation] = []
     if _is_tree(tree):
         return out
     seen_moments: set[str] = set()
@@ -489,16 +505,13 @@ def _tree_violations(tree: Tree) -> list[Violation]:
         for i in range(len(parents)):
             for j in range(i + 1, len(parents)):
                 b, c = parents[i], parents[j]
+                if tree.lt(c, b) and not tree.lt(b, c):
+                    b, c = c, b
                 if tree.lt(b, c):
                     out.append(Violation(
                         "non-immediate-edge",
                         f"edge [{b!r}, {child!r}] skips intermediate moment {c!r}",
                         {"edge": [b, child], "skipped": c}))
-                elif tree.lt(c, b):
-                    out.append(Violation(
-                        "non-immediate-edge",
-                        f"edge [{c!r}, {child!r}] skips intermediate moment {b!r}",
-                        {"edge": [c, child], "skipped": b}))
                 else:
                     out.append(Violation(
                         "downward-linearity",
@@ -580,10 +593,9 @@ def _indist_violations(frame: Frame) -> list[Violation]:
     block_of = frame.block_of
     for t in sorted(declared):
         for block in frame.blocks_at[t]:
-            leaves = sorted(block)
+            anchor, *others = sorted(block)
             for s in sorted(tree.ancestors[t]):
-                anchor = leaves[0]
-                for other in leaves[1:]:
+                for other in others:
                     if block_of[(s, anchor)] is not block_of[(s, other)]:
                         out.append(Violation(
                             "backward-coherence",
@@ -595,28 +607,13 @@ def _indist_violations(frame: Frame) -> list[Violation]:
 
 
 def _coherent_at_parents(frame: Frame) -> bool:
-    """Whether the histories of each class share a class at its moment's
-    parent.  On a valid tree with valid partitions this is backward
-    coherence: the class they share at the parent shares one at its own
-    parent, and so on down to the root."""
-    blocks_at, tree = frame.blocks_at, frame.tree
-    children, through = tree.children_map, tree.through
-    for s, above in blocks_at.items():
-        if len(above) == 1:
-            continue  # one class at s holds every history through it
-        for t in children[s]:
-            # most often one class at s holds every history through t
-            anchor = through[t][0]
-            for c in above:
-                if anchor in c:
-                    break
-            if c.issuperset(through[t]):
-                continue
-            for block in blocks_at[t]:
-                anchor = next(iter(block))
-                if not any(anchor in c and block <= c for c in above):
-                    return False
-    return True
+    """Whether every point off a root has a parent point: the histories of
+    each class share a class at its moment's parent.  On a valid tree with
+    valid partitions this is backward coherence: that class shares one at
+    its own parent, and so on down to the root."""
+    parents = frame.tree.parents_map
+    roots = sum(len(blocks) for m, blocks in frame.blocks_at.items() if not parents[m])
+    return sum(j is None for _, j in frame.point_forest) == roots
 
 
 def validate_frame(frame: Frame) -> Report:
@@ -685,11 +682,8 @@ def same_moment(frame: Frame, p: Point, q: Point) -> bool:
 def future_points(frame: Frame, moment: str, leaf: str) -> tuple[Point, ...]:
     """Points (s, class of the history named by leaf) strictly after moment."""
     tree = frame.tree
-    out = []
-    for s in sorted(tree.down_set(leaf)):
-        if tree.lt(moment, s):
-            out.append(Point(s, frame.block_of[(s, leaf)]))
-    return tuple(out)
+    return tuple(Point(s, frame.block_of[(s, leaf)])
+                 for s in sorted(tree.down_set(leaf)) if tree.lt(moment, s))
 
 
 def undividedness_indist(tree: Tree) -> IndistFunction:

@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import pytest
 
-from itl import bisimulation, formula, morphisms, semantics, suite
+from itl import bisimulation, formula, morphisms, semantics, structures, suite
 from itl.bisimulation import PointRelation
 from itl.formula import Program, parse
 from itl.semantics import Evaluator
@@ -43,6 +43,19 @@ def hist_g_reads_the_past(monkeypatch):
     # the hist route's G quantifies over the H table; rel is untouched
     monkeypatch.setattr(Frame, "hist_future_masks",
                         property(lambda frame: frame.hist_past_masks))
+
+
+def predecessors_are_the_parent_point(monkeypatch):
+    # the rel route's H reads a point's parent point alone, not its parent
+    # point's predecessors as well; hist is untouched
+    def parent_point_only(frame):
+        masks = [0] * len(frame.point_forest)
+        for i, j in frame.point_forest:
+            if j is not None:
+                masks[i] = 1 << j
+        return tuple(masks)
+
+    monkeypatch.setattr(Frame, "rel_predecessor_masks", property(parent_point_only))
 
 
 def parse_expands_p_as_f(monkeypatch):
@@ -126,6 +139,11 @@ def validator_drops_cycles(monkeypatch):
     monkeypatch.setattr(suite, "validate_doc", without_cycles)
 
 
+def every_frame_coheres(monkeypatch):
+    # the validator takes every point off a root to have a parent point
+    monkeypatch.setattr(structures, "_coherent_at_parents", lambda frame: True)
+
+
 def map_checker_mislabels_g_forth(monkeypatch):
     # G-f failures are reported as H-f, a condition the map checker leaves
     # out, so the map replayer knows no such kind
@@ -197,6 +215,8 @@ def distinguishing_returns_a_fixed_atom(monkeypatch):
 MUTANTS = [
     (hist_g_reads_the_past, {
         1: f", {COUNT} disagreements"}),
+    (predecessors_are_the_parent_point, {
+        1: f", {COUNT} disagreements"}),
     (parse_expands_p_as_f, {
         2: f": {COUNT} parse mismatches"}),
     (weak_future_is_f, {
@@ -231,6 +251,8 @@ MUTANTS = [
         9: f", {COUNT} replay failures"}),
     (validator_drops_cycles, {
         10: f", {COUNT} missed \\(self_loop, "}),
+    (every_frame_coheres, {
+        10: f", {COUNT} missed \\(incoherent_split, incoherent_deep\\)"}),
 ]
 
 

@@ -1,7 +1,8 @@
 """The verdict that ``scripts/bench_pairs.py`` writes per metric, on
-synthetic runs."""
+synthetic runs, and the digest that names the code each side ran."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,25 @@ def test_summaries_carry_the_verdict():
     summary = bench_pairs.summarize([{**LOWER, "unit": "s"}], runs)["wall_s"]
     assert summary["verdict"] == "better"
     assert summary["change_better_pairs"] == "10/10"
+
+
+def test_the_source_digest_names_the_files_of_a_copy(tmp_path):
+    one, two = tmp_path / "one", tmp_path / "two"
+    for top in (one, two):
+        (top / "src" / "pkg").mkdir(parents=True)
+        (top / "src" / "pkg" / "a.py").write_text("A = 1\n")
+        (top / "perfbench").mkdir()
+        (top / "perfbench" / "run.py").write_text("print()\n")
+    (two / "README.md").write_text("outside the digest\n")
+    (two / "src" / "pkg" / "__pycache__").mkdir()
+    (two / "src" / "pkg" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+    (two / "perfbench" / ".work").mkdir()
+    (two / "perfbench" / ".work" / "spans.jsonl").write_text("{}\n")
+    digest = bench_pairs.source_digest(one)
+    assert bench_pairs.source_digest(two) == digest
+    (two / "src" / "pkg" / "a.py").write_text("A = 2\n")
+    assert bench_pairs.source_digest(two) != digest
+    shutil.copy(one / "src" / "pkg" / "a.py", two / "src" / "pkg" / "a.py")
+    assert bench_pairs.source_digest(two) == digest
+    (two / "perfbench" / "run.py").rename(two / "perfbench" / "main.py")
+    assert bench_pairs.source_digest(two) != digest

@@ -88,9 +88,9 @@ def test_coherence_violations_at_a_grandparent_are_all_listed():
                                             ("n", "r", ["a", "b"])]
 
 
-@given(seed=st.integers(0, 5000))
-def test_coherence_violations_are_the_incoherent_pairs(seed):
-    # a random partition of the histories at every moment, coherent or not
+def repartitioned(seed):
+    """A generated tree with a random partition of the histories at every
+    moment, coherent or not: its classes per moment, and the frame."""
     rng = random.Random(seed)
     tree = gen_random_frame(seed, 1 + seed % 12, branching=2 + seed % 2).tree
     classes = {}
@@ -101,8 +101,14 @@ def test_coherence_violations_are_the_incoherent_pairs(seed):
         for leaf in leaves:
             blocks[rng.randrange(parts)].append(leaf)
         classes[m] = [block for block in blocks if block]
-    frame = Frame(tree, IndistFunction(
+    return classes, Frame(tree, IndistFunction(
         {m: tuple(map(tuple, blocks)) for m, blocks in classes.items()}))
+
+
+@given(seed=st.integers(0, 5000))
+def test_coherence_violations_are_the_incoherent_pairs(seed):
+    classes, frame = repartitioned(seed)
+    tree = frame.tree
     class_of = {(m, leaf): k for m, blocks in classes.items()
                 for k, block in enumerate(blocks) for leaf in block}
     expected = [(t, s, sorted(block)[:1] + [other])
@@ -306,6 +312,32 @@ def _assert_rel_tables_match_the_relations(frame):
             q for q in pts if precedes(frame, q, p))
         assert frame.rel_same_moment_masks[i] == mask_of(
             q for q in pts if same_moment(frame, p, q))
+
+
+def _assert_validation_and_rel_tables_commute(frame):
+    # the validator and the rel tables share the frame's cached point
+    # forest, so neither may depend on which of them built it
+    def fresh():
+        return Frame(Tree(frame.tree.moments, frame.tree.edges), frame.indist)
+
+    def rel_tables(copy):
+        return (copy.rel_successor_masks, copy.rel_predecessor_masks,
+                copy.rel_same_moment_masks)
+
+    validated_first, tables_first = fresh(), fresh()
+    report, tables = validate_frame(validated_first), rel_tables(tables_first)
+    assert validate_frame(tables_first) == report
+    assert rel_tables(validated_first) == tables
+
+
+@pytest.mark.parametrize("frame", _table_frames())
+def test_validation_and_rel_tables_commute(frame):
+    _assert_validation_and_rel_tables_commute(frame)
+
+
+@given(seed=st.integers(0, 5000))
+def test_validation_and_rel_tables_commute_on_random_partitions(seed):
+    _assert_validation_and_rel_tables_commute(repartitioned(seed)[1])
 
 
 @pytest.mark.parametrize("frame", _table_frames())
