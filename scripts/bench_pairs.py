@@ -9,11 +9,12 @@ once in each checkout, one process at a time, with the checkout as working
 directory; S is the ``run_seconds`` of that file.  The parent runs first
 for even pair numbers and the change for odd ones, so the machine's drift
 does not favour one side.  Writes per workload and per end-to-end metric of
-``BENCHMARK.json``: each side's median and interquartile range (inclusive
-quartiles), the change's median relative to the parent's, the pairs in
-which the change read better, and a verdict (see ``verdict``).  Names the
-code each side ran by its commit and by ``source_digest``.  Prints one line
-per run; exits 1 if any run failed or reported a failed request.
+``BENCHMARK.json``: each side's values, one per run in seed order, their
+median and interquartile range (inclusive quartiles), the change's median
+relative to the parent's, the pairs in which the change read better, and a
+verdict (see ``verdict``).  Names the code each side ran by its commit and
+by ``source_digest``.  Prints one line per run; exits 1 if any run failed
+or reported a failed request.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
 
 
 def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
-    """Per metric, both sides' spread, the paired comparison and the verdict."""
+    """Per metric, both sides' values in seed order and their spread, the
+    paired comparison and the verdict."""
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -112,7 +114,8 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
         wins = better_pairs(metric, values["parent"], values["change"])
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
-            **{side: spread(values[side]) for side in SIDES},
+            **{side: {**spread(values[side]), "runs": values[side]}
+               for side in SIDES},
             "change_better_pairs": f"{wins}/{len(values['parent'])}",
             "change_vs_parent": round(
                 statistics.median(values["change"]) / parent_median - 1, 4)
@@ -193,8 +196,9 @@ def main(argv=None) -> int:
         "source_sha256": {side: source_digest(checkouts[side]) for side in SIDES},
         "interpreter": f"{platform.python_implementation()} {platform.python_version()}",
         "host": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}",
-        "statistics": "per metric: median and interquartile range (inclusive "
-                      "quartiles) of each side's runs, the change's median "
+        "statistics": "per metric: each side's values (runs, in seed "
+                      "order), their median and interquartile range "
+                      "(inclusive quartiles), the change's median "
                       "relative to the parent's, the pairs (same seed) in "
                       "which the change read better, and the verdict: worse "
                       "(median worse by more than the bound), unresolved "

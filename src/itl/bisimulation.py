@@ -16,17 +16,18 @@ and returns the stream of raw failures, tested as it is read;
 ``check_bisimulation`` formats the whole stream into a ``Report``.
 
 PV reads the labelling of each model (``Model.labels``, the atoms true at
-each point).  The greatest relation satisfying the per-pair conditions
-starts from the pairs with equal labels, depth and height (``_atom_seed``,
-which groups each side's points by the three, so PV is never tested pair
-by pair) and deletes violating pairs until a fixpoint (``_refine``, which
-takes any starting relation as masks and changes it in place); since every
-condition only asks for the existence of related witnesses, deletion is
-monotone and the fixpoint is the unique greatest such relation.  By the
-two lemmas below no relation satisfying the conditions has a pair of
-unequal depth or height, so the seed drops no pair of that relation: the
-fixpoint is the one reached from the pairs with equal labels alone, in
-fewer sweeps.
+each point).  ``_greatest`` computes the greatest relation satisfying the
+per-pair conditions as masks, for ``greatest_bisimulation``, ``bisimilar``
+and the p-morphism search (under empty valuations).  It starts from the
+pairs with equal labels, depth and height (``_atom_seed``, which groups
+each side's points by the three, so PV is never tested pair by pair) and
+deletes violating pairs until a fixpoint (``_refine``, which takes any
+starting relation as masks and changes it in place); since every condition
+only asks for the existence of related witnesses, deletion is monotone and
+the fixpoint is the unique greatest such relation.  By the two lemmas
+below no relation satisfying the conditions has a pair of unequal depth or
+height, so the seed drops no pair of that relation: the fixpoint is the
+one reached from the pairs with equal labels alone, in fewer sweeps.
 
 On finite frames the F conditions follow from the G/H conditions, so the
 fixpoint tests the six G/H/L conditions only and its answer is the same in
@@ -282,10 +283,8 @@ def _depth_height(frame: Frame) -> list[tuple[int, int]]:
 
 
 def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:
-    """The relation of the frame points that agree on every atom and have
-    equal depth and height, as per-point masks and their converse (see
-    ``_relation_masks``): a source point is related to the target points
-    with the same label, depth and height."""
+    """Per-point masks and their converse (see ``_relation_masks``) relating
+    each source point to the target points of equal label, depth and height."""
     def classes(keys) -> dict:
         masks: dict = {}
         for i, key in enumerate(keys):
@@ -319,6 +318,13 @@ def _refine(sf: Frame, df: Frame, rel: list[int], conv: list[int]) -> None:
                     changed = True
 
 
+def _greatest(src: Model, dst: Model) -> tuple[list[int], list[int]]:
+    """The greatest bisimulation as masks: ``_refine`` from ``_atom_seed``."""
+    rel, conv = _atom_seed(src, dst)
+    _refine(src.frame, dst.frame, rel, conv)
+    return rel, conv
+
+
 def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRelation:
     """Greatest relation satisfying PV and all back-and-forth conditions.
 
@@ -327,16 +333,16 @@ def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRela
     so ``mode`` is only validated.
     """
     check_mode(mode)
-    rel, conv = _atom_seed(src, dst)
-    _refine(src.frame, dst.frame, rel, conv)
     targets = dst.frame.points_of
-    return PointRelation(frozenset(
-        (p, q) for p, row in zip(src.frame.point_list, rel) for q in targets(row)))
+    return PointRelation(frozenset((p, q) for p, row in zip(
+        src.frame.point_list, _greatest(src, dst)[0]) for q in targets(row)))
 
 
 def bisimilar(src: Model, p: Point, dst: Model, q: Point, mode: str = "LF") -> bool:
-    _pair_indices(src, dst, [(p, q)])
-    return (p, q) in greatest_bisimulation(src, dst, mode).pairs
+    """Whether the greatest bisimulation relates p and q (points checked first)."""
+    ((i, j),) = _pair_indices(src, dst, [(p, q)])
+    check_mode(mode)
+    return _greatest(src, dst)[0][i] >> j & 1 == 1
 
 
 def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,

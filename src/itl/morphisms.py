@@ -19,10 +19,11 @@ it is read, so a yes/no question stops at the first failure.
 ``check_frame_pmorphism`` and ``check_model_pmorphism`` format the whole
 stream into a ``Report``.
 
-The search is the bisimulation fixpoint plus a choice (see
-``search_pmorphisms``), so it decides the G/H/L conditions only and finds
-the same maps in "L" and "LF".  The checkers still test and report F-f and
-F-b in mode "LF", since they check any map.
+The search is the greatest bisimulation plus a choice: it starts from the
+masks that ``greatest_bisimulation`` wraps (see ``search_pmorphisms``), so
+it decides the G/H/L conditions only and finds the same maps in "L" and
+"LF".  The checkers still test and report F-f and F-b in mode "LF", since
+they check any map.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import limits
-from .bisimulation import (LF_CONDITIONS, _first_failure, _pv_failure, _refine,
-                           _relation_masks)
+from .bisimulation import (LF_CONDITIONS, _first_failure, _greatest, _pv_failure,
+                           _refine, _relation_masks)
 from .errors import BoundExceededError
 from .formula import check_mode
 from .structures import (
@@ -235,8 +236,8 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
     """Enumerate the total maps passing check_frame_pmorphism, in canonical order.
 
     Backtracks inside the greatest bisimulation of the frames under the
-    empty valuation: ``bisimulation._refine`` restores the fixpoint at the
-    start and after each pick of a source point's image, tried in ascending
+    empty valuation (``bisimulation._greatest``); ``_refine`` restores the
+    fixpoint after each pick of a source point's image, tried in ascending
     order from its row.  A branch ends when a source point has no image
     left or, if ``surjective``, a target has no preimage left.  No map is
     lost: its graph is a bisimulation inside the relation, and ``_refine``
@@ -248,8 +249,7 @@ def search_pmorphisms(src: Frame, dst: Frame, mode: str = "LF",
     """
     check_search(src, dst, mode, bound)
     src_pts, dst_pts = src.point_list, dst.point_list
-    rel, conv = [dst.full_mask] * len(src_pts), [src.full_mask] * len(dst_pts)
-    _refine(src, dst, rel, conv)
+    rel, conv = _greatest(Model(src, {}), Model(dst, {}))
 
     def walk(i: int, rel: list[int], conv: list[int]):
         if 0 in rel or surjective and 0 in conv:

@@ -266,9 +266,9 @@ class Frame:
         mask = 0
         for p in pts:
             i = index.get(p)
-            if i is None:
-                raise InvalidPointError(
-                    f"{p.text()} is not a point of the frame")
+            if i is None:  # the points read so far are all the frame's
+                p = min((p, *(x for x in pts if x not in index)), key=point_key)
+                raise InvalidPointError(f"{p.text()} is not a point of the frame")
             mask |= 1 << i
         return mask
 

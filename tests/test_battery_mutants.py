@@ -87,7 +87,18 @@ def pullback_drops_every_atom(monkeypatch):
 
 
 def search_skips_refinement(monkeypatch):
-    # the search's rows are never narrowed, so every total map is found
+    # the search starts from the fixpoint but never narrows the rows after a
+    # pick, so every total map inside the greatest bisimulation is found
+    monkeypatch.setattr(morphisms, "_refine", lambda sf, df, rel, conv: None)
+
+
+def search_tries_every_total_map(monkeypatch):
+    # the search starts from every pair and never narrows the rows
+    def every_pair(src, dst):
+        n, m = len(src.frame.point_list), len(dst.frame.point_list)
+        return [dst.frame.full_mask] * n, [src.frame.full_mask] * m
+
+    monkeypatch.setattr(morphisms, "_greatest", every_pair)
     monkeypatch.setattr(morphisms, "_refine", lambda sf, df, rel, conv: None)
 
 
@@ -228,6 +239,10 @@ MUTANTS = [
         6: f" {COUNT} pullback PV failures",
         7: f"\\({COUNT} failures; their point"}),
     (search_skips_refinement, {
+        5: f" {COUNT} evaluation mismatches",
+        6: f" {COUNT} pullback PV failures",
+        7: f"\\({COUNT} failures; their point"}),
+    (search_tries_every_total_map, {
         6: f": {COUNT} validity-preservation violations"}),
     (fixpoint_skips_refine, {
         7: f"\\({COUNT} condition failures"}),

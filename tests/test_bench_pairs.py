@@ -68,12 +68,17 @@ def test_a_worse_median_outranks_a_wide_spread():
 
 
 def test_summaries_carry_the_verdict():
+    change = shifted(PARENT, -0.5)[:9] + [3.2]
     runs = {side: [{"metrics": {"wall_s": {"value": v}}} for v in values]
-            for side, values in (("parent", PARENT),
-                                 ("change", shifted(PARENT, -0.5)))}
+            for side, values in (("parent", PARENT), ("change", change))}
     summary = bench_pairs.summarize([{**LOWER, "unit": "s"}], runs)["wall_s"]
     assert summary["verdict"] == "better"
-    assert summary["change_better_pairs"] == "10/10"
+    assert summary["change_better_pairs"] == "9/10"
+    # each side's values in seed order, next to the spread read off them
+    for side, values in (("parent", PARENT), ("change", change)):
+        assert summary[side] == {**bench_pairs.spread(values), "runs": values}
+    assert bench_pairs.verdict(LOWER, summary["parent"]["runs"],
+                               summary["change"]["runs"]) == "better"
 
 
 def test_the_source_digest_names_the_files_of_a_copy(tmp_path):

@@ -221,6 +221,17 @@ def test_invalid_points_rejected():
         bisimilar(model, pt(model, "r", "a"), model, foreign)
 
 
+def test_bisimilar_checks_its_points_before_the_mode():
+    model = f1_model()
+    root, foreign = pt(model, "r", "a"), Point("zz", frozenset({"zz"}))
+    with pytest.raises(InvalidPointError,
+                       match="^zz/zz is not a point of the source model$"):
+        bisimilar(model, foreign, model, root, "X")
+    with pytest.raises(InvalidPointError,
+                       match="^zz/zz is not a point of the target model$"):
+        bisimilar(model, root, model, foreign, "X")
+
+
 def test_invalid_point_error_names_the_canonically_first_foreign_point():
     # a relation's pairs form a frozenset, whose order follows string hashing
     model = f1_model()
@@ -350,6 +361,16 @@ def test_greatest_bisimulation_satisfies_the_f_conditions(seed, policy):
     if rel.pairs:
         anchor = random.Random(seed).choice(rel.sorted_pairs())
         assert check_bisimulation(src, dst, rel, anchor, "LF").ok
+
+
+@given(seed=st.integers(0, 10 ** 6), policy=st.sampled_from(INDIST_POLICIES))
+def test_bisimilar_is_membership_in_the_greatest_bisimulation(seed, policy):
+    src, dst = model_pair(seed, policy, max_points=12)
+    for mode in ("L", "LF"):
+        pairs = greatest_bisimulation(src, dst, mode).pairs
+        for p in points(src.frame):
+            for q in points(dst.frame):
+                assert bisimilar(src, p, dst, q, mode) == ((p, q) in pairs)
 
 
 @given(seed=st.integers(0, 10 ** 6), policy=st.sampled_from(INDIST_POLICIES))

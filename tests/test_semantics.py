@@ -103,6 +103,19 @@ def test_eval_errors():
         Evaluator(Model(model.frame, {"p": frozenset({foreign})}))
 
 
+def test_foreign_valuation_error_names_the_canonically_first_point():
+    # a valuation's extension is a frozenset, whose order follows string
+    # hashing; an iterator is read once, so the points after the first
+    # foreign one are all that is left to compare
+    frame = frame_fork()
+    names = [c * 2 for c in "zyxwvu"]
+    foreign = [Point(m, frozenset({m})) for m in names]
+    with pytest.raises(InvalidPointError, match="^uu/uu is not a point of the frame$"):
+        Evaluator(Model(frame, {"p": frozenset(foreign)}))
+    with pytest.raises(InvalidPointError, match="^uu/uu is not a point of the frame$"):
+        frame.mask_of(iter([*points(frame), *foreign]))
+
+
 def test_extension_is_the_set_of_points_where_a_formula_holds():
     model = f1_model()
     ev = Evaluator(model)
