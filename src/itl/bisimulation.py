@@ -9,7 +9,8 @@ future operator.
 
 The conditions are decided by one routine, ``_first_failure``, that reads the
 point relations from the frames' masks (``rel_*_masks``, ``future_chains``)
-and the checked relation from per-point masks and their converse.  The
+and the checked relation from per-point masks and their converse, and the
+fixpoint calls its G/H/L part, ``_unlinked``, with masks it reads once.  The
 p-morphism checker in ``morphisms`` runs the same routine on a map's graph.
 ``bisimulation_failures`` validates a relation and its anchor when called
 and returns the stream of raw failures, tested as it is read;
@@ -143,6 +144,15 @@ def _first_unlinked(todo: int, reach: int, links) -> int | None:
     return None
 
 
+def _unlinked(kind: str, src_masks, dst_masks, i: int, j: int, rel, conv):
+    """The lowest point index witnessing that the pair (i, j) fails the G, H
+    or L condition ``kind``, over the frames' masks of its relation: of the
+    source for "-f"; for "-b", of the target, as forth for the converse."""
+    if kind[2] == "b":
+        return _first_unlinked(dst_masks[j], src_masks[i], conv)
+    return _first_unlinked(src_masks[i], dst_masks[j], rel)
+
+
 def _first_failure(kind: str, src: Frame, dst: Frame, i: int, j: int,
                    rel, conv):
     """The first witness, in canonical order, that the pair of source point
@@ -151,12 +161,11 @@ def _first_failure(kind: str, src: Frame, dst: Frame, i: int, j: int,
     ``rel`` and ``conv`` hold the relation as per-point masks (see
     ``_relation_masks``).  A G/H/L condition is witnessed by a point (of the
     source for "-f", of the target for "-b"), F-f by a history of the target
-    class and F-b by a history of the source class.  A back condition is the
-    forth condition of the converse relation.
+    class and F-b by a history of the source class.
     """
-    if kind.endswith("-b"):
-        src, dst, i, j, rel = dst, src, j, i, conv
     if kind[0] == "F":
+        if kind == "F-b":
+            src, dst, i, j, rel = dst, src, j, i, conv
         # every history of the far class is tracked by one of the near class:
         # each later point along it has a related later point along the other
         near = src.future_chains[i]
@@ -165,8 +174,8 @@ def _first_failure(kind: str, src: Frame, dst: Frame, i: int, j: int,
                 return leaf
         return None
     table = _TABLES[kind[0]]
-    r = _first_unlinked(getattr(src, table)[i], getattr(dst, table)[j], rel)
-    return None if r is None else src.point_list[r]
+    r = _unlinked(kind, getattr(src, table), getattr(dst, table), i, j, rel, conv)
+    return None if r is None else (dst if kind[2] == "b" else src).point_list[r]
 
 
 def _pv_failure(src: Model, dst: Model, i: int, j: int) -> str | None:
@@ -301,7 +310,10 @@ def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:
 def _refine(sf: Frame, df: Frame, rel: list[int], conv: list[int]) -> None:
     """Delete from the relation ``rel``/``conv`` (changed in place) every pair
     failing a G/H/L condition, until none fails; by the theorem of the module
-    docstring the result then satisfies the F conditions too."""
+    docstring the result then satisfies the F conditions too.  Each frame's
+    relation masks are read once per call."""
+    checks = [(kind, getattr(sf, _TABLES[kind[0]]), getattr(df, _TABLES[kind[0]]))
+              for kind in L_CONDITIONS]
     changed = True
     while changed:
         changed = False
@@ -311,11 +323,12 @@ def _refine(sf: Frame, df: Frame, rel: list[int], conv: list[int]) -> None:
                 low = todo & -todo
                 j = low.bit_length() - 1
                 todo ^= low
-                if any(_first_failure(kind, sf, df, i, j, rel, conv) is not None
-                       for kind in L_CONDITIONS):
-                    rel[i] ^= low
-                    conv[j] ^= 1 << i
-                    changed = True
+                for kind, src_masks, dst_masks in checks:
+                    if _unlinked(kind, src_masks, dst_masks, i, j, rel, conv) is not None:
+                        rel[i] ^= low
+                        conv[j] ^= 1 << i
+                        changed = True
+                        break
 
 
 def _greatest(src: Model, dst: Model) -> tuple[list[int], list[int]]:

@@ -9,35 +9,34 @@ every moment, the histories passing through it, and may only merge classes
 when moving down the tree.  An evaluation point is a pair of a moment and
 one class of histories at it.
 
-The order views come from one walk down from the roots (``Tree._walk``):
-each node's parents, children, strict ancestors (its parent's plus the
-parent) and chain (its parent's plus itself), so that ``Tree.chains`` lists
-per leaf the moments of its history from the root up and ``Tree.through``
-the leaves through each moment.  Only nodes on or below a cycle or a node
-of two parents, which only invalid inputs have, are left to a
-cycle-tolerant walk up the edges.  A frame's points are numbered moment by
-moment (``Frame.first_point``), so the per-moment views and the "hist"
-tables index them without building a point.  The "hist" tables read one
-suffix-OR list per history (per depth, the mask of its points at that
-depth or deeper), so a point's future along a history is one entry and its
-past the XOR of two, with no OR over a slice per point.
+One walk down from the roots (``Tree._walk``) gives each moment its parent
+and, gathered back up, the sorted leaves through it.  A frame reads its
+classes along it (``Frame._walk``): per moment its canonical classes and its
+first point index, so the points are numbered moment by moment, and per
+point its parent point, the point at its moment's parent whose class
+contains its class.  Classes only merge moving down the tree, so the points
+form a forest (``Frame.point_forest``).  The ancestors and each leaf's chain
+are derived only when the "hist" tables, the order (``Tree.lt``) or the
+histories ask.  The "hist" tables read one suffix-OR list per history (per
+depth, the mask of its points at that depth or deeper), so a point's future
+along a history is one entry and its past the XOR of two.  The "rel" tables
+and the bisimulation seed read the forest and the "hist" tables do not, so
+their agreement is a real check.
 
-Classes only merge moving down the tree, so the points form a forest
-(``Frame.point_forest``), and backward coherence holds when every point off
-a root has a parent point.  The "rel" tables and the bisimulation seed read
-the forest and the "hist" tables do not, so their agreement is a real check.
-
-Validation decides first and describes only failures: whole-set tests pass
-a valid tree and each moment's partition, and the element-by-element loops
-that word the violations run only where a test fails.
+Validation decides from what the walks saw, and describes only failures: a
+tree whose walk enters every moment, with distinct names and edges and one
+parent each, whose classes hold as many leaves as pass through each moment
+and lie inside one class at its parent, is a valid frame.  The
+element-by-element loops that word the violations run only where it is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import Counter
 from functools import cached_property, reduce
 from itertools import accumulate, chain
-from operator import or_
+from operator import itemgetter, or_
 
 from .errors import InvalidPointError
 from .formula import MODES, Program, _is_atom_name
@@ -60,71 +59,76 @@ class Tree:
         return frozenset(self.moments)
 
     @cached_property
-    def _nodes(self) -> tuple[str, ...]:
-        # Declared moments plus any edge endpoints, so that validation can
-        # reason about malformed inputs without key errors.
-        return tuple(sorted(self.moment_set.union(chain.from_iterable(self.edges))))
+    def children_map(self) -> dict[str, tuple[str, ...]]:
+        """Per node (a declared moment or an edge endpoint), its children,
+        sorted."""
+        below: dict[str, list[str]] = {}
+        for parent, child in sorted(set(self.edges)):
+            below.setdefault(parent, []).append(child)
+        out = dict.fromkeys(self.moment_set.union(*self.edges), ())
+        out.update((m, tuple(cs)) for m, cs in below.items())
+        return out
 
     @cached_property
-    def _walk(self) -> tuple[dict, dict, dict, dict]:
-        """Per node: its parents, its children, its strict ancestors and its
-        chain (the ancestors from the root up, then itself), from one walk
-        down from the roots.
-
-        The walk enters only nodes of one parent, which in a valid tree are
-        all but the roots.  Such a node takes its parent's ancestors plus the
-        parent, one set shared by all the parent's children, and its
-        parent's chain plus itself.  Nodes of several parents or on a cycle,
-        and the nodes below them, are left to a cycle-tolerant walk up the
-        edges; only invalid inputs have them."""
-        nodes = self._nodes
-        up: dict[str, list[str]] = {m: [] for m in nodes}
-        down: dict[str, list[str]] = {m: [] for m in nodes}
+    def parents_map(self) -> dict[str, tuple[str, ...]]:
+        out = dict.fromkeys(self.children_map, ())
         for parent, child in sorted(set(self.edges)):
-            down[parent].append(child)
-            up[child].append(parent)
-        parents = {m: tuple(ps) for m, ps in up.items()}
-        children = {m: tuple(cs) for m, cs in down.items()}
-        stack = [m for m in nodes if not parents[m]]
-        ancestors: dict[str, frozenset[str]] = dict.fromkeys(stack, frozenset())
-        chains: dict[str, tuple[str, ...]] = {m: (m,) for m in stack}
-        while stack:
-            m = stack.pop()
-            below, path = ancestors[m] | {m}, chains[m]
-            for c in children[m]:
-                if len(parents[c]) == 1:
-                    ancestors[c] = below
-                    chains[c] = path + (c,)
-                    if children[c]:
-                        stack.append(c)
-        unvisited = [m for m in nodes if m not in ancestors]
-        for start in unvisited:
+            out[child] += (parent,)
+        return out
+
+    @cached_property
+    def _walk(self) -> tuple[dict[str, str], list[str], dict | None]:
+        """One walk down from the roots, entering declared moments of one
+        parent only: the parent of each moment entered off a root, the
+        moments entered, each after its parent, and, if it enters every node
+        (on a tree), per node its sorted leaves, gathered back up the walk.
+        On any other graph it leaves out the nodes on or below a cycle, a
+        node of two parents or an undeclared node."""
+        declared, edges = self.moment_set, self.edges
+        count = Counter(map(itemgetter(1), edges))
+        below: dict[str, list[str]] = {}
+        for parent, child in edges:
+            if count[child] == 1 and child in declared:
+                below.setdefault(parent, []).append(child)
+        order = [m for m in dict.fromkeys(self.moments) if m not in count]
+        up: dict[str, str] = {}
+        for m in order:  # grows as it is read
+            for c in below.get(m, ()):
+                up[c] = m
+                order.append(c)
+        if len(order) < len(declared) or not declared.issuperset(
+                chain.from_iterable(edges)):
+            return up, order, None
+        through: dict[str, tuple[str, ...]] = {}
+        for m in reversed(order):
+            children = below.get(m, ())
+            if len(children) == 1:
+                through[m] = through[children[0]]
+            else:
+                through[m] = tuple(sorted(chain.from_iterable(
+                    [through[c] for c in children]))) if children else (m,)
+        return up, order, through
+
+    @cached_property
+    def ancestors(self) -> dict[str, frozenset[str]]:
+        """Strict ancestors of each node: down the walk, the parent's plus
+        the parent; for the nodes the walk leaves out, which only invalid
+        inputs have, by a cycle-tolerant walk up the edges."""
+        parent, order, _ = self._walk
+        out: dict[str, frozenset[str]] = {}
+        for m in order:
+            up = parent.get(m)
+            out[m] = frozenset() if up is None else out[up] | {up}
+        for start in self.children_map.keys() - out.keys():
             seen: set[str] = set()
-            stack = list(parents[start])
+            stack = list(self.parents_map[start])
             while stack:
                 node = stack.pop()
                 if node not in seen:
                     seen.add(node)
-                    stack.extend(parents[node])
-            ancestors[start] = frozenset(seen)
-        for m in unvisited:
-            # by their own number of ancestors, then name
-            chains[m] = tuple(sorted(ancestors[m], key=lambda a: (
-                len(ancestors[a]), a))) + (m,)
-        return parents, children, ancestors, chains
-
-    @cached_property
-    def children_map(self) -> dict[str, tuple[str, ...]]:
-        return self._walk[1]
-
-    @cached_property
-    def parents_map(self) -> dict[str, tuple[str, ...]]:
-        return self._walk[0]
-
-    @cached_property
-    def ancestors(self) -> dict[str, frozenset[str]]:
-        """Strict ancestors of each node."""
-        return self._walk[2]
+                    stack.extend(self.parents_map[node])
+            out[start] = frozenset(seen)
+        return out
 
     @cached_property
     def leaves(self) -> tuple[str, ...]:
@@ -134,18 +138,23 @@ class Tree:
 
     @cached_property
     def chains(self) -> dict[str, tuple[str, ...]]:
-        """Per leaf, the moments of its history from the root up."""
-        chains = self._walk[3]
-        return {leaf: chains[leaf] for leaf in self.leaves}
+        """Per leaf, the moments of its history from the root up: its
+        ancestors by their own number of ancestors, then name, then itself."""
+        ancestors = self.ancestors
+        return {leaf: (*sorted(ancestors[leaf], key=lambda a: (len(ancestors[a]), a)),
+                       leaf) for leaf in self.leaves}
 
     @cached_property
     def through(self) -> dict[str, tuple[str, ...]]:
         """Per node, the sorted leaves of the histories containing it."""
-        out: dict[str, list[str]] = {m: [] for m in self._nodes}
-        for leaf, history in self.chains.items():
-            for m in history:
-                out[m].append(leaf)
-        return {m: tuple(ls) for m, ls in out.items()}
+        through = self._walk[2]
+        if through is None:  # not a forest: from each leaf's down set
+            lists: dict[str, list[str]] = {m: [] for m in self.children_map}
+            for leaf in self.leaves:
+                for m in self.down_set(leaf):
+                    lists[m].append(leaf)
+            through = {m: tuple(ls) for m, ls in lists.items()}
+        return through
 
     def lt(self, a: str, b: str) -> bool:
         """The strict order: a < b."""
@@ -208,24 +217,52 @@ class Frame:
     # -- canonical derived views (assume a valid frame) --
 
     @cached_property
+    def _walk(self) -> tuple[dict, dict, tuple, bool, bool]:
+        """``blocks_at``, ``first_point`` and ``point_forest``, read along the
+        tree's walk, and the verdict: whether each moment's classes are
+        nonempty and hold, all told, as many leaves as pass through it (that
+        leaf, if one does), and whether each class off a root lies inside one
+        at its moment's parent.  On a tree both are the frame's invariants,
+        by induction up the tree: the children's classes cover the leaves
+        through a moment and each lies inside one of its classes, so classes
+        of that total size partition them; and a class inside one at the
+        parent, inside one at the grandparent, ... is backward coherence."""
+        tree, classes_at = self.tree, self.indist.classes_at
+        through, blocks_at, first, n, counted = tree.through, {}, {}, 0, True
+        for m in sorted(tree.moment_set):
+            classes, leaves = classes_at.get(m, ()), through[m]
+            counted = counted and (classes == (leaves,) or len(leaves) > 1 and all(
+                classes) and sum(map(len, classes)) == len(leaves))
+            blocks_at[m] = blocks = ((frozenset(classes[0]),) if len(classes) == 1
+                                     and classes[0] else tuple(sorted(map(
+                                         frozenset, filter(None, classes)), key=min)))
+            first[m], n = n, n + len(blocks)
+        parent, order, _ = tree._walk
+        forest, inside = [], True
+        for m in order:
+            up = parent.get(m)
+            for i, block in enumerate(blocks_at[m], first[m]):
+                j = None
+                if up is not None:
+                    for j, above in enumerate(blocks_at[up], first[up]):
+                        if block <= above:
+                            break
+                    else:
+                        j = inside = None
+                forest.append((i, j))
+        return blocks_at, first, tuple(forest), counted, inside is not None
+
+    @cached_property
     def blocks_at(self) -> dict[str, tuple[frozenset[str], ...]]:
         """Per moment, in sorted order, its nonempty classes sorted by
         representative."""
-        classes_at, out = self.indist.classes_at, {}
-        for m in sorted(self.tree.moment_set):
-            blocks = map(frozenset, filter(None, classes_at.get(m, ())))
-            out[m] = tuple(sorted(blocks, key=min))
-        return out
+        return self._walk[0]
 
     @cached_property
     def first_point(self) -> dict[str, int]:
         """Per moment, the index of its first point.  A moment's points are
         consecutive, one per class in the order of ``blocks_at``."""
-        out, i = {}, 0
-        for m, blocks in self.blocks_at.items():
-            out[m] = i
-            i += len(blocks)
-        return out
+        return self._walk[1]
 
     def index_at(self, moment: str, leaf: str) -> int | None:
         """The index of the point at ``moment`` whose class contains the
@@ -305,8 +342,7 @@ class Frame:
         chain, and entry 0 XOR entry d as its past along it.  The lists are
         dropped once the tables are read off them."""
         ancestors, first = self.tree.ancestors, self.first_point
-        rows = {leaf: [0] * len(history)
-                for leaf, history in self.tree.chains.items()}
+        rows = {leaf: [0] * (len(ancestors[leaf]) + 1) for leaf in self.tree.leaves}
         for m, blocks in self.blocks_at.items():
             depth = len(ancestors[m])
             for i, block in enumerate(blocks, first[m]):
@@ -353,23 +389,9 @@ class Frame:
         """Each point as (index, index of its parent point), after its parent
         point: the point at its moment's parent whose class contains its
         class, or None at a root and where no class there does (an incoherent
-        frame).  Read off the parent edges and the classes in one walk down
-        from the roots, which enters only declared moments of one parent: it
-        leaves out the points on or below a cycle or a moment of two parents,
-        which only invalid trees have."""
-        parents, children = self.tree.parents_map, self.tree.children_map
-        blocks_at, first = self.blocks_at, self.first_point
-        forest, stack = [], [m for m in blocks_at if not parents[m]]
-        while stack:
-            m = stack.pop()
-            up = parents[m]
-            for i, block in enumerate(blocks_at[m], first[m]):
-                j = self.index_at(up[0], next(iter(block))) if up else None
-                if j is not None and not block <= blocks_at[up[0]][j - first[up[0]]]:
-                    j = None
-                forest.append((i, j))
-            stack += [c for c in children[m] if len(parents[c]) == 1 and c in first]
-        return tuple(forest)
+        frame).  It leaves out the points at the moments the tree's walk
+        leaves out, which only invalid trees have."""
+        return self._walk[2]
 
     @cached_property
     def _rel_tables(self) -> tuple[tuple[int, ...], ...]:
@@ -491,7 +513,7 @@ def _tree_violations(tree: Tree) -> list[Violation]:
                     {"edge": list(edge), "moment": endpoint}))
 
     ancestors = tree.ancestors
-    for m in sorted(tree._nodes):
+    for m in sorted(tree.children_map):
         if m in ancestors[m]:
             out.append(Violation(
                 "cycle", f"moment {m!r} lies on a cycle of the order",
@@ -500,7 +522,7 @@ def _tree_violations(tree: Tree) -> list[Violation]:
     # Two distinct edge-parents of one child: if they are incomparable the
     # order is not downward linear; if comparable, the edge from the farther
     # parent does not encode immediate succession.
-    for child in sorted(tree._nodes):
+    for child in sorted(tree.children_map):
         parents = tree.parents_map[child]
         for i in range(len(parents)):
             for j in range(i + 1, len(parents)):
@@ -522,16 +544,15 @@ def _tree_violations(tree: Tree) -> list[Violation]:
 
 
 def _is_tree(tree: Tree) -> bool:
-    """Whether the tree has none of the violations listed below: its moments
-    are distinct and can be written in points, its edges are distinct, join
-    declared moments and give each child one parent, and no moment is its
-    own ancestor."""
+    """Whether the tree has none of the violations above: its moments
+    are distinct and can be written in points, its edges are distinct and
+    give each child one parent, every node is declared, and the walk from
+    the roots reaches every moment, so none lies on a cycle."""
     moments, edges = tree.moments, tree.edges
-    return (len(tree.moment_set) == len(moments) and "" not in tree.moment_set
+    return (len(tree._walk[1]) == len(moments) and "" not in tree.moment_set
             and "/" not in "".join(moments)
-            and len(set(edges)) == len(edges) == len({c for _, c in edges})
-            and len(tree._nodes) == len(moments)
-            and not any(m in ancestors for m, ancestors in tree.ancestors.items()))
+            and tree.moment_set.issuperset(chain.from_iterable(edges))
+            and len(set(edges)) == len(edges) == len({c for _, c in edges}))
 
 
 def _indist_violations(frame: Frame) -> list[Violation]:
@@ -585,7 +606,7 @@ def _indist_violations(frame: Frame) -> list[Violation]:
                 f"history {leaf!r} through {m!r} is in no class",
                 {"moment": m, "missing": leaf}))
 
-    if not partitions_ok or _coherent_at_parents(frame):
+    if not partitions_ok or frame._walk[4]:  # every class inside one at its parent
         return out
 
     # Backward coherence: histories sharing a class at t share one at every
@@ -606,21 +627,16 @@ def _indist_violations(frame: Frame) -> list[Violation]:
     return out
 
 
-def _coherent_at_parents(frame: Frame) -> bool:
-    """Whether every point off a root has a parent point: the histories of
-    each class share a class at its moment's parent.  On a valid tree with
-    valid partitions this is backward coherence: that class shares one at
-    its own parent, and so on down to the root."""
-    parents = frame.tree.parents_map
-    roots = sum(len(blocks) for m, blocks in frame.blocks_at.items() if not parents[m])
-    return sum(j is None for _, j in frame.point_forest) == roots
-
-
 def validate_frame(frame: Frame) -> Report:
-    """Check every frame invariant; violations are data, not exceptions."""
+    """Check every frame invariant; violations are data, not exceptions.
+    The walks decide; the loops that word violations run only on a frame
+    they reject."""
     violations = _tree_violations(frame.tree)
     if not violations:
-        violations = _indist_violations(frame)
+        *_, counted, inside = frame._walk
+        if not (counted and inside
+                and frame.indist.classes_at.keys() == frame.tree.moment_set):
+            violations = _indist_violations(frame)
     return Report(tuple(violations))
 
 

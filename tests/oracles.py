@@ -121,6 +121,86 @@ def tree_views(moments, edges) -> dict:
             "through": through}
 
 
+def frame_views(frame) -> dict:
+    """Whether a frame is valid and, if it is, its point views, by their
+    definitions on any input: the order is the closure of the edges
+    (``tree_views``), the histories are its maximal chains, each named by
+    its greatest moment, a partition is tested by set equality, and
+    backward coherence pair by pair.  The views of a valid frame are
+    ``blocks_at``, ``first_point``, the sorted ``point_forest``, ``through``
+    and the rel and hist tables."""
+    tree, classes_at = frame.tree, frame.indist.classes_at
+    moments, edges = list(tree.moments), list(tree.edges)
+    views = tree_views(moments, edges)
+    below, parents = views["ancestors"], views["parents_map"]
+
+    def lt(a, b):
+        return a in below[b]
+
+    if not (moments and len(set(moments)) == len(moments)
+            and all(m and "/" not in m for m in moments)
+            and len(set(edges)) == len(edges) and set(below) == set(moments)
+            and not any(lt(m, m) or len(parents[m]) > 1 for m in moments)
+            and set(classes_at) == set(moments)):
+        return {"ok": False}
+    histories = {max(h, key=lambda m: len(below[m])): h
+                 for h in maximal_chains(moments, lt)}
+    through = {m: sorted(leaf for leaf, h in histories.items() if m in h)
+               for m in moments}
+    for m in moments:
+        sets = [set(c) for c in classes_at[m]]
+        if (any(not c or len(set(c)) < len(c) for c in classes_at[m])
+                or any(a & b for a, b in combinations(sets, 2))
+                or set().union(*sets) != set(through[m])):
+            return {"ok": False}
+
+    def class_of(s, leaf):
+        return next(frozenset(c) for c in classes_at[s] if leaf in c)
+
+    for t in moments:
+        for c in classes_at[t]:
+            for a, b in combinations(c, 2):
+                if any(lt(s, t) and class_of(s, a) != class_of(s, b)
+                       for s in moments):
+                    return {"ok": False}
+
+    blocks_at = {m: tuple(sorted(map(frozenset, classes_at[m]), key=min))
+                 for m in sorted(moments)}
+    pts = [(m, block) for m, blocks in blocks_at.items() for block in blocks]
+    index = {p: i for i, p in enumerate(pts)}
+    first_point = {m: min(i for i, (s, _) in enumerate(pts) if s == m)
+                   for m in moments}
+
+    def mask(points):
+        return sum(1 << index[p] for p in set(points))
+
+    def along(leaf, keep):
+        return [(s, class_of(s, leaf)) for s in histories[leaf] if keep(s)]
+
+    forest = [(i, next(index[(s, c)] for s, c in pts
+                       if parents[m] == (s,) and block <= c) if parents[m] else None)
+              for i, (m, block) in enumerate(pts)]
+    future = [tuple(mask(along(leaf, lambda s: lt(m, s))) for leaf in sorted(block))
+              for m, block in pts]
+    return {
+        "ok": True, "blocks_at": blocks_at, "first_point": first_point,
+        "point_forest": sorted(forest), "through": views["through"],
+        "rel_successor_masks": tuple(mask(q for q in pts if lt(m, q[0]) and block >= q[1])
+                                     for m, block in pts),
+        "rel_predecessor_masks": tuple(mask(q for q in pts if lt(q[0], m) and q[1] >= block)
+                                       for m, block in pts),
+        "rel_same_moment_masks": tuple(mask(q for q in pts if q[0] == m)
+                                       for m, _ in pts),
+        "future_chains": tuple(future),
+        "hist_future_masks": tuple(mask(q for leaf in block
+                                        for q in along(leaf, lambda s: lt(m, s)))
+                                   for m, block in pts),
+        "hist_past_masks": tuple(mask(q for leaf in block
+                                      for q in along(leaf, lambda s: lt(s, m)))
+                                 for m, block in pts),
+    }
+
+
 def depth_height(frame) -> dict:
     """Per point, its depth and height by their definitions: the number of
     moments below its moment, and the most moments after it on one history

@@ -28,11 +28,11 @@ from dataclasses import replace
 
 import pytest
 
-from itl import bisimulation, formula, morphisms, semantics, structures, suite
+from itl import bisimulation, formula, morphisms, semantics, suite
 from itl.bisimulation import PointRelation
 from itl.formula import Program, parse
 from itl.semantics import Evaluator
-from itl.structures import Frame, Report
+from itl.structures import Frame, Report, Tree
 from itl.suite import Battery
 
 SEED = 0
@@ -119,12 +119,12 @@ def fixpoint_drops_its_last_pair(monkeypatch):
 def conditions_drop_l_back(monkeypatch):
     # in the fixpoint and in check_bisimulation alike, so every relation the
     # fixpoint returns passes the check and only formula agreement can fail
-    first_failure = bisimulation._first_failure
+    unlinked = bisimulation._unlinked
 
     def without_l_back(kind, *args):
-        return None if kind == "L-b" else first_failure(kind, *args)
+        return None if kind == "L-b" else unlinked(kind, *args)
 
-    monkeypatch.setattr(bisimulation, "_first_failure", without_l_back)
+    monkeypatch.setattr(bisimulation, "_unlinked", without_l_back)
 
 
 def validator_misnames_a_duplicate(monkeypatch):
@@ -150,9 +150,41 @@ def validator_drops_cycles(monkeypatch):
     monkeypatch.setattr(suite, "validate_doc", without_cycles)
 
 
+def _frame_walk_with(monkeypatch, **verdict):
+    # the frame's walk, with parts of its verdict replaced
+    walk = Frame._walk.func
+
+    def replaced(frame):
+        blocks_at, first, forest, counted, inside = walk(frame)
+        return (blocks_at, first, forest, verdict.get("counted", counted),
+                verdict.get("inside", inside))
+
+    monkeypatch.setattr(Frame, "_walk", property(replaced))
+
+
 def every_frame_coheres(monkeypatch):
-    # the validator takes every point off a root to have a parent point
-    monkeypatch.setattr(structures, "_coherent_at_parents", lambda frame: True)
+    # the walk takes every class off a root to lie inside one at its
+    # moment's parent, so it passes every point forest
+    _frame_walk_with(monkeypatch, inside=True)
+
+
+def walk_accepts_every_partition(monkeypatch):
+    # the walk takes every moment's classes to hold as many leaves as pass
+    # through it
+    _frame_walk_with(monkeypatch, counted=True)
+
+
+def walk_reaches_an_unreached_moment(monkeypatch):
+    # the tree's walk counts the first declared moment it does not reach as
+    # reached, so a cycle of one moment passes for a root
+    walk = Tree._walk.func
+
+    def reaching(tree):
+        parent, order, through = walk(tree)
+        unreached = [m for m in tree.moments if m not in order]
+        return parent, order + unreached[:1], through
+
+    monkeypatch.setattr(Tree, "_walk", property(reaching))
 
 
 def map_checker_mislabels_g_forth(monkeypatch):
@@ -268,6 +300,10 @@ MUTANTS = [
         10: f", {COUNT} missed \\(self_loop, "}),
     (every_frame_coheres, {
         10: f", {COUNT} missed \\(incoherent_split, incoherent_deep\\)"}),
+    (walk_accepts_every_partition, {
+        10: f", {COUNT} missed \\(overlapping_classes, empty_class\\)"}),
+    (walk_reaches_an_unreached_moment, {
+        10: f", {COUNT} missed \\(self_loop\\)"}),
 ]
 
 

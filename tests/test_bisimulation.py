@@ -396,15 +396,21 @@ def test_only_the_checkers_ask_for_the_f_conditions(monkeypatch):
     import itl.bisimulation
     import itl.morphisms
 
-    routine = itl.bisimulation._first_failure
+    # the fixpoint tests the G/H/L conditions through ``_unlinked`` alone,
+    # the checkers every condition through ``_first_failure``
     asked = []
 
-    def recording(kind, *args):
-        asked.append(kind)
-        return routine(kind, *args)
+    def recording(routine):
+        def record(kind, *args):
+            asked.append(kind)
+            return routine(kind, *args)
+        return record
 
-    monkeypatch.setattr(itl.bisimulation, "_first_failure", recording)
-    monkeypatch.setattr(itl.morphisms, "_first_failure", recording)
+    first_failure = recording(itl.bisimulation._first_failure)
+    monkeypatch.setattr(itl.bisimulation, "_first_failure", first_failure)
+    monkeypatch.setattr(itl.morphisms, "_first_failure", first_failure)
+    monkeypatch.setattr(itl.bisimulation, "_unlinked",
+                        recording(itl.bisimulation._unlinked))
 
     def kinds_asked(call) -> set[str]:
         asked.clear()

@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pytest
 
@@ -16,7 +16,7 @@ from itl.structures import (
     future_points, histories, histories_through, points, precedes,
     same_moment, undividedness_indist, validate_frame, validate_model,
 )
-from oracles import maximal_chains, tree_views, undivided_pairs
+from oracles import frame_views, maximal_chains, tree_views, undivided_pairs
 
 
 def make_frame(moments, edges, indist):
@@ -301,6 +301,71 @@ def test_the_walk_views_match_their_definitions(seed, faults):
         assert getattr(mutated, view) == value, view
     if not faults:
         assert not _tree_violations(mutated)
+
+
+CLASS_FAULTS = ("empty-class", "overlapping-class", "foreign-class", "repartition",
+                "missing-classes", "extra-classes")
+
+
+def faulty_frame(seed, faults):
+    """A generated frame of at most 12 moments with the faults injected: into
+    its tree as in ``test_the_walk_views_match_their_definitions``, and into
+    its classes (``repartitioned`` may leave them valid)."""
+    rng = random.Random(seed)
+    frame = gen_random_frame(seed, 1 + seed % 12, branching=2 + seed % 2,
+                             indist_policy=("undividedness", "coarsened")[seed % 2])
+    tree = frame.tree
+    moments, edges = list(tree.moments), list(tree.edges)
+    classes = {m: [list(c) for c in cs] for m, cs in frame.indist.classes_at.items()}
+    for fault in faults:
+        a, b = rng.choice(tree.moments), rng.choice(tree.moments)
+        leaves = list(tree.through[a])
+        if fault == "second-parent":
+            edges.append((a, b))
+        elif fault == "cycle":  # through a root, its tree is a cycle
+            a = rng.choice([a, *(m for m in tree.moments if not tree.ancestors[m])])
+            below = [m for m in tree.moments if m == a or tree.lt(a, m)]
+            edges.append((rng.choice(below), a))
+        elif fault == "undeclared-endpoint":
+            edges.append(rng.choice([(a, "ghost"), ("ghost", a)]))
+        elif fault == "duplicate-moment":
+            moments.append(a)
+        elif fault == "duplicate-edge":
+            edges.append(rng.choice(edges or [(a, b)]))
+        elif fault == "moment-name":
+            moments.append("x/y")
+            classes["x/y"] = [["x/y"]]
+        elif fault == "empty-class":
+            classes.setdefault(a, []).append([])
+        elif fault == "overlapping-class":
+            classes.setdefault(a, []).append([rng.choice(leaves)])
+        elif fault == "foreign-class":
+            classes.setdefault(a, []).append([rng.choice([*tree.leaves, "zz"])])
+        elif fault == "repartition":
+            classes.update(repartitioned(seed)[0])
+        elif fault == "missing-classes":
+            classes.pop(a, None)
+        else:
+            classes["ghost"] = [["ghost"]]
+    return Frame(Tree(tuple(moments), tuple(edges)), IndistFunction(
+        {m: tuple(map(tuple, cs)) for m, cs in classes.items()}))
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 5000),
+       tree_faults=st.lists(st.sampled_from(
+           TREE_FAULTS + ("duplicate-edge", "moment-name")), max_size=2),
+       class_faults=st.lists(st.sampled_from(CLASS_FAULTS), max_size=2))
+def test_the_walk_decides_as_the_oracle_does(seed, tree_faults, class_faults):
+    frame = faulty_frame(seed, tree_faults + class_faults)
+    expected = frame_views(frame)
+    assert validate_frame(frame).ok == expected.pop("ok")
+    if expected:
+        assert list(frame.blocks_at.items()) == list(expected.pop("blocks_at").items())
+        assert sorted(frame.point_forest) == expected.pop("point_forest")
+        assert frame.tree.through == expected.pop("through")
+        for view, value in expected.items():
+            assert getattr(frame, view) == value, view
 
 
 def _assert_rel_tables_match_the_relations(frame):
