@@ -233,9 +233,8 @@ class Frame:
             classes, leaves = classes_at.get(m, ()), through[m]
             counted = counted and (classes == (leaves,) or len(leaves) > 1 and all(
                 classes) and sum(map(len, classes)) == len(leaves))
-            blocks_at[m] = blocks = ((frozenset(classes[0]),) if len(classes) == 1
-                                     and classes[0] else tuple(sorted(map(
-                                         frozenset, filter(None, classes)), key=min)))
+            blocks_at[m] = blocks = tuple(sorted(map(
+                frozenset, filter(None, classes)), key=min))
             first[m], n = n, n + len(blocks)
         parent, order, _ = tree._walk
         forest, inside = [], True
@@ -572,17 +571,9 @@ def _indist_violations(frame: Frame) -> list[Violation]:
             f"no indistinguishability partition is declared at moment {m!r}",
             {"moment": m}))
 
-    # a moment's classes partition the histories through it exactly when
-    # they are nonempty and their leaves, sorted, are its sorted leaves
-    # (most often there is one class, of them all, listed in order)
-    partitions_ok = True
+    reported = len(out)
     for m in sorted(declared):
-        blocks, through = classes_at.get(m, ()), tree.through[m]
-        if blocks == (through,) or (all(blocks) and tuple(
-                sorted(chain.from_iterable(blocks))) == through):
-            continue
-        partitions_ok = False
-        through = set(through)
+        blocks, through = classes_at.get(m, ()), set(tree.through[m])
         placed: set[str] = set()
         for block in blocks:
             if not block:
@@ -606,7 +597,7 @@ def _indist_violations(frame: Frame) -> list[Violation]:
                 f"history {leaf!r} through {m!r} is in no class",
                 {"moment": m, "missing": leaf}))
 
-    if not partitions_ok or frame._walk[4]:  # every class inside one at its parent
+    if len(out) > reported or frame._walk[4]:  # partitions fail or all cohere
         return out
 
     # Backward coherence: histories sharing a class at t share one at every
