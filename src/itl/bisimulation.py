@@ -279,7 +279,9 @@ def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
 
 def _depth_height(frame: Frame) -> list[tuple[int, int]]:
     """Per point, in canonical order, its depth and height (see the module
-    docstring), read off the point forest in one pass down and one back up."""
+    docstring), read off the point forest in one pass down and one back up.
+    Not ``Tree.depth``: on an incoherent frame only this depth counts the rel
+    tables' predecessors, and the fixpoint must stay greatest over them."""
     forest, n = frame.point_forest, len(frame.point_list)
     depth, height = [0] * n, [0] * n
     for i, j in forest:

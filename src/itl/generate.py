@@ -55,7 +55,7 @@ def coarsened_indist(seed: int, tree: Tree) -> IndistFunction:
     rng = random.Random(seed)
     base = undividedness_indist(tree)
     blocks = {m: [set(b) for b in base.classes_at[m]] for m in tree.moment_set}
-    for t in sorted(tree.moment_set, key=lambda m: (-len(tree.ancestors[m]), m)):
+    for t in sorted(tree.moment_set, key=lambda m: (-tree.depth[m], m)):
         classes = blocks[t]
         while len(classes) > 1 and rng.random() < 0.4:
             i, j = sorted(rng.sample(range(len(classes)), 2))

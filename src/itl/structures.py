@@ -10,18 +10,18 @@ when moving down the tree.  An evaluation point is a pair of a moment and
 one class of histories at it.
 
 One walk down from the roots (``Tree._walk``) gives each moment its parent
-and, gathered back up, the sorted leaves through it.  A frame reads its
-classes along it (``Frame._walk``): per moment its canonical classes and its
-first point index, so the points are numbered moment by moment, and per
-point its parent point, the point at its moment's parent whose class
+(so its depth) and, gathered back up, the sorted leaves through it.  A frame
+reads its classes along it (``Frame._walk``): per moment its canonical
+classes and first point index, so the points are numbered moment by moment,
+and per point its parent point, the point at its moment's parent whose class
 contains its class.  Classes only merge moving down the tree, so the points
-form a forest (``Frame.point_forest``).  The ancestors and each leaf's chain
-are derived only when the "hist" tables, the order (``Tree.lt``) or the
-histories ask.  The "hist" tables read one suffix-OR list per history (per
+form a forest (``Frame.point_forest``).  Ancestor sets and chains are built
+only for the order (``Tree.lt``), the histories and an invalid tree's
+violations.  The "hist" tables read one suffix-OR list per history (per
 depth, the mask of its points at that depth or deeper), so a point's future
-along a history is one entry and its past the XOR of two.  The "rel" tables
-and the bisimulation seed read the forest and the "hist" tables do not, so
-their agreement is a real check.
+along a history is one entry and its past the XOR of two.  The G and H
+tables of "rel" read the forest and those of "hist" do not, so their
+agreement is a real check; ``L`` reads one table of same-moment classes.
 
 Validation decides from what the walks saw, and describes only failures: a
 tree whose walk enters every moment, with distinct names and edges and one
@@ -48,7 +48,7 @@ class Tree:
 
     ``edges`` are (parent, child) pairs of immediate succession.  No root is
     required; a forest of disjoint chains and trees is a valid input.  The
-    closure is computed once, as the strict ancestors of each node.
+    closure is computed once, on demand, as the strict ancestors of each node.
     """
 
     moments: tuple[str, ...]
@@ -77,13 +77,14 @@ class Tree:
         return out
 
     @cached_property
-    def _walk(self) -> tuple[dict[str, str], list[str], dict | None]:
+    def _walk(self) -> tuple[dict[str, str], list[str], dict[str, int], dict | None]:
         """One walk down from the roots, entering declared moments of one
         parent only: the parent of each moment entered off a root, the
-        moments entered, each after its parent, and, if it enters every node
-        (on a tree), per node its sorted leaves, gathered back up the walk.
-        On any other graph it leaves out the nodes on or below a cycle, a
-        node of two parents or an undeclared node."""
+        moments entered, each after its parent, the depth of each, its
+        parent's plus one, and, if it enters every node (on a tree), per node
+        its sorted leaves, gathered back up the walk.  On any other graph it
+        leaves out the nodes on or below a cycle, a node of two parents or an
+        undeclared node."""
         declared, edges = self.moment_set, self.edges
         count = Counter(map(itemgetter(1), edges))
         below: dict[str, list[str]] = {}
@@ -92,29 +93,32 @@ class Tree:
                 below.setdefault(parent, []).append(child)
         order = [m for m in dict.fromkeys(self.moments) if m not in count]
         up: dict[str, str] = {}
+        depth = dict.fromkeys(order, 0)
         for m in order:  # grows as it is read
             for c in below.get(m, ()):
-                up[c] = m
+                up[c], depth[c] = m, depth[m] + 1
                 order.append(c)
         if len(order) < len(declared) or not declared.issuperset(
                 chain.from_iterable(edges)):
-            return up, order, None
+            return up, order, depth, None
         through: dict[str, tuple[str, ...]] = {}
         for m in reversed(order):
             children = below.get(m, ())
-            if len(children) == 1:
-                through[m] = through[children[0]]
-            else:
-                through[m] = tuple(sorted(chain.from_iterable(
-                    [through[c] for c in children]))) if children else (m,)
-        return up, order, through
+            through[m] = tuple(sorted(chain.from_iterable(
+                [through[c] for c in children]))) if children else (m,)
+        return up, order, depth, through
+
+    @cached_property
+    def depth(self) -> dict[str, int]:
+        """Per moment the walk enters, its number of ancestors."""
+        return self._walk[2]
 
     @cached_property
     def ancestors(self) -> dict[str, frozenset[str]]:
-        """Strict ancestors of each node: down the walk, the parent's plus
-        the parent; for the nodes the walk leaves out, which only invalid
-        inputs have, by a cycle-tolerant walk up the edges."""
-        parent, order, _ = self._walk
+        """Strict ancestors of each node, for the order (``lt``, ``down_set``,
+        ``chains``) and an invalid tree's report: down the walk, the parent's
+        plus the parent; off it, by a cycle-tolerant walk up the edges."""
+        parent, order, *_ = self._walk
         out: dict[str, frozenset[str]] = {}
         for m in order:
             up = parent.get(m)
@@ -147,7 +151,7 @@ class Tree:
     @cached_property
     def through(self) -> dict[str, tuple[str, ...]]:
         """Per node, the sorted leaves of the histories containing it."""
-        through = self._walk[2]
+        through = self._walk[3]
         if through is None:  # not a forest: from each leaf's down set
             lists: dict[str, list[str]] = {m: [] for m in self.children_map}
             for leaf in self.leaves:
@@ -236,7 +240,7 @@ class Frame:
             blocks_at[m] = blocks = tuple(sorted(map(
                 frozenset, filter(None, classes)), key=min))
             first[m], n = n, n + len(blocks)
-        parent, order, _ = tree._walk
+        parent, order, *_ = tree._walk
         forest, inside = [], True
         for m in order:
             up = parent.get(m)
@@ -323,8 +327,9 @@ class Frame:
     #
     # The "hist" tables are read off the histories and classes exactly as the
     # evaluation clauses quantify; the "rel" tables are read off the point
-    # forest.  The two are computed along different paths on purpose: their
-    # agreement is what the equivalence battery checks.
+    # forest.  G's and H's are computed along different paths on purpose: their
+    # agreement is what the equivalence battery checks.  L's, the classes at
+    # each point's moment, is one table for both (``hist_class_masks``).
 
     @cached_property
     def hist_future_masks(self) -> tuple[int, ...]:
@@ -340,10 +345,10 @@ class Frame:
         entry d + 1 of each history of its class as that history's future
         chain, and entry 0 XOR entry d as its past along it.  The lists are
         dropped once the tables are read off them."""
-        ancestors, first = self.tree.ancestors, self.first_point
-        rows = {leaf: [0] * (len(ancestors[leaf]) + 1) for leaf in self.tree.leaves}
+        depths, first = self.tree.depth, self.first_point
+        rows = {leaf: [0] * (depths[leaf] + 1) for leaf in self.tree.leaves}
         for m, blocks in self.blocks_at.items():
-            depth = len(ancestors[m])
+            depth = depths[m]
             for i, block in enumerate(blocks, first[m]):
                 bit = 1 << i
                 for leaf in block:
@@ -356,7 +361,7 @@ class Frame:
             suffixes[leaf] = suffix
         chains, past = [], []
         for m, blocks in self.blocks_at.items():
-            depth = len(ancestors[m])
+            depth = depths[m]
             for block in blocks:
                 lists = [suffixes[leaf] for leaf in sorted(block)]
                 chains.append(tuple([suffix[depth + 1] for suffix in lists]))
@@ -394,22 +399,20 @@ class Frame:
 
     @cached_property
     def _rel_tables(self) -> tuple[tuple[int, ...], ...]:
-        """Successor, predecessor and same-moment masks of the point relations.
+        """Successor and predecessor masks of the point relations.
 
         A point's predecessors are its parent point's plus that point, and
         its successors its child points' plus those points: one pass down
         the point forest and one back up."""
-        forest, first, same = self.point_forest, self.first_point, []
-        for m, blocks in self.blocks_at.items():
-            same += [((1 << len(blocks)) - 1) << first[m]] * len(blocks)
-        predecessors, successors = [0] * len(same), [0] * len(same)
+        forest, n = self.point_forest, len(self.point_list)
+        predecessors, successors = [0] * n, [0] * n
         for i, j in forest:
             if j is not None:
                 predecessors[i] = predecessors[j] | 1 << j
         for i, j in reversed(forest):
             if j is not None:
                 successors[j] |= successors[i] | 1 << i
-        return tuple(successors), tuple(predecessors), tuple(same)
+        return tuple(successors), tuple(predecessors)
 
     @cached_property
     def rel_successor_masks(self) -> tuple[int, ...]:
@@ -421,7 +424,7 @@ class Frame:
 
     @cached_property
     def rel_same_moment_masks(self) -> tuple[int, ...]:
-        return self._rel_tables[2]
+        return self.hist_class_masks
 
 
 @dataclass(frozen=True, eq=False)

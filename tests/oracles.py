@@ -11,7 +11,7 @@ from itertools import combinations
 from itl.formula import (
     AND, ATOM, BOX_G, BOX_H, BOX_L, NOT, WEAK_F, And, Atom, F, G, H, L, Not, Program,
 )
-from itl.structures import Point, Tree
+from itl.structures import IndistFunction, Point, Tree
 
 
 def naive_eval(model, point, formula) -> bool:
@@ -224,8 +224,9 @@ def depth_height(frame) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# builders, one item at a time: the quadratic tree, per-slot corpus emission
-# and the two-pass restriction the library's bulk builders must equal
+# builders, one item at a time: the quadratic tree, the generator's classes,
+# per-slot corpus emission and the two-pass restriction the library's bulk
+# builders must equal
 # ---------------------------------------------------------------------------
 
 def naive_random_tree(seed: int, n_moments: int, branching: int = 2) -> Tree:
@@ -245,6 +246,27 @@ def naive_random_tree(seed: int, n_moments: int, branching: int = 2) -> Tree:
         child_count[m] = 0
         edges.append((parent, m))
     return Tree(tuple(moments), tuple(edges))
+
+
+def naive_coarsened_indist(seed: int, tree: Tree) -> IndistFunction:
+    """``generate.coarsened_indist`` from the definitions: the canonical
+    classes at a moment group the leaves through it by the child they pass
+    through, and the moments are visited by the oracle's ancestor counts,
+    greatest first, then by name."""
+    views = tree_views(tree.moments, tree.edges)
+    children, through = views["children_map"], views["through"]
+    visits = sorted(set(tree.moments),
+                    key=lambda m: (-len(views["ancestors"][m]), m))
+    blocks = {m: [set(through[c]) for c in children[m]] or [set(through[m])]
+              for m in visits}
+    rng = random.Random(seed)
+    for t in visits:
+        classes = blocks[t]
+        while len(classes) > 1 and rng.random() < 0.4:
+            i, j = sorted(rng.sample(range(len(classes)), 2))
+            classes[i] |= classes.pop(j)
+    return IndistFunction({m: tuple(tuple(sorted(b)) for b in sorted(bs, key=min))
+                           for m, bs in blocks.items()})
 
 
 def naive_emit_by_depth(program: Program, atoms, max_depth: int):

@@ -180,9 +180,9 @@ def walk_reaches_an_unreached_moment(monkeypatch):
     walk = Tree._walk.func
 
     def reaching(tree):
-        parent, order, through = walk(tree)
+        parent, order, depth, through = walk(tree)
         unreached = [m for m in tree.moments if m not in order]
-        return parent, order + unreached[:1], through
+        return parent, order + unreached[:1], depth, through
 
     monkeypatch.setattr(Tree, "_walk", property(reaching))
 

@@ -10,7 +10,7 @@ from itl.structures import (
     Frame, points, undividedness_indist, validate_frame, validate_model,
 )
 
-from oracles import naive_random_tree
+from oracles import naive_coarsened_indist, naive_random_tree
 
 
 def test_single_moment_model():
@@ -63,6 +63,15 @@ def test_random_tree_is_the_reference_tree(seed, n_moments, branching):
     tree = random_tree(seed, n_moments, branching)
     expected = naive_random_tree(seed, n_moments, branching)
     assert (tree.moments, tree.edges) == (expected.moments, expected.edges)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_moments=st.integers(1, 80),
+       branching=st.integers(1, 4))
+def test_coarsened_indist_is_the_reference_assignment(seed, n_moments, branching):
+    # the moments are visited deepest first, and that order fixes the draws
+    tree = random_tree(seed, n_moments, branching)
+    expected = naive_coarsened_indist(seed + 1, tree).classes_at
+    assert coarsened_indist(seed + 1, tree).classes_at == expected
 
 
 def test_a_large_random_tree_is_built_in_one_pass():

@@ -8,9 +8,12 @@ from itl.catalog import (
     MALFORMED_DOCUMENTS, catalog_frames, frame_chain3, frame_fork, frame_fork_split,
     frame_stem_fork,
 )
-from itl.documents import frame_from_doc, resolve_point
+from itl.bisimulation import greatest_bisimulation
+from itl.documents import frame_from_doc, model_to_doc, read_model_doc, resolve_point
 from itl.errors import InvalidPointError
+from itl.formula import parse
 from itl.generate import gen_random_frame, gen_random_model
+from itl.semantics import Evaluator
 from itl.structures import (
     Frame, History, IndistFunction, Model, Point, Tree, _tree_violations,
     future_points, histories, histories_through, points, precedes,
@@ -297,10 +300,14 @@ def test_the_walk_views_match_their_definitions(seed, faults):
             moments.append(a)
     mutated = Tree(tuple(moments), tuple(edges))
     expected = tree_views(moments, edges)
+    # the depth of each moment the walk enters is its number of ancestors
+    depth = mutated.depth
+    assert depth == {m: len(expected["ancestors"][m]) for m in depth}
     for view, value in expected.items():
         assert getattr(mutated, view) == value, view
     if not faults:
         assert not _tree_violations(mutated)
+        assert depth.keys() == set(moments)
 
 
 CLASS_FAULTS = ("empty-class", "overlapping-class", "foreign-class", "repartition",
@@ -403,6 +410,23 @@ def test_validation_and_rel_tables_commute(frame):
 @given(seed=st.integers(0, 5000))
 def test_validation_and_rel_tables_commute_on_random_partitions(seed):
     _assert_validation_and_rel_tables_commute(repartitioned(seed)[1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_checking_builds_no_ancestor_set(seed):
+    # the depth the hist tables and the generator read comes off the walk;
+    # the ancestor sets and chains serve only the order and invalid trees
+    generated = gen_random_model(seed, 60, branching=2 + seed % 2,
+                                 indist_policy="coarsened")
+    doc = model_to_doc(generated)
+    assert not {"ancestors", "chains"} & generated.frame.tree.__dict__.keys()
+    report, model = read_model_doc(doc)
+    frame, formula = model.frame, parse("L p0 & G H p1 | F p0")
+    assert report.ok and frame.hist_class_masks is frame.rel_same_moment_masks
+    for relational in (False, True):
+        Evaluator(model, relational=relational).extension_mask(formula)
+    greatest_bisimulation(model, model)
+    assert not {"ancestors", "chains"} & frame.tree.__dict__.keys()
 
 
 @pytest.mark.parametrize("frame", _table_frames())
