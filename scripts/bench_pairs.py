@@ -15,6 +15,11 @@ relative to the parent's, the pairs in which the change read better, and a
 verdict (see ``verdict``).  Names the code each side ran by its commit and
 by ``source_digest``.  Prints one line per run; exits 1 if any run failed
 or reported a failed request.
+
+The runs write no bytecode cache, and the script refuses to start while a
+``__pycache__`` exists under either side's ``src/`` or ``perfbench/``: a
+side with a cache would skip the compiling that the other side pays in
+every run, which shows in ``setup_s``.
 """
 
 from __future__ import annotations
@@ -48,11 +53,13 @@ def parse_args(argv=None):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON line of one benchmark run."""
+    """The final JSON line of one benchmark run.  The run writes no bytecode
+    cache, so every run of either side compiles the code it imports."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=1800)
+        cwd=checkout, capture_output=True, text=True, timeout=1800,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"error: {checkout} {workload} seed {seed} exited "
@@ -152,12 +159,24 @@ def source_digest(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+def bytecode_caches(checkout: Path) -> list[Path]:
+    """The ``__pycache__`` directories under the checkout's ``src/`` and
+    ``perfbench/``, in path order."""
+    return sorted(path for top in SOURCES
+                  for path in (checkout / top).rglob("__pycache__")
+                  if path.is_dir())
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, checkout in checkouts.items():
         if not (checkout / "perfbench" / "run.py").is_file():
             raise SystemExit(f"error: no perfbench/run.py under {checkout} ({side})")
+        caches = bytecode_caches(checkout)
+        if caches:
+            raise SystemExit(f"error: bytecode cache {caches[0]} ({side}); "
+                             f"remove it, the runs write none")
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))

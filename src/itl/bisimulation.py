@@ -92,7 +92,7 @@ from dataclasses import dataclass
 
 from . import limits
 from .errors import InvalidPointError
-from .formula import Formula, Program, _emit_by_depth, check_mode
+from .formula import Formula, check_mode, collapsed_corpus
 from .semantics import Evaluator
 from .structures import Frame, Model, Point, Report, Violation, point_key
 
@@ -367,12 +367,12 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
     Searches depth by depth, in the order of
     :func:`~itl.formula.corpus_program`, over the formulas built from every
     atom of the two valuations (depth 0 is the atoms themselves, sorted, so
-    an atom the points disagree on comes first), collapsing formulas that
-    already have the same extensions on both models (such formulas
-    distinguish nothing a shallower representative does not, so the
-    collapse preserves completeness per depth).  The formula found is of the
-    least depth that distinguishes the points; None means that no formula
-    up to depth max_depth does.
+    an atom the points disagree on comes first), reading
+    :func:`~itl.formula.collapsed_corpus` over both models: a formula whose
+    extensions on the two models an earlier one already has distinguishes
+    nothing that one does not, so the collapse preserves completeness per
+    depth.  The formula found is of the least depth that distinguishes the
+    points; None means that no formula up to depth max_depth does.
     """
     limits.nonnegative(max_depth, "max_depth")
     ((i, j),) = _pair_indices(src, dst, [(p, q)])
@@ -380,20 +380,8 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
     # both models in one evaluator, src in the low lane
     ev = Evaluator(src, dst, mode=mode)
     j += ev.offsets[1]
-
-    # candidates are evaluated a batch at a time; only a hit becomes a
-    # Formula, and a depth keeps only the slots whose extension pair is new
-    program = Program(mode)
-    masks: list[int] = []
-    seen: set[int] = set()
-    for start, level in _emit_by_depth(program, atoms, max_depth):
-        ev.run(program, masks=masks)
-        for k in range(start, len(program)):
-            mask = masks[k]
-            if (mask >> i & 1) != (mask >> j & 1):
-                sub, (root,) = program.restrict([k])
-                return sub.formulas()[root]
-            if mask not in seen:
-                seen.add(mask)
-                level.append(k)
+    for program, k, mask in collapsed_corpus(ev, atoms, max_depth):
+        if (mask >> i & 1) != (mask >> j & 1):
+            sub, (root,) = program.restrict([k])
+            return sub.formulas()[root]
     return None

@@ -405,6 +405,16 @@ def corpus_program(atoms, max_depth: int, mode: str = "LF") -> Program:
     return _enumerate_cached(tuple(atoms), max_depth, check_mode(mode))
 
 
+def corpus_size(atoms, max_depth: int, mode: str = "LF") -> int:
+    """``len(corpus_program(atoms, max_depth, mode))``, without building it."""
+    unary = 5 if check_mode(mode) == "LF" else 4
+    last = total = len(tuple(atoms))
+    for _depth in range(max_depth):
+        last = unary * last + last * last + 2 * last * (total - last)
+        total += last
+    return total
+
+
 @lru_cache(maxsize=32)
 def _enumerate_cached(atoms: tuple[str, ...], max_depth: int, mode: str) -> Program:
     program = Program(mode)
@@ -462,6 +472,25 @@ def _emit_by_depth(program: Program, atoms, max_depth: int):
         if not new:
             return
         levels.append(new)
+
+
+def collapsed_corpus(ev, atoms, max_depth: int):
+    """Emits the corpus over ``atoms`` up to ``max_depth`` depth by depth
+    into a fresh program, runs each batch on the evaluator ``ev`` and yields
+    ``(program, slot, mask)`` for each slot whose mask is new; deeper depths
+    build only on those slots.  An operator's mask depends only on its
+    operands' masks, so these are the distinct masks of the whole corpus."""
+    program = Program(ev.mode)
+    masks: list[int] = []
+    seen: set[int] = set()
+    for start, level in _emit_by_depth(program, atoms, max_depth):
+        ev.run(program, masks=masks)
+        for k in range(start, len(program)):
+            mask = masks[k]
+            if mask not in seen:
+                seen.add(mask)
+                level.append(k)
+                yield program, k, mask
 
 
 # ---------------------------------------------------------------------------

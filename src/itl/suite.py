@@ -13,9 +13,10 @@ in both.  All randomness flows from the battery seed.
 The battery builds only what it reads.  A criterion that asks whether a map
 or a relation passes reads the first element of the checker's failure
 stream; reports are formatted only for the witnesses criterion 9 replays.
-Criterion 2 parses its texts straight into one program, and truth
-signatures over the exhaustive corpus come from one run per call of
-``signatures_of``, transposing only its distinct masks.
+Criterion 2 parses its texts straight into one program.  Truth signatures
+over the exhaustive corpus come from one pass of ``collapsed_corpus`` per
+call of ``signatures_of``, which builds only on slots with new masks; only
+criterion 6 builds a corpus program, and criterion 5 counts its corpus.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .bisimulation import (
 )
 from .documents import parse_point, resolve_point, validate_doc
 from .formula import (
-    MODES, Program, corpus_program, format_formula, parse, random_formula,
+    MODES, Program, collapsed_corpus, corpus_program, corpus_size,
+    format_formula, parse, random_formula,
 )
 from .generate import gen_random_model
 from .morphisms import (
@@ -182,24 +184,20 @@ class Battery:
         for valuation in ({}, catalog.random_valuation(self.seed + 50_000 + tag, dst)):
             yield Model(src, pullback_valuation(valuation, f)), Model(dst, valuation)
 
-    def corpus_program(self, mode: str) -> Program:
-        """The corpus as a program: slot k is formula k of
-        ``enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, mode)``."""
-        return corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, mode)
-
     def signatures_of(self, models, mode: str) -> list[list[int]]:
         """Per model, per point, its truth values over the whole corpus as
-        the bits of one int, from one run of the corpus over the union of
+        the bits of one int, read off ``collapsed_corpus`` over the union of
         the distinct models (by frame and valuation).  Each bit stands for
-        one distinct mask of that run, so two points of these models have
-        equal signatures exactly when every corpus formula has the same
-        truth value at both; signatures of different calls are not
-        comparable."""
+        one distinct mask of the corpus, in order of first appearance, so
+        two points of these models have equal signatures exactly when every
+        corpus formula has the same truth value at both; signatures of
+        different calls are not comparable."""
         keys = [(model.frame, frozenset(model.valuation.items())) for model in models]
         distinct = dict(zip(keys, models))
         sizes = [len(model.frame.point_list) for model in distinct.values()]
         ev = Evaluator(*distinct.values(), mode=mode)
-        masks = list(dict.fromkeys(ev.run(self.corpus_program(mode))))
+        masks = [mask for _, _, mask in
+                 collapsed_corpus(ev, CORPUS_ATOMS, CORPUS_DEPTH)]
         columns = _point_columns(masks, sum(sizes))
         lanes = {key: columns[offset:offset + size]
                  for key, offset, size in zip(distinct, ev.offsets, sizes)}
@@ -358,11 +356,11 @@ class Battery:
                 dst_index = dst.frame.point_index
                 mismatches += sum(sig != sig_dst[dst_index[f(p)]]
                                   for p, sig in zip(src.frame.point_list, sig_src))
-        corpus_sizes = tuple(len(self.corpus_program(mode)) for mode in MODES)
+        sizes = tuple(corpus_size(CORPUS_ATOMS, CORPUS_DEPTH, m) for m in MODES)
         # a map, and each of its model pairs, counts once per mode checked
         detail = (f"{len(MODES) * len(self.found_maps)} maps found (both modes), "
                   f"{len(MODES) * len(triples)} model p-morphisms x corpus "
-                  f"{corpus_sizes} x all points, "
+                  f"{sizes} x all points, "
                   f"{mismatches} evaluation mismatches")
         return mismatches == 0, detail
 
@@ -380,7 +378,7 @@ class Battery:
         ev = Evaluator(Model(frame, {}), mode="L")
         n = len(frame.point_list)
         full = frame.full_mask
-        program = self.corpus_program("L")
+        program = corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, "L")
         alive = list(range(len(program)))  # corpus indices still valid
         roots = alive  # their slots in program
         for assignment in product(range(1 << n), repeat=len(CORPUS_ATOMS)):
@@ -410,7 +408,7 @@ class Battery:
                                                         mode="L")):
                     pv_failures += 1
         detail = (f"{len(maps)} surjective maps on frames <= 4 "
-                  f"points, corpus {len(self.corpus_program('L'))}: "
+                  f"points, corpus {corpus_size(CORPUS_ATOMS, CORPUS_DEPTH, 'L')}: "
                   f"{violations} validity-preservation violations, "
                   f"{pv_failures} pullback PV failures")
         return violations == 0 and pv_failures == 0, detail

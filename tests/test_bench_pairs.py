@@ -1,8 +1,11 @@
 """The verdict that ``scripts/bench_pairs.py`` writes per metric, on
-synthetic runs, and the digest that names the code each side ran."""
+synthetic runs, the digest that names the code each side ran, and the
+bytecode caches it keeps out of the runs."""
 
 import importlib.util
+import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,53 @@ def test_the_source_digest_names_the_files_of_a_copy(tmp_path):
     assert bench_pairs.source_digest(two) == digest
     (two / "perfbench" / "run.py").rename(two / "perfbench" / "main.py")
     assert bench_pairs.source_digest(two) != digest
+
+
+def checkout_copy(top: Path) -> Path:
+    (top / "src" / "pkg").mkdir(parents=True)
+    (top / "src" / "pkg" / "a.py").write_text("A = 1\n")
+    (top / "perfbench").mkdir()
+    (top / "perfbench" / "run.py").write_text("print()\n")
+    return top
+
+
+@pytest.mark.parametrize("side, cache", [
+    ("parent", Path("src", "pkg", "__pycache__")),
+    ("change", Path("perfbench", "__pycache__")),
+])
+def test_a_bytecode_cache_stops_the_script_before_any_run(
+        tmp_path, monkeypatch, side, cache):
+    sides = {name: checkout_copy(tmp_path / name) for name in bench_pairs.SIDES}
+    (sides[side] / cache).mkdir()
+    (sides[side] / cache / "a.cpython-311.pyc").write_bytes(b"\0")
+    # outside src/ and perfbench/, a cache is not what the runs import
+    (sides["parent"] / "scripts" / "__pycache__").mkdir(parents=True)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.main(["--parent", str(sides["parent"]), "--change",
+                          str(sides["change"]), "--out", str(tmp_path / "out.json")])
+    assert str(sides[side] / cache) in str(stopped.value)
+    assert f"({side})" in str(stopped.value)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_each_run_writes_no_bytecode(tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("KEPT_FROM_THE_CALLER", "1")
+    calls = []
+
+    def recorded(command, **kwargs):
+        calls.append(kwargs)
+        return subprocess.CompletedProcess(
+            command, 0, stdout=json.dumps({"failed": 0}) + "\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", recorded)
+    assert bench_pairs.run_once(tmp_path, "battery", 3, 15) == {"failed": 0}
+    (kwargs,) = calls
+    assert kwargs["cwd"] == tmp_path
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert kwargs["env"]["KEPT_FROM_THE_CALLER"] == "1"

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from itl.errors import LanguageError, ParseError
 from itl.formula import (
     MODES, And, Atom, F, G, H, L, Not, Program, _emit_by_depth,
-    atoms_of, contains_f, corpus_program, enumerate_formulas, format_formula,
-    parse, random_formula, read_formulas,
+    atoms_of, contains_f, corpus_program, corpus_size, enumerate_formulas,
+    format_formula, parse, random_formula, read_formulas,
 )
 
 from oracles import naive_emit_by_depth, naive_restrict
@@ -337,6 +337,15 @@ def test_batches_are_the_per_slot_batches(atoms, max_depth, mode, keep):
 def test_corpus_program_is_the_per_slot_corpus(atoms, max_depth, mode):
     _, state = emitted(naive_emit_by_depth, atoms, max_depth, mode, 1)
     assert program_state(corpus_program(atoms, max_depth, mode)) == state
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("atoms, max_depth", [
+    (atoms, max_depth) for atoms in (("p",), ("p", "q"), ("p", "q", "r"))
+    for max_depth in range(4) if (len(atoms), max_depth) != (3, 3)])
+def test_corpus_size_counts_the_corpus(atoms, max_depth, mode):
+    assert corpus_size(atoms, max_depth, mode) == len(corpus_program(
+        atoms, max_depth, mode))
 
 
 def parsed_program(texts, mode: str) -> Program:

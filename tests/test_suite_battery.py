@@ -6,12 +6,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from itl import catalog, suite
+from itl import catalog, formula, suite
 from itl.catalog import MALFORMED_DOCUMENTS, f1_model, frame_chain2, frame_fork
 from itl.documents import resolve_point, validate_frame_doc, validate_model_doc
+from itl.generate import INDIST_POLICIES, gen_random_model
 from itl.morphisms import PointMap, check_frame_pmorphism
-from itl.semantics import frame_valid
+from itl.semantics import Evaluator, frame_valid
 from itl.structures import Model, Violation, points
 from itl.suite import (
     CORPUS_ATOMS, CORPUS_DEPTH, Battery, _point_columns,
@@ -19,7 +21,9 @@ from itl.suite import (
     _replay_relation_violation,
 )
 from itl.bisimulation import PointRelation, check_bisimulation
-from itl.formula import enumerate_formulas, parse
+from itl.formula import (
+    MODES, collapsed_corpus, corpus_program, enumerate_formulas, parse,
+)
 
 BATTERY_GOLDEN = (Path(__file__).resolve().parent.parent
                   / "perfbench" / "golden" / "battery.json")
@@ -216,3 +220,87 @@ def test_point_columns_transposes_the_masks(n):
                     for k, mask in enumerate(masks))
                 for i in range(n)]
     assert _point_columns(masks, n) == expected
+
+
+def point_classes(sigs):
+    """The points of every model, as (model, point) index pairs, grouped by
+    equal signature."""
+    groups = {}
+    for m, row in enumerate(sigs):
+        for i, sig in enumerate(row):
+            groups.setdefault(sig, set()).add((m, i))
+    return {frozenset(group) for group in groups.values()}
+
+
+def full_corpus_signatures(models, atoms, depth, mode):
+    """Per model, per point, its bits over every slot of the whole corpus,
+    from one run over all the models."""
+    ev = Evaluator(*models, mode=mode)
+    masks = ev.run(corpus_program(atoms, depth, mode))
+    columns = _point_columns(masks, sum(len(m.frame.point_list) for m in models))
+    return [columns[offset:offset + len(model.frame.point_list)]
+            for model, offset in zip(models, ev.offsets)]
+
+
+def assert_collapse_loses_nothing(models, atoms, depth, mode):
+    ev = Evaluator(*models, mode=mode)
+    collapsed = [mask for _, _, mask in collapsed_corpus(ev, atoms, depth)]
+    assert len(set(collapsed)) == len(collapsed)
+    assert set(collapsed) == set(ev.run(corpus_program(atoms, depth, mode)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suite, "CORPUS_ATOMS", atoms)
+        patch.setattr(suite, "CORPUS_DEPTH", depth)
+        sigs = Battery(0).signatures_of(models, mode)
+    assert point_classes(sigs) == point_classes(
+        full_corpus_signatures(models, atoms, depth, mode))
+
+
+# seeds from a small range, so that a union may hold one model twice, or
+# one frame under two valuations
+@given(drawn=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2),
+                                st.sampled_from(INDIST_POLICIES)),
+                      min_size=1, max_size=6),
+       mode=st.sampled_from(MODES), depth=st.integers(0, 2))
+def test_the_collapse_keeps_every_mask_of_the_corpus(drawn, mode, depth):
+    models = [gen_random_model(seed, 1 + seed % 6, branching=3,
+                               indist_policy=policy, n_atoms=n_atoms)
+              for seed, n_atoms, policy in drawn]
+    assert_collapse_loses_nothing(models, ("p0", "p1"), depth, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_collapse_keeps_every_mask_on_criterion_5s_models(mode):
+    battery = Battery(0)
+    models = [model for src, dst, _ in battery._model_pmorphisms
+              for model in (src, dst)]
+    assert_collapse_loses_nothing(models, CORPUS_ATOMS, CORPUS_DEPTH, mode)
+
+
+def test_criteria_5_and_7_evaluate_each_new_mask_once(monkeypatch):
+    # the slots Evaluator.run appends: the collapsed corpus over the models
+    # of each mode, not the 65,534 + 115,936 slots of the whole corpus
+    battery = Battery(0)
+    assert battery._model_pmorphisms and battery.relations  # built first
+    appended = [0]
+    run = Evaluator.run
+
+    def counting(self, program, atom_masks=None, masks=None):
+        before = 0 if masks is None else len(masks)
+        out = run(self, program, atom_masks, masks)
+        appended[0] += len(out) - before
+        return out
+
+    monkeypatch.setattr(Evaluator, "run", counting)
+    slots = {}
+    for number in (5, 7):
+        appended[0] = 0
+        assert getattr(battery, f"criterion_{number}")().passed
+        slots[number] = appended[0]
+    assert slots == {5: 18_384, 7: 11_795}
+
+
+def test_the_battery_builds_only_the_l_corpus():
+    # criterion 5 counts the corpus sizes; criterion 6 alone builds one
+    formula._enumerate_cached.cache_clear()
+    assert all(r.passed for r in Battery(0).run_all())
+    assert formula._enumerate_cached.cache_info().currsize == 1
