@@ -1,22 +1,23 @@
 """The verification battery behind ``itl suite`` and the acceptance tests.
 
 Each criterion is a method of :class:`Battery` returning a timed
-:class:`CriterionResult`.  The materials the criteria share are built once
-per battery instance and read by every criterion that needs them: the
-random models and formulas, the frame catalogue, the p-morphisms between
-catalogue frames (one search per ordered frame pair) and the greatest
-bisimulations between catalogue models (one fixpoint per ordered model
-pair).  The search and the fixpoint give the same answer in both modes (see
-``bisimulation``), so each map and each relation is found once and checked
-in both.  All randomness flows from the battery seed.
+:class:`CriterionResult`.  The materials the criteria share are built once per
+battery instance and read by every criterion that needs them: the random
+models and formulas, the frame catalogue, the p-morphisms between catalogue
+frames (one search per ordered frame pair) and the greatest bisimulations
+between catalogue models (one fixpoint per ordered model pair, converted once
+to the index pairs and masks criteria 7-9 read).  The search and the fixpoint
+give the same answer in both modes, so each map and each relation is found
+once and checked in both.  All randomness flows from the battery seed.
 
 The battery builds only what it reads.  A criterion that asks whether a map
 or a relation passes reads the first element of the checker's failure
-stream; reports are formatted only for the witnesses criterion 9 replays.
-Criterion 2 parses its texts straight into one program.  Truth signatures
-over the exhaustive corpus come from one pass of ``collapsed_corpus`` per
-call of ``signatures_of``, which builds only on slots with new masks; only
-criterion 6 builds a corpus program, and criterion 5 counts its corpus.
+stream; criterion 8 re-adds a pair by setting its two bits, and reports are
+formatted only for the witnesses criterion 9 replays.  Criterion 2 parses
+its texts straight into one program.  Truth signatures over the exhaustive
+corpus come from one pass of ``collapsed_corpus`` per call of
+``signatures_of``, which builds only on slots with new masks; only criterion
+6 builds a corpus program, and criterion 5 counts its corpus.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ import io
 import json
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import islice, product, repeat
 
-from . import catalog
+from . import bisimulation, catalog
 from .bisimulation import (
-    PointRelation, bisimulation_failures, check_bisimulation,
-    find_distinguishing_formula, greatest_bisimulation,
+    PointRelation, check_bisimulation, find_distinguishing_formula,
+    greatest_bisimulation,
 )
 from .documents import parse_point, resolve_point, validate_doc
 from .formula import (
@@ -42,7 +44,7 @@ from .formula import (
 )
 from .generate import gen_random_model
 from .morphisms import (
-    PointMap, check_frame_pmorphism, check_model_pmorphism,
+    PointMap, _images, check_frame_pmorphism, check_model_pmorphism,
     check_set_characterization, frame_pmorphism_failures,
     model_pmorphism_failures, pullback_valuation, search_pmorphisms,
 )
@@ -82,8 +84,8 @@ def _lanes_differing(ev: Evaluator, a: int, b: int) -> int:
 
 
 def _all_pairs(src: Model, dst: Model):
-    """Every (source, target) point pair, in the canonical pair order."""
-    return product(points(src.frame), points(dst.frame))
+    """Every (source index, target index) pair, in the canonical pair order."""
+    return product(range(len(src.frame.point_list)), range(len(dst.frame.point_list)))
 
 
 @dataclass
@@ -168,15 +170,20 @@ class Battery:
                      for f in search_pmorphisms(src, dst, mode="L"))
 
     @cached_property
-    def relations(self) -> tuple[tuple[Model, Model, str, PointRelation], ...]:
-        """(source, target, mode, greatest bisimulation) for every ordered
-        pair of catalogue models, listed once per mode: one fixpoint per
-        model pair."""
+    def relations(self) -> tuple[tuple, ...]:
+        """(source, target, mode, greatest bisimulation, its index pairs in
+        canonical order, rel, conv) for every ordered pair of catalogue models,
+        listed once per mode: one fixpoint and one conversion to masks
+        (``bisimulation._relation_masks``) per model pair."""
         models = catalog.catalog_models(self.seed + 7, self.frames).values()
-        found = [(src, dst, greatest_bisimulation(src, dst, mode="L"))
-                 for src in models for dst in models]
-        return tuple((src, dst, mode, rel)
-                     for mode in MODES for src, dst, rel in found)
+        found = []
+        for src, dst in product(models, repeat=2):
+            rel = greatest_bisimulation(src, dst, mode="L")
+            pairs = sorted(bisimulation._pair_indices(src, dst, rel.pairs))
+            found.append((src, dst, rel, pairs, *bisimulation._relation_masks(
+                len(src.frame.point_list), len(dst.frame.point_list), pairs)))
+        return tuple((src, dst, mode, *rest)
+                     for mode in MODES for src, dst, *rest in found)
 
     def _pullbacks(self, src: Frame, dst: Frame, f: PointMap, tag: int):
         """The model pairs that ``f`` joins: ``dst`` with the empty and with a
@@ -379,8 +386,7 @@ class Battery:
         n = len(frame.point_list)
         full = frame.full_mask
         program = corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, "L")
-        alive = list(range(len(program)))  # corpus indices still valid
-        roots = alive  # their slots in program
+        alive = roots = range(len(program))  # valid indices, slots in program
         for assignment in product(range(1 << n), repeat=len(CORPUS_ATOMS)):
             masks = ev.run(program, dict(zip(CORPUS_ATOMS, assignment)))
             kept = [k for k, r in enumerate(roots) if masks[r] == full]
@@ -423,28 +429,28 @@ class Battery:
         check_failures = 0
         agreement_failures = 0
         for mode in MODES:
-            relations = [(src, dst, rel) for src, dst, m, rel in self.relations
-                         if m == mode and rel.pairs]
+            relations = [entry for entry in self.relations
+                         if entry[2] == mode and entry[4]]
             nonempty += len(relations)
             # one corpus run per mode over the models of its relations
-            sigs = self.signatures_of([model for src, dst, _ in relations
-                                       for model in (src, dst)], mode)
-            for (src, dst, rel), sig_src, sig_dst in zip(relations, sigs[::2],
-                                                        sigs[1::2]):
-                anchor = rel.sorted_pairs()[0]
-                if not _passes(bisimulation_failures(src, dst, rel, anchor, mode)):
+            sigs = self.signatures_of([model for entry in relations
+                                       for model in entry[:2]], mode)
+            for (src, dst, _, _, pairs, rel, conv), sig_src, sig_dst in zip(
+                    relations, sigs[::2], sigs[1::2]):
+                if not _passes(bisimulation._relation_failures(
+                        src, dst, pairs, rel, conv, None, mode)):
                     check_failures += 1
                     continue
-                src_index, dst_index = src.frame.point_index, dst.frame.point_index
-                agreement_failures += sum(sig_src[src_index[p]] != sig_dst[dst_index[q]]
-                                          for p, q in rel.pairs)
+                agreement_failures += sum(sig_src[i] != sig_dst[j] for i, j in pairs)
         # graphs of the model p-morphisms of criterion 5
         graph_failures = 0
         for mode in MODES:
             for src, dst, f in self._model_pmorphisms:
-                graph = PointRelation(frozenset(f.mapping.items()))
-                if not _passes(bisimulation_failures(src, dst, graph,
-                                                     graph.sorted_pairs()[0], mode)):
+                graph = list(enumerate(_images(src.frame, dst.frame, f)))
+                rel, conv = bisimulation._relation_masks(
+                    len(graph), len(dst.frame.point_list), graph)
+                if not _passes(bisimulation._relation_failures(
+                        src, dst, graph, rel, conv, None, mode)):
                     graph_failures += 1
         detail = (f"{nonempty} greatest bisimulations verified and "
                   f"agreement-checked over the corpus "
@@ -463,14 +469,22 @@ class Battery:
     def criterion_8(self):
         readded = 0
         unbroken = 0
-        for src, dst, mode, rel in self.relations:
-            for pair in _all_pairs(src, dst):
-                if pair in rel.pairs:
+        for src, dst, mode, _, pairs, rel, conv in self.relations:
+            # copies, so criteria 7 and 9 read the battery's lists unchanged
+            pairs, rel, conv = list(pairs), list(rel), list(conv)
+            for i, j in _all_pairs(src, dst):
+                if rel[i] >> j & 1:
                     continue
-                extended = PointRelation(rel.pairs | {pair})
+                rel[i] ^= 1 << j
+                conv[j] ^= 1 << i
+                insort(pairs, (i, j))
                 readded += 1
-                if _passes(bisimulation_failures(src, dst, extended, pair, mode)):
+                if _passes(bisimulation._relation_failures(
+                        src, dst, pairs, rel, conv, None, mode)):
                     unbroken += 1
+                pairs.remove((i, j))
+                rel[i] ^= 1 << j
+                conv[j] ^= 1 << i
         detail = (f"{readded} re-added pairs across all model pairs and "
                   f"modes, {unbroken} failed to break a condition")
         return unbroken == 0, detail
@@ -520,11 +534,12 @@ class Battery:
 
         # bisimulation condition witnesses from re-added pairs
         bisim_replays = 0
-        for src, dst, mode, rel in self.relations:
+        for src, dst, mode, rel, _, masks, _ in self.relations:
             if bisim_replays >= 60:
                 break
-            pair = next((pq for pq in _all_pairs(src, dst)
-                         if pq not in rel.pairs), None)
+            pair = next(((src.frame.point_list[i], dst.frame.point_list[j])
+                         for i, j in _all_pairs(src, dst)
+                         if not masks[i] >> j & 1), None)
             if pair is None:
                 continue
             extended = PointRelation(rel.pairs | {pair})
@@ -539,9 +554,9 @@ class Battery:
         # distinguishing formulas distinguish; bisimilar anchors get none
         distinguishers = 0
         nones_checked = 0
-        for src, dst, mode, rel in self.relations[:40]:
-            for pair in islice(_all_pairs(src, dst), 4):
-                p, q = pair
+        for src, dst, mode, _, _, masks, _ in self.relations[:40]:
+            for i, j in islice(_all_pairs(src, dst), 4):
+                p, q = src.frame.point_list[i], dst.frame.point_list[j]
                 phi = find_distinguishing_formula(src, p, dst, q,
                                                   mode=mode, max_depth=3)
                 if phi is None:
@@ -555,7 +570,7 @@ class Battery:
                     failures += 1
                 if eval_rel(src, p, phi, mode) == eval_rel(dst, q, phi, mode):
                     failures += 1
-                if pair in rel.pairs:
+                if masks[i] >> j & 1:
                     failures += 1
 
         detail = (f"{replayed} witnesses replayed "

@@ -9,12 +9,12 @@ from itl.bisimulation import (
     greatest_bisimulation,
 )
 from itl.catalog import (
-    catalog_frames, catalog_models, f1_model, frame_chain2, frame_fork,
-    frame_single, random_valuation,
+    catalog_frames, catalog_models, f1_model, frame_chain2, frame_chain3,
+    frame_fork, frame_single, random_valuation,
 )
 from itl.documents import resolve_point
 from itl.errors import InvalidBoundError, InvalidPointError
-from itl.formula import G, Atom, corpus_program, enumerate_formulas
+from itl.formula import G, H, Atom, corpus_program, enumerate_formulas
 from itl.generate import INDIST_POLICIES, gen_random_frame, gen_random_model
 from itl.morphisms import (
     PointMap, check_frame_pmorphism, pullback_valuation, search_pmorphisms,
@@ -563,6 +563,24 @@ def test_root_vs_leaf_distinguished_by_successor_formula():
     assert phi == G(Atom("p"))
     assert eval_hist(model, pt(model, "r", "a"), phi) != \
         eval_hist(model, pt(model, "a", "a"), phi)
+
+
+@pytest.mark.parametrize("mode", ["L", "LF"])
+@pytest.mark.parametrize("anchors, expected", [
+    (("r", "a", "r", "b"), G(G(Atom("p")))),
+    (("a", "a", "b", "b"), H(H(Atom("p")))),
+])
+def test_chains_two_and_three_long_need_depth_two(mode, anchors, expected):
+    # atom-free chains: the two roots (and the two leaves) agree on every
+    # depth-1 formula, and differ only on a moment two steps away
+    src, dst = Model(frame_chain2(), {}), Model(frame_chain3(), {})
+    p, q = pt(src, *anchors[:2]), pt(dst, *anchors[2:])
+    assert find_distinguishing_formula(src, p, dst, q, mode=mode, max_depth=1) is None
+    for depth in (2, 4):
+        phi = find_distinguishing_formula(src, p, dst, q, mode=mode, max_depth=depth)
+        assert phi == expected
+        assert eval_hist(src, p, phi, mode) != eval_hist(dst, q, phi, mode)
+        assert eval_rel(src, p, phi, mode) != eval_rel(dst, q, phi, mode)
 
 
 @pytest.mark.parametrize("depth", [-1, True, 1.5, "2"])

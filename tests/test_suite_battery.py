@@ -3,12 +3,14 @@ replayers are not vacuous: corrupting a witness must make its replay fail."""
 
 import dataclasses
 import json
+import re
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from itl import catalog, formula, suite
+from itl import bisimulation, catalog, formula, suite
 from itl.catalog import MALFORMED_DOCUMENTS, f1_model, frame_chain2, frame_fork
 from itl.documents import resolve_point, validate_frame_doc, validate_model_doc
 from itl.generate import INDIST_POLICIES, gen_random_model
@@ -20,10 +22,11 @@ from itl.suite import (
     _replay_document_violation, _replay_map_violation, _replay_pv_violation,
     _replay_relation_violation,
 )
-from itl.bisimulation import PointRelation, check_bisimulation
+from itl.bisimulation import PointRelation, bisimulation_failures, check_bisimulation
 from itl.formula import (
     MODES, collapsed_corpus, corpus_program, enumerate_formulas, parse,
 )
+from test_battery_mutants import fixpoint_drops_its_last_pair
 
 BATTERY_GOLDEN = (Path(__file__).resolve().parent.parent
                   / "perfbench" / "golden" / "battery.json")
@@ -304,3 +307,68 @@ def test_the_battery_builds_only_the_l_corpus():
     formula._enumerate_cached.cache_clear()
     assert all(r.passed for r in Battery(0).run_all())
     assert formula._enumerate_cached.cache_info().currsize == 1
+
+
+def criterion_8_counts(result) -> tuple[int, int]:
+    """Criterion 8's re-added and unbroken pairs, read off its detail line."""
+    readded, unbroken = map(int, re.findall(r"\d+", result.detail))
+    return readded, unbroken
+
+
+def naive_criterion_8_counts(battery) -> tuple[int, int]:
+    """The same counts through a Point relation per re-added pair."""
+    readded = unbroken = 0
+    for src, dst, mode, rel, *_ in battery.relations:
+        for pair in product(points(src.frame), points(dst.frame)):
+            if pair in rel.pairs:
+                continue
+            readded += 1
+            extended = PointRelation(rel.pairs | {pair})
+            if next(bisimulation_failures(src, dst, extended, pair, mode), None) is None:
+                unbroken += 1
+    return readded, unbroken
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mutant", [None, fixpoint_drops_its_last_pair],
+                         ids=["unmutated", "fixpoint_drops_its_last_pair"])
+def test_criterion_8_counts_what_point_relations_count(monkeypatch, mutant, mode):
+    if mutant is not None:
+        mutant(monkeypatch)
+    battery = Battery(0)
+    battery.relations = tuple(entry for entry in battery.relations
+                              if entry[2] == mode)
+    readded, unbroken = criterion_8_counts(battery.criterion_8())
+    assert (readded, unbroken) == naive_criterion_8_counts(battery)
+    assert readded > 0
+    # a relation short of its last pair passes once that pair is re-added
+    assert (unbroken > 0) == (mutant is not None)
+
+
+def test_criterion_8_runs_one_stream_per_readded_pair(monkeypatch):
+    # once the relations are built, criterion 8 makes no Point relation and
+    # no call of bisimulation_failures: it re-adds each pair on the masks
+    battery = Battery(0)
+    assert battery.relations  # built first
+    made, streams = [], [0]
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return object.__new__(cls)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("criterion 8 called bisimulation_failures")
+
+    relation_failures = bisimulation._relation_failures
+
+    def counting_stream(*args):
+        streams[0] += 1
+        return relation_failures(*args)
+
+    monkeypatch.setattr(PointRelation, "__new__", counting_new)
+    monkeypatch.setattr(bisimulation, "bisimulation_failures", refused)
+    monkeypatch.setattr(suite, "bisimulation_failures", refused, raising=False)
+    monkeypatch.setattr(bisimulation, "_relation_failures", counting_stream)
+    result = battery.criterion_8()
+    assert result.passed and criterion_8_counts(result) == (4672, 0)
+    assert made == [] and streams[0] == 4672
