@@ -14,7 +14,9 @@ fixpoint calls its G/H/L part, ``_unlinked``, with masks it reads once.  The
 p-morphism checker in ``morphisms`` runs the same routine on a map's graph.
 ``bisimulation_failures`` validates a relation and its anchor when called
 and returns the stream of raw failures, tested as it is read;
-``check_bisimulation`` formats the whole stream into a ``Report``.
+``check_bisimulation`` formats the whole stream into a ``Report``.  The
+stream reads the related pairs off the set bits of the relation's masks
+alone; point indices follow the canonical order, so pairs come in its order.
 
 PV reads the labelling of each model (``Model.labels``, the atoms true at
 each point).  ``_greatest`` computes the greatest relation satisfying the
@@ -133,6 +135,12 @@ def _relation_masks(n: int, m: int, pairs) -> tuple[list[int], list[int]]:
     return rel, conv
 
 
+def _point_relation(src: Model, dst: Model, rel) -> PointRelation:
+    """The relation of the per-point masks ``rel`` as pairs of points."""
+    return PointRelation(frozenset((p, q) for p, row in zip(src.frame.point_list, rel)
+                                   for q in dst.frame.points_of(row)))
+
+
 def _first_unlinked(todo: int, reach: int, links) -> int | None:
     """The lowest point of ``todo`` whose links miss ``reach``."""
     while todo:
@@ -228,20 +236,25 @@ def _pair_indices(src: Model, dst: Model, pairs) -> list[tuple[int, int]]:
     return out
 
 
-def _relation_failures(src: Model, dst: Model, pairs: list[tuple[int, int]],
-                       rel, conv, unlinked: tuple[int, int] | None, mode: str):
-    """Per related pair in order, PV and then each per-pair condition it
-    fails; last, B for the anchor pair ``unlinked`` if it is not None."""
+def _relation_failures(src: Model, dst: Model, rel, conv,
+                       unlinked: tuple[int, int] | None, mode: str):
+    """Per pair related by the masks ``rel``/``conv``, in the canonical pair
+    order, PV and then each per-pair condition it fails; last, B for the
+    anchor pair ``unlinked`` if it is not None."""
     sf, df = src.frame, dst.frame
     kinds = _pair_conditions(mode)
-    for i, j in pairs:
-        atom = _pv_failure(src, dst, i, j)
-        if atom is not None:
-            yield "PV", (i, j), atom
-        for kind in kinds:
-            w = _first_failure(kind, sf, df, i, j, rel, conv)
-            if w is not None:
-                yield kind, (i, j), w
+    for i, todo in enumerate(rel):
+        while todo:
+            low = todo & -todo
+            j = low.bit_length() - 1
+            todo ^= low
+            atom = _pv_failure(src, dst, i, j)
+            if atom is not None:
+                yield "PV", (i, j), atom
+            for kind in kinds:
+                w = _first_failure(kind, sf, df, i, j, rel, conv)
+                if w is not None:
+                    yield kind, (i, j), w
     if unlinked is not None:
         yield "B", unlinked, None
 
@@ -267,7 +280,7 @@ def bisimulation_failures(src: Model, dst: Model, relation: PointRelation,
     rel, conv = _relation_masks(len(src.frame.point_list),
                                 len(dst.frame.point_list), pairs)
     unlinked = None if anchor in relation.pairs else linked
-    return _relation_failures(src, dst, pairs, rel, conv, unlinked, mode)
+    return _relation_failures(src, dst, rel, conv, unlinked, mode)
 
 
 def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
@@ -348,9 +361,7 @@ def greatest_bisimulation(src: Model, dst: Model, mode: str = "LF") -> PointRela
     so ``mode`` is only validated.
     """
     check_mode(mode)
-    targets = dst.frame.points_of
-    return PointRelation(frozenset((p, q) for p, row in zip(
-        src.frame.point_list, _greatest(src, dst)[0]) for q in targets(row)))
+    return _point_relation(src, dst, _greatest(src, dst)[0])
 
 
 def bisimilar(src: Model, p: Point, dst: Model, q: Point, mode: str = "LF") -> bool:

@@ -19,8 +19,10 @@ from __future__ import annotations
 import json
 from itertools import chain, repeat
 
+from .bisimulation import PointRelation
 from .errors import DocumentError, InvalidPointError
 from .formula import _is_atom_name
+from .morphisms import PointMap
 from .structures import (
     Frame, IndistFunction, Model, Point, Report, Tree, Violation,
     _invalid_atom, point_key, validate_frame,
@@ -243,9 +245,7 @@ def point_pairs_from_doc(data, src: Frame, dst: Frame, label: str):
     return pairs
 
 
-def map_from_doc(data, src: Frame, dst: Frame):
-    from .morphisms import PointMap
-
+def map_from_doc(data, src: Frame, dst: Frame) -> PointMap:
     pairs = point_pairs_from_doc(data, src, dst, "map")
     mapping = {}
     for p, q in pairs:
@@ -265,9 +265,7 @@ def map_to_doc(point_map) -> list:
                                 key=lambda pq: point_key(pq[0])))
 
 
-def relation_from_doc(data, src: Frame, dst: Frame):
-    from .bisimulation import PointRelation
-
+def relation_from_doc(data, src: Frame, dst: Frame) -> PointRelation:
     pairs = point_pairs_from_doc(data, src, dst, "relation")
     return PointRelation(frozenset(pairs))
 

@@ -4,16 +4,18 @@ Each criterion is a method of :class:`Battery` returning a timed
 :class:`CriterionResult`.  The materials the criteria share are built once per
 battery instance and read by every criterion that needs them: the random
 models and formulas, the frame catalogue, the p-morphisms between catalogue
-frames (one search per ordered frame pair) and the greatest bisimulations
-between catalogue models (one fixpoint per ordered model pair, converted once
-to the index pairs and masks criteria 7-9 read).  The search and the fixpoint
-give the same answer in both modes, so each map and each relation is found
-once and checked in both.  All randomness flows from the battery seed.
+frames (one search per ordered frame pair, each map's image indices read
+once) and the greatest bisimulations between catalogue models (one fixpoint
+per ordered model pair, kept as the per-point masks and their converse that
+``bisimulation._greatest`` returns).  The search and the fixpoint give the
+same answer in both modes, so each map and each relation is found once and
+checked in both.  All randomness flows from the battery seed.
 
 The battery builds only what it reads.  A criterion that asks whether a map
 or a relation passes reads the first element of the checker's failure
-stream; criterion 8 re-adds a pair by setting its two bits, and reports are
-formatted only for the witnesses criterion 9 replays.  Criterion 2 parses
+stream, which reads the related pairs off the masks; criterion 8 re-adds a
+pair by setting its two bits, and reports (and the ``PointRelation`` they
+need) are formatted only for the witnesses criterion 9 replays.  Criterion 2 parses
 its texts straight into one program.  Truth signatures over the exhaustive
 corpus come from one pass of ``collapsed_corpus`` per call of
 ``signatures_of``, which builds only on slots with new masks; only criterion
@@ -27,7 +29,6 @@ import io
 import json
 import random
 import time
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import islice, product, repeat
@@ -35,7 +36,6 @@ from itertools import islice, product, repeat
 from . import bisimulation, catalog
 from .bisimulation import (
     PointRelation, check_bisimulation, find_distinguishing_formula,
-    greatest_bisimulation,
 )
 from .documents import parse_point, resolve_point, validate_doc
 from .formula import (
@@ -170,20 +170,13 @@ class Battery:
                      for f in search_pmorphisms(src, dst, mode="L"))
 
     @cached_property
-    def relations(self) -> tuple[tuple, ...]:
-        """(source, target, mode, greatest bisimulation, its index pairs in
-        canonical order, rel, conv) for every ordered pair of catalogue models,
-        listed once per mode: one fixpoint and one conversion to masks
-        (``bisimulation._relation_masks``) per model pair."""
+    def relations(self) -> tuple[tuple[Model, Model, list[int], list[int]], ...]:
+        """(source, target, rel, conv) for every ordered pair of catalogue
+        models: the greatest bisimulation as per-point masks and their
+        converse, one ``bisimulation._greatest`` fixpoint per model pair."""
         models = catalog.catalog_models(self.seed + 7, self.frames).values()
-        found = []
-        for src, dst in product(models, repeat=2):
-            rel = greatest_bisimulation(src, dst, mode="L")
-            pairs = sorted(bisimulation._pair_indices(src, dst, rel.pairs))
-            found.append((src, dst, rel, pairs, *bisimulation._relation_masks(
-                len(src.frame.point_list), len(dst.frame.point_list), pairs)))
-        return tuple((src, dst, mode, *rest)
-                     for mode in MODES for src, dst, *rest in found)
+        return tuple((src, dst, *bisimulation._greatest(src, dst))
+                     for src, dst in product(models, repeat=2))
 
     def _pullbacks(self, src: Frame, dst: Frame, f: PointMap, tag: int):
         """The model pairs that ``f`` joins: ``dst`` with the empty and with a
@@ -343,12 +336,14 @@ class Battery:
     # ------------------------------------------------------------------
 
     @cached_property
-    def _model_pmorphisms(self) -> tuple[tuple[Model, Model, PointMap], ...]:
-        """(source model, target model, map) for each found map and each of
-        its pulled-back model pairs."""
+    def _model_pmorphisms(self) -> tuple[tuple[Model, Model, list[int]], ...]:
+        """(source model, target model, images) for each found map and each
+        of its pulled-back model pairs, where ``images`` holds per source
+        point the index of its image, read once per map."""
         index = {frame: k for k, frame in enumerate(self.frames.values())}
-        return tuple((src_model, dst_model, f)
+        return tuple((src_model, dst_model, images)
                      for src, dst, f in self.found_maps
+                     for images in [_images(src, dst, f)]
                      for src_model, dst_model in self._pullbacks(
                          src, dst, f, index[src] * 31 + index[dst]))
 
@@ -359,10 +354,8 @@ class Battery:
         for mode in MODES:
             sigs = self.signatures_of(
                 [model for src, dst, _ in triples for model in (src, dst)], mode)
-            for (src, dst, f), sig_src, sig_dst in zip(triples, sigs[::2], sigs[1::2]):
-                dst_index = dst.frame.point_index
-                mismatches += sum(sig != sig_dst[dst_index[f(p)]]
-                                  for p, sig in zip(src.frame.point_list, sig_src))
+            for (_, _, images), sig_src, sig_dst in zip(triples, sigs[::2], sigs[1::2]):
+                mismatches += sum(sig != sig_dst[j] for sig, j in zip(sig_src, images))
         sizes = tuple(corpus_size(CORPUS_ATOMS, CORPUS_DEPTH, m) for m in MODES)
         # a map, and each of its model pairs, counts once per mode checked
         detail = (f"{len(MODES) * len(self.found_maps)} maps found (both modes), "
@@ -428,29 +421,28 @@ class Battery:
         nonempty = 0
         check_failures = 0
         agreement_failures = 0
+        relations = [entry for entry in self.relations if any(entry[2])]
         for mode in MODES:
-            relations = [entry for entry in self.relations
-                         if entry[2] == mode and entry[4]]
             nonempty += len(relations)
             # one corpus run per mode over the models of its relations
             sigs = self.signatures_of([model for entry in relations
                                        for model in entry[:2]], mode)
-            for (src, dst, _, _, pairs, rel, conv), sig_src, sig_dst in zip(
+            for (src, dst, rel, conv), sig_src, sig_dst in zip(
                     relations, sigs[::2], sigs[1::2]):
                 if not _passes(bisimulation._relation_failures(
-                        src, dst, pairs, rel, conv, None, mode)):
+                        src, dst, rel, conv, None, mode)):
                     check_failures += 1
                     continue
-                agreement_failures += sum(sig_src[i] != sig_dst[j] for i, j in pairs)
+                agreement_failures += sum(sig != other for sig, row in zip(sig_src, rel)
+                                          for j, other in enumerate(sig_dst) if row >> j & 1)
         # graphs of the model p-morphisms of criterion 5
         graph_failures = 0
-        for mode in MODES:
-            for src, dst, f in self._model_pmorphisms:
-                graph = list(enumerate(_images(src.frame, dst.frame, f)))
-                rel, conv = bisimulation._relation_masks(
-                    len(graph), len(dst.frame.point_list), graph)
+        for src, dst, images in self._model_pmorphisms:
+            rel, conv = bisimulation._relation_masks(
+                len(images), len(dst.frame.point_list), enumerate(images))
+            for mode in MODES:
                 if not _passes(bisimulation._relation_failures(
-                        src, dst, graph, rel, conv, None, mode)):
+                        src, dst, rel, conv, None, mode)):
                     graph_failures += 1
         detail = (f"{nonempty} greatest bisimulations verified and "
                   f"agreement-checked over the corpus "
@@ -469,20 +461,18 @@ class Battery:
     def criterion_8(self):
         readded = 0
         unbroken = 0
-        for src, dst, mode, _, pairs, rel, conv in self.relations:
+        for mode, (src, dst, rel, conv) in product(MODES, self.relations):
             # copies, so criteria 7 and 9 read the battery's lists unchanged
-            pairs, rel, conv = list(pairs), list(rel), list(conv)
+            rel, conv = list(rel), list(conv)
             for i, j in _all_pairs(src, dst):
                 if rel[i] >> j & 1:
                     continue
                 rel[i] ^= 1 << j
                 conv[j] ^= 1 << i
-                insort(pairs, (i, j))
                 readded += 1
                 if _passes(bisimulation._relation_failures(
-                        src, dst, pairs, rel, conv, None, mode)):
+                        src, dst, rel, conv, None, mode)):
                     unbroken += 1
-                pairs.remove((i, j))
                 rel[i] ^= 1 << j
                 conv[j] ^= 1 << i
         detail = (f"{readded} re-added pairs across all model pairs and "
@@ -532,18 +522,19 @@ class Battery:
                                         violation):
                 failures += 1
 
-        # bisimulation condition witnesses from re-added pairs
+        # bisimulation condition witnesses from re-added pairs, in mode L
         bisim_replays = 0
-        for src, dst, mode, rel, _, masks, _ in self.relations:
+        for src, dst, rel, _ in self.relations:
             if bisim_replays >= 60:
                 break
-            pair = next(((src.frame.point_list[i], dst.frame.point_list[j])
-                         for i, j in _all_pairs(src, dst)
-                         if not masks[i] >> j & 1), None)
-            if pair is None:
+            i, j = next(((i, j) for i, j in _all_pairs(src, dst)
+                         if not rel[i] >> j & 1), (None, None))
+            if i is None:
                 continue
-            extended = PointRelation(rel.pairs | {pair})
-            report = check_bisimulation(src, dst, extended, pair, mode)
+            extended = bisimulation._point_relation(
+                src, dst, rel[:i] + [rel[i] | 1 << j] + rel[i + 1:])
+            pair = (src.frame.point_list[i], dst.frame.point_list[j])
+            report = check_bisimulation(src, dst, extended, pair, "L")
             for violation in report.violations:
                 replayed += 1
                 bisim_replays += 1
@@ -551,14 +542,14 @@ class Battery:
                                                   violation):
                     failures += 1
 
-        # distinguishing formulas distinguish; bisimilar anchors get none
+        # distinguishing formulas (mode L) distinguish; bisimilar anchors get none
         distinguishers = 0
         nones_checked = 0
-        for src, dst, mode, _, _, masks, _ in self.relations[:40]:
+        for src, dst, rel, _ in self.relations[:40]:
             for i, j in islice(_all_pairs(src, dst), 4):
                 p, q = src.frame.point_list[i], dst.frame.point_list[j]
                 phi = find_distinguishing_formula(src, p, dst, q,
-                                                  mode=mode, max_depth=3)
+                                                  mode="L", max_depth=3)
                 if phi is None:
                     nones_checked += 1
                     continue
@@ -566,11 +557,11 @@ class Battery:
                 distinguishers += 1
                 # replay along both routes; a formula returned for a pair
                 # of the greatest bisimulation would itself be a failure
-                if eval_hist(src, p, phi, mode) == eval_hist(dst, q, phi, mode):
+                if eval_hist(src, p, phi, "L") == eval_hist(dst, q, phi, "L"):
                     failures += 1
-                if eval_rel(src, p, phi, mode) == eval_rel(dst, q, phi, mode):
+                if eval_rel(src, p, phi, "L") == eval_rel(dst, q, phi, "L"):
                     failures += 1
-                if masks[i] >> j & 1:
+                if rel[i] >> j & 1:
                     failures += 1
 
         detail = (f"{replayed} witnesses replayed "

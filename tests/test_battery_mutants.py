@@ -29,7 +29,6 @@ from dataclasses import replace
 import pytest
 
 from itl import bisimulation, formula, morphisms, semantics, suite
-from itl.bisimulation import PointRelation
 from itl.formula import Program, parse
 from itl.semantics import Evaluator
 from itl.structures import Frame, Report, Tree
@@ -107,13 +106,19 @@ def fixpoint_skips_refine(monkeypatch):
 
 
 def fixpoint_drops_its_last_pair(monkeypatch):
-    greatest = suite.greatest_bisimulation
+    # the last related source point loses its last related target point
+    greatest = bisimulation._greatest
 
-    def short(src, dst, mode="LF"):
-        pairs = greatest(src, dst, mode).sorted_pairs()
-        return PointRelation(frozenset(pairs[:-1]))
+    def short(src, dst):
+        rel, conv = greatest(src, dst)
+        i = max((i for i, row in enumerate(rel) if row), default=None)
+        if i is not None:
+            j = rel[i].bit_length() - 1
+            rel[i] ^= 1 << j
+            conv[j] ^= 1 << i
+        return rel, conv
 
-    monkeypatch.setattr(suite, "greatest_bisimulation", short)
+    monkeypatch.setattr(bisimulation, "_greatest", short)
 
 
 def conditions_drop_l_back(monkeypatch):
@@ -238,12 +243,15 @@ def map_stream_drops_g_back(monkeypatch):
 
 
 def relation_stream_stops_after_the_first_pair(monkeypatch):
-    # only the first related pair is checked, so a re-added pair later in
-    # the pair order breaks nothing the stream reports
+    # only the failures of the first related pair (and B) are kept, so a
+    # re-added pair later in the pair order breaks nothing the stream reports
     relation_failures = bisimulation._relation_failures
 
-    def first_pair_only(src, dst, pairs, *args):
-        return relation_failures(src, dst, pairs[:1], *args)
+    def first_pair_only(src, dst, rel, *args):
+        first = next(((i, (row & -row).bit_length() - 1)
+                      for i, row in enumerate(rel) if row), None)
+        return (failure for failure in relation_failures(src, dst, rel, *args)
+                if failure[1] == first or failure[0] == "B")
 
     monkeypatch.setattr(bisimulation, "_relation_failures", first_pair_only)
 

@@ -5,7 +5,8 @@
 conditions as they are read; the public ``check_*`` functions format the
 whole stream.  So over generated structures, in both modes, a stream is
 empty exactly when the report is ok, and its first failure formats to the
-report's first violation."""
+report's first violation.  A relation's whole stream names its pairs in the
+canonical pair order, B last, and formats in order into the report."""
 
 import random
 from itertools import islice
@@ -15,7 +16,8 @@ from hypothesis import given, strategies as st
 
 from itl import bisimulation, morphisms
 from itl.bisimulation import (
-    PointRelation, bisimulation_failures, check_bisimulation, greatest_bisimulation,
+    PointRelation, bisimulation_failures, check_bisimulation, conditions_for,
+    greatest_bisimulation,
 )
 from itl.errors import InvalidPointError
 from itl.generate import gen_random_model
@@ -99,6 +101,38 @@ def test_relation_streams_agree_with_the_reports(seed, mode):
             bisimulation_failures(src, dst, relation, anchor, mode),
             check_bisimulation(src, dst, relation, anchor, mode),
             lambda failure: bisimulation._relation_violation(src, dst, *failure))
+
+
+@given(seed=st.integers(0, 10 ** 6), mode=MODES)
+def test_relation_streams_follow_the_pair_order(seed, mode):
+    # random subsets of all pairs, and the greatest bisimulation with one
+    # pair re-added and anchored there, as criterion 9 replays it
+    rng = random.Random(seed)
+    src, dst = small_model(rng, 8), small_model(rng, 8)
+    index = (src.frame.point_index, dst.frame.point_index)
+    universe = [(p, q) for p in src.frame.point_list for q in dst.frame.point_list]
+    cases = [(rng.sample(universe, rng.randint(0, len(universe))), rng.choice(universe))
+             for _ in range(2)]
+    greatest = greatest_bisimulation(src, dst, mode).pairs
+    outside = [pair for pair in universe if pair not in greatest]
+    if outside:
+        pair = rng.choice(outside)
+        cases.append((greatest | {pair}, pair))
+    kinds = conditions_for(mode)
+    for pairs, anchor in cases:
+        relation = PointRelation(frozenset(pairs))
+        failures = list(bisimulation_failures(src, dst, relation, anchor, mode))
+        body = [failure for failure in failures if failure[0] != "B"]
+        linked = (index[0][anchor[0]], index[1][anchor[1]])
+        assert failures[len(body):] == (
+            [] if anchor in relation.pairs else [("B", linked, None)])
+        position = {(index[0][p], index[1][q]): k
+                    for k, (p, q) in enumerate(relation.sorted_pairs())}
+        keys = [(position[pair], kinds.index(kind)) for kind, pair, _ in body]
+        assert keys == sorted(set(keys))
+        assert tuple(bisimulation._relation_violation(src, dst, *failure)
+                     for failure in failures) == \
+            check_bisimulation(src, dst, relation, anchor, mode).violations
 
 
 def raised_by(call):

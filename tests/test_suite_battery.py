@@ -22,7 +22,9 @@ from itl.suite import (
     _replay_document_violation, _replay_map_violation, _replay_pv_violation,
     _replay_relation_violation,
 )
-from itl.bisimulation import PointRelation, bisimulation_failures, check_bisimulation
+from itl.bisimulation import (
+    PointRelation, bisimulation_failures, check_bisimulation, greatest_bisimulation,
+)
 from itl.formula import (
     MODES, collapsed_corpus, corpus_program, enumerate_formulas, parse,
 )
@@ -186,31 +188,31 @@ def test_valid_corpus_formulas_agrees_with_frame_valid():
     assert not frame_valid(frame, parse("p", "L"))
 
 
+def counting(monkeypatch, calls: dict, module, name: str) -> None:
+    """Count in ``calls[name]`` every call of ``module.name`` from now on."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_the_catalogue_is_built_once_per_battery(monkeypatch):
     # criteria 4 to 7 share Battery.frames; criterion 6 filters it by size.
     # Criteria 5 to 7 share one search per ordered pair of the 8 catalogue
     # frames, and criteria 7 to 9 one fixpoint per ordered pair of the 16
     # catalogue models, each checked in both modes.  The same run's detail
     # lines must be the ones recorded for seed 0.
-    calls = {"catalog_frames": 0, "search_pmorphisms": 0,
-             "greatest_bisimulation": 0}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    counting(catalog, "catalog_frames")
-    counting(suite, "search_pmorphisms")
-    counting(suite, "greatest_bisimulation")
+    calls = {"catalog_frames": 0, "search_pmorphisms": 0, "_greatest": 0}
+    counting(monkeypatch, calls, catalog, "catalog_frames")
+    counting(monkeypatch, calls, suite, "search_pmorphisms")
+    counting(monkeypatch, calls, bisimulation, "_greatest")
     results = Battery(0).run_all()
     assert all(r.passed for r in results)
     assert calls == {"catalog_frames": 1, "search_pmorphisms": 64,
-                     "greatest_bisimulation": 256}
+                     "_greatest": 256}
     recorded = json.loads(BATTERY_GOLDEN.read_text(encoding="utf-8"))["0"]
     assert [r.detail for r in results] == recorded
 
@@ -315,10 +317,12 @@ def criterion_8_counts(result) -> tuple[int, int]:
     return readded, unbroken
 
 
-def naive_criterion_8_counts(battery) -> tuple[int, int]:
-    """The same counts through a Point relation per re-added pair."""
+def naive_criterion_8_counts(battery, mode) -> tuple[int, int]:
+    """The same counts in one mode through a Point relation per re-added
+    pair, each relation taken from ``greatest_bisimulation``."""
     readded = unbroken = 0
-    for src, dst, mode, rel, *_ in battery.relations:
+    for src, dst, *_ in battery.relations:
+        rel = greatest_bisimulation(src, dst, mode)
         for pair in product(points(src.frame), points(dst.frame)):
             if pair in rel.pairs:
                 continue
@@ -336,13 +340,26 @@ def test_criterion_8_counts_what_point_relations_count(monkeypatch, mutant, mode
     if mutant is not None:
         mutant(monkeypatch)
     battery = Battery(0)
-    battery.relations = tuple(entry for entry in battery.relations
-                              if entry[2] == mode)
+    monkeypatch.setattr(suite, "MODES", (mode,))
     readded, unbroken = criterion_8_counts(battery.criterion_8())
-    assert (readded, unbroken) == naive_criterion_8_counts(battery)
+    assert (readded, unbroken) == naive_criterion_8_counts(battery, mode)
     assert readded > 0
     # a relation short of its last pair passes once that pair is re-added
     assert (unbroken > 0) == (mutant is not None)
+
+
+def counting_point_relations(monkeypatch) -> list:
+    """The arguments of every PointRelation made from now on, counted
+    through its own ``__init__``, which the undo puts back as it was."""
+    made = []
+    init = PointRelation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PointRelation, "__init__", counting_init)
+    return made
 
 
 def test_criterion_8_runs_one_stream_per_readded_pair(monkeypatch):
@@ -350,11 +367,7 @@ def test_criterion_8_runs_one_stream_per_readded_pair(monkeypatch):
     # no call of bisimulation_failures: it re-adds each pair on the masks
     battery = Battery(0)
     assert battery.relations  # built first
-    made, streams = [], [0]
-
-    def counting_new(cls, *args, **kwargs):
-        made.append(args)
-        return object.__new__(cls)
+    streams = [0]
 
     def refused(*args, **kwargs):
         raise AssertionError("criterion 8 called bisimulation_failures")
@@ -365,10 +378,27 @@ def test_criterion_8_runs_one_stream_per_readded_pair(monkeypatch):
         streams[0] += 1
         return relation_failures(*args)
 
-    monkeypatch.setattr(PointRelation, "__new__", counting_new)
+    made = counting_point_relations(monkeypatch)
     monkeypatch.setattr(bisimulation, "bisimulation_failures", refused)
     monkeypatch.setattr(suite, "bisimulation_failures", refused, raising=False)
     monkeypatch.setattr(bisimulation, "_relation_failures", counting_stream)
     result = battery.criterion_8()
     assert result.passed and criterion_8_counts(result) == (4672, 0)
     assert made == [] and streams[0] == 4672
+
+
+def test_relations_and_maps_are_read_in_one_form(monkeypatch):
+    # each relation is the fixpoint's masks, with no Point relation beside
+    # them; each found map's image indices are read once for criteria 5 and
+    # 7; criterion 9 makes a Point relation only for each relation it replays
+    made = counting_point_relations(monkeypatch)
+    calls = {"_greatest": 0, "_images": 0}
+    counting(monkeypatch, calls, bisimulation, "_greatest")
+    counting(monkeypatch, calls, suite, "_images")
+    battery = Battery(0)
+    assert {len(entry) for entry in battery.relations} == {4}
+    assert len(battery.relations) == calls["_greatest"] == 256
+    assert made == []
+    assert battery.criterion_5().passed and battery.criterion_7().passed
+    assert calls["_images"] == 24
+    assert battery.criterion_9().passed and len(made) == 35
