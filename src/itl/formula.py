@@ -482,15 +482,16 @@ def collapsed_corpus(ev, atoms, max_depth: int):
     operands' masks, so these are the distinct masks of the whole corpus."""
     program = Program(ev.mode)
     masks: list[int] = []
-    seen: set[int] = set()
+    seen: dict[int, int] = {}  # each mask's first int, which its slots keep
     for start, level in _emit_by_depth(program, atoms, max_depth):
         ev.run(program, masks=masks)
         for k in range(start, len(program)):
             mask = masks[k]
             if mask not in seen:
-                seen.add(mask)
+                seen[mask] = mask
                 level.append(k)
                 yield program, k, mask
+            masks[k] = seen[mask]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ or a relation passes reads the first element of the checker's failure
 stream, which reads the related pairs off the masks; criterion 8 re-adds a
 pair by setting its two bits, and reports (and the ``PointRelation`` they
 need) are formatted only for the witnesses criterion 9 replays.  Criterion 2 parses
-its texts straight into one program.  Truth signatures over the exhaustive
-corpus come from one pass of ``collapsed_corpus`` per call of
-``signatures_of``, which builds only on slots with new masks; only criterion
-6 builds a corpus program, and criterion 5 counts its corpus.
+its texts straight into one program.  Truth signatures and valid classes over
+the exhaustive corpus come from one pass of ``collapsed_corpus`` per call of
+``signatures_of`` or ``valid_classes``, which builds only on slots with new
+masks; criteria 5 and 6 count their corpus without building it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .bisimulation import (
 )
 from .documents import parse_point, resolve_point, validate_doc
 from .formula import (
-    MODES, Program, collapsed_corpus, corpus_program, corpus_size,
+    MODES, Program, collapsed_corpus, corpus_size,
     format_formula, parse, random_formula,
 )
 from .generate import gen_random_model
@@ -129,7 +129,6 @@ class Battery:
 
     def __init__(self, seed: int = 42):
         self.seed = seed
-        self._valid: dict = {}
 
     # ------------------------------------------------------------------
     # shared materials
@@ -368,44 +367,42 @@ class Battery:
     # criterion 6: validity preservation along surjective p-morphisms
     # ------------------------------------------------------------------
 
-    def valid_corpus_formulas(self, frame: Frame) -> set[int]:
-        """Indices of corpus (mode L) formulas valid in the frame, computed by
-        filtering over every valuation of the corpus atoms.  Each valuation
-        evaluates only what the formulas still valid depend on.  Computed
-        once per frame."""
-        if frame in self._valid:
-            return self._valid[frame]
-        ev = Evaluator(Model(frame, {}), mode="L")
-        n = len(frame.point_list)
-        full = frame.full_mask
-        program = corpus_program(CORPUS_ATOMS, CORPUS_DEPTH, "L")
-        alive = roots = range(len(program))  # valid indices, slots in program
-        for assignment in product(range(1 << n), repeat=len(CORPUS_ATOMS)):
-            masks = ev.run(program, dict(zip(CORPUS_ATOMS, assignment)))
-            kept = [k for k, r in enumerate(roots) if masks[r] == full]
-            if len(kept) < len(roots):
-                alive = [alive[k] for k in kept]
-                program, roots = program.restrict([roots[k] for k in kept])
-        self._valid[frame] = set(alive)
-        return self._valid[frame]
+    def valid_classes(self, frames) -> dict[Frame, int]:
+        """Per frame, the classes of corpus (mode L) formulas valid on it as
+        the bits of one int, read off one ``collapsed_corpus`` with a lane per
+        frame and valuation of the corpus atoms.  Bit c is the c-th distinct
+        mask: the formulas with the same truth on every (frame, valuation),
+        valid on a frame when full on all of its lanes.  Classes of different
+        calls are not comparable."""
+        ev = Evaluator(*(Model(frame, {atom: frozenset(frame.points_of(mask))
+                                       for atom, mask in zip(CORPUS_ATOMS, masks)})
+                         for frame in frames
+                         for masks in product(range(1 << len(frame.point_list)),
+                                              repeat=len(CORPUS_ATOMS))), mode="L")
+        spans = dict.fromkeys(frames, 0)  # per frame, the bits of its lanes
+        for model, offset in zip(ev.models, ev.offsets):
+            spans[model.frame] |= model.frame.full_mask << offset
+        valid = dict.fromkeys(frames, 0)
+        for c, (_, _, mask) in enumerate(collapsed_corpus(ev, CORPUS_ATOMS, CORPUS_DEPTH)):
+            for frame, span in spans.items():
+                if mask & span == span:
+                    valid[frame] |= 1 << c
+        return valid
 
     @_criterion(6, "validity-preservation")
     def criterion_6(self):
+        """A failing count counts classes of ``valid_classes``, not formulas."""
         small = [frame for frame in self.frames.values()
                  if len(frame.point_list) <= 4]
         index = {frame: k for k, frame in enumerate(small)}
         maps = [(src, dst, f) for src, dst, f in self.found_maps
                 if src in index and dst in index and f.is_surjective_onto(dst)]
-        violations = 0
-        pv_failures = 0
-        for src, dst, f in maps:
-            violations += len(self.valid_corpus_formulas(src)
-                              - self.valid_corpus_formulas(dst))
-            for src_model, dst_model in self._pullbacks(
-                    src, dst, f, index[src] * 37 + index[dst]):
-                if not _passes(model_pmorphism_failures(src_model, dst_model, f,
-                                                        mode="L")):
-                    pv_failures += 1
+        valid = self.valid_classes(small)
+        violations = sum((valid[src] & ~valid[dst]).bit_count() for src, dst, _ in maps)
+        pv_failures = sum(
+            not _passes(model_pmorphism_failures(src_model, dst_model, f, mode="L"))
+            for src, dst, f in maps for src_model, dst_model in self._pullbacks(
+                src, dst, f, index[src] * 37 + index[dst]))
         detail = (f"{len(maps)} surjective maps on frames <= 4 "
                   f"points, corpus {corpus_size(CORPUS_ATOMS, CORPUS_DEPTH, 'L')}: "
                   f"{violations} validity-preservation violations, "

@@ -2,16 +2,20 @@
 
 Everything here is a direct transcription of the defining conditions, with
 no sharing of the library's evaluation machinery: plain recursion, explicit
-loops, no masks, no memoization.
+loops, no masks, no memoization.  The corpus validity filter at the end is
+the exception: it runs the library's evaluator, but decides every corpus
+formula on its own, with none of the collapse the battery reads.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from itl.formula import (
     AND, ATOM, BOX_G, BOX_H, BOX_L, NOT, WEAK_F, And, Atom, F, G, H, L, Not, Program,
+    corpus_program,
 )
-from itl.structures import IndistFunction, Point, Tree
+from itl.semantics import Evaluator
+from itl.structures import IndistFunction, Model, Point, Tree
 
 
 def naive_eval(model, point, formula) -> bool:
@@ -325,3 +329,26 @@ def naive_restrict(program: Program, roots) -> tuple[Program, list[int]]:
                 moved[k] = out.emit(op, moved[left[k]],
                                     moved[right[k]] if op == AND else 0)
     return out, [moved[r] for r in roots]
+
+
+# ---------------------------------------------------------------------------
+# validity over the whole corpus, one formula at a time
+# ---------------------------------------------------------------------------
+
+def naive_valid_corpus_formulas(frame, atoms, max_depth: int) -> set[int]:
+    """Indices of the corpus (mode L) formulas valid on the frame: the whole
+    corpus program run once per valuation of the atoms, and restricted to
+    the formulas still valid as others die.  No collapse: every formula is
+    kept and decided on its own."""
+    ev = Evaluator(Model(frame, {}), mode="L")
+    n = len(frame.point_list)
+    full = frame.full_mask
+    program = corpus_program(atoms, max_depth, "L")
+    alive = roots = range(len(program))  # valid indices, slots in program
+    for assignment in product(range(1 << n), repeat=len(atoms)):
+        masks = ev.run(program, dict(zip(atoms, assignment)))
+        kept = [k for k, r in enumerate(roots) if masks[r] == full]
+        if len(kept) < len(roots):
+            alive = [alive[k] for k in kept]
+            program, roots = program.restrict([roots[k] for k in kept])
+    return set(alive)

@@ -2,8 +2,10 @@
 replayers are not vacuous: corrupting a witness must make its replay fail."""
 
 import dataclasses
+import functools
 import json
 import re
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -26,9 +28,12 @@ from itl.bisimulation import (
     PointRelation, bisimulation_failures, check_bisimulation, greatest_bisimulation,
 )
 from itl.formula import (
-    MODES, collapsed_corpus, corpus_program, enumerate_formulas, parse,
+    MODES, Program, collapsed_corpus, corpus_program, enumerate_formulas, parse,
 )
-from test_battery_mutants import fixpoint_drops_its_last_pair
+from oracles import naive_valid_corpus_formulas
+from test_battery_mutants import (
+    fixpoint_drops_its_last_pair, search_tries_every_total_map,
+)
 
 BATTERY_GOLDEN = (Path(__file__).resolve().parent.parent
                   / "perfbench" / "golden" / "battery.json")
@@ -174,18 +179,89 @@ def test_replayers_reject_forged_witnesses(replayer, structures, forged):
     assert not replayer(*structures, forged)
 
 
-def test_valid_corpus_formulas_agrees_with_frame_valid():
-    battery = Battery(seed=42)
-    frame = frame_chain2()
+def small_frames(frames=None):
+    """The catalogue frames of at most 4 points, criterion 6's frames, in
+    catalogue order: taken from ``frames``, or else from a new catalogue."""
+    frames = catalog.catalog_frames() if frames is None else frames
+    return [frame for frame in frames.values() if len(frame.point_list) <= 4]
+
+
+def spying_on_the_collapse(monkeypatch) -> tuple[list, list]:
+    """The evaluators that ``suite`` hands ``collapsed_corpus`` from now
+    on, and the masks the collapse yields."""
+    evaluators, masks = [], []
+    collapse = suite.collapsed_corpus
+
+    def spying(ev, *args):
+        evaluators.append(ev)
+        for item in collapse(ev, *args):
+            masks.append(item[2])
+            yield item
+
+    monkeypatch.setattr(suite, "collapsed_corpus", spying)
+    return evaluators, masks
+
+
+def test_valid_classes_agree_with_frame_valid(monkeypatch):
+    frames = small_frames()
     corpus = enumerate_formulas(CORPUS_ATOMS, CORPUS_DEPTH, "L")
-    got = battery.valid_corpus_formulas(frame)
-    # spot-check both memberships against the public exact checker
+    evaluators, collapsed = spying_on_the_collapse(monkeypatch)
+    valid = Battery(42).valid_classes(frames)
+    (ev,) = evaluators
+    classes = {mask: c for c, mask in enumerate(collapsed)}
+    # spot-check sampled formulas on every frame against the public exact
+    # checker: read off their own masks on the lanes of criterion 6's
+    # evaluator, and off their classes
     sample = [0, 1, 5, 17, 100, 2000, 30000, len(corpus) - 1]
-    for idx in sample:
-        assert (idx in got) == frame_valid(frame, corpus[idx], mode="L")
+    program = Program("L")
+    roots = [program.add(corpus[idx]) for idx in sample]
+    masks = ev.run(program)
+    for idx, root in zip(sample, roots):
+        lanes = list(zip(ev.models, ev.lanes(masks[root])))
+        for frame in frames:
+            expected = frame_valid(frame, corpus[idx], mode="L")
+            assert all(lane == model.frame.full_mask for model, lane in lanes
+                       if model.frame is frame) == expected, (idx, frame)
+            assert bool(valid[frame] >> classes[masks[root]] & 1) == expected
     # a couple of known validities and invalidities
+    frame = frame_chain2()
     assert frame_valid(frame, parse("L p -> p", "L"))
     assert not frame_valid(frame, parse("p", "L"))
+
+
+@functools.cache
+def naive_valid_formulas() -> tuple[set[int], ...]:
+    """Per small frame, its valid corpus formulas by the naive filter."""
+    return tuple(naive_valid_corpus_formulas(frame, CORPUS_ATOMS, CORPUS_DEPTH)
+                 for frame in small_frames())
+
+
+def test_classes_tell_frames_apart_as_formulas_do():
+    # on every ordered pair of small frames, some corpus formula is valid on
+    # A and not on B exactly when some class is
+    frames = small_frames()
+    naive = dict(zip(frames, naive_valid_formulas()))
+    valid = Battery(0).valid_classes(frames)
+    assert len(valid) == 6
+    for a, b in product(frames, repeat=2):
+        assert bool(naive[a] - naive[b]) == bool(valid[a] & ~valid[b])
+
+
+@pytest.mark.parametrize("mutant", [None, search_tries_every_total_map],
+                         ids=["unmutated", "search_tries_every_total_map"])
+def test_criterion_6_counts_violations_where_formulas_do(monkeypatch, mutant):
+    if mutant is not None:
+        mutant(monkeypatch)
+    battery = Battery(0)
+    result = battery.criterion_6()
+    classes = int(re.search(r"(\d+) validity-preservation", result.detail)[1])
+    naive = dict(zip(small_frames(battery.frames), naive_valid_formulas()))
+    formulas = sum(len(naive[src] - naive[dst])
+                   for src, dst, f in battery.found_maps
+                   if src in naive and dst in naive and f.is_surjective_onto(dst))
+    # a class counts once however many formulas it holds
+    assert (classes > 0) == (formulas > 0) == (mutant is not None)
+    assert classes <= formulas
 
 
 def counting(monkeypatch, calls: dict, module, name: str) -> None:
@@ -281,11 +357,9 @@ def test_the_collapse_keeps_every_mask_on_criterion_5s_models(mode):
     assert_collapse_loses_nothing(models, CORPUS_ATOMS, CORPUS_DEPTH, mode)
 
 
-def test_criteria_5_and_7_evaluate_each_new_mask_once(monkeypatch):
-    # the slots Evaluator.run appends: the collapsed corpus over the models
-    # of each mode, not the 65,534 + 115,936 slots of the whole corpus
-    battery = Battery(0)
-    assert battery._model_pmorphisms and battery.relations  # built first
+def counting_appended_slots(monkeypatch) -> list[int]:
+    """A one-item list counting the slots every ``Evaluator.run`` from now
+    on appends to its masks."""
     appended = [0]
     run = Evaluator.run
 
@@ -296,6 +370,15 @@ def test_criteria_5_and_7_evaluate_each_new_mask_once(monkeypatch):
         return out
 
     monkeypatch.setattr(Evaluator, "run", counting)
+    return appended
+
+
+def test_criteria_5_and_7_evaluate_each_new_mask_once(monkeypatch):
+    # the slots Evaluator.run appends: the collapsed corpus over the models
+    # of each mode, not the 65,534 + 115,936 slots of the whole corpus
+    battery = Battery(0)
+    assert battery._model_pmorphisms and battery.relations  # built first
+    appended = counting_appended_slots(monkeypatch)
     slots = {}
     for number in (5, 7):
         appended[0] = 0
@@ -304,11 +387,44 @@ def test_criteria_5_and_7_evaluate_each_new_mask_once(monkeypatch):
     assert slots == {5: 18_384, 7: 11_795}
 
 
-def test_the_battery_builds_only_the_l_corpus():
-    # criterion 5 counts the corpus sizes; criterion 6 alone builds one
+def test_the_battery_builds_no_corpus_program():
+    # criteria 5 and 6 count the corpus sizes; every criterion that reads
+    # the corpus reads its collapse
     formula._enumerate_cached.cache_clear()
     assert all(r.passed for r in Battery(0).run_all())
-    assert formula._enumerate_cached.cache_info().currsize == 1
+    assert formula._enumerate_cached.cache_info().currsize == 0
+
+
+def test_criterion_6_runs_one_collapse_over_every_valuation(monkeypatch):
+    # one evaluator, one lane per small frame and valuation of the corpus
+    # atoms; the collapse over it runs each new mask once
+    battery = Battery(0)
+    assert battery.found_maps  # built first
+    appended = counting_appended_slots(monkeypatch)
+    evaluators, masks = spying_on_the_collapse(monkeypatch)
+    assert battery.criterion_6().passed
+    (ev,) = evaluators
+    assert len(ev.models) == 420
+    assert sum(len(model.frame.point_list) for model in ev.models) == 1476
+    assert len(masks) == len(set(masks)) == 1578 and appended[0] == 6559
+
+
+def test_criterion_6_peak_memory_stays_small():
+    # at seed 0, after criteria 1-5, criterion 6's peak of traced memory:
+    # about 1.5 MB on CPython 3.10-3.13, where a filter that builds the
+    # 65,534-slot corpus program and runs it per valuation peaks near 3.9 MB
+    battery = Battery(0)
+    for number in range(1, 6):
+        getattr(battery, f"criterion_{number}")()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert battery.criterion_6().passed
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * 2 ** 20
 
 
 def criterion_8_counts(result) -> tuple[int, int]:
