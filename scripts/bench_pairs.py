@@ -12,9 +12,10 @@ does not favour one side.  Writes per workload and per end-to-end metric of
 ``BENCHMARK.json``: each side's values, one per run in seed order, their
 median and interquartile range (inclusive quartiles), the change's median
 relative to the parent's, the pairs in which the change read better, and a
-verdict (see ``verdict``).  Names the code each side ran by its commit and
-by ``source_digest``.  Prints one line per run; exits 1 if any run failed
-or reported a failed request.
+verdict (see ``verdict``).  Names the code each side ran by its commit
+(``<sha>+dirty`` when ``src/`` or ``perfbench/`` has uncommitted changes)
+and by ``source_digest``.  Prints one line per run; exits 1 if any run
+failed or reported a failed request.
 
 The runs write no bytecode cache, and the script refuses to start while a
 ``__pycache__`` exists under either side's ``src/`` or ``perfbench/``: a
@@ -133,12 +134,21 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
 
 
 def commit_of(checkout: Path) -> str | None:
-    """The checkout's commit; None for a copy that is not a git checkout."""
+    """The checkout's commit, marked ``+dirty`` when ``git status`` lists a
+    change under ``src/`` or ``perfbench/``; None for a copy that is not a
+    git checkout."""
     if not (checkout / ".git").exists():
         return None
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+
+    def git(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *argv], cwd=checkout, capture_output=True,
+                              text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--", *SOURCES).stdout.strip()
+    return head.stdout.strip() + "+dirty" * bool(dirty)
 
 
 def source_digest(checkout: Path) -> str:
@@ -204,7 +214,9 @@ def main(argv=None) -> int:
                        "parent commit and with the change, from paired runs "
                        "that alternate which side runs first. Each side ran "
                        "from its own copy of the tree; the commit of a copy "
-                       "that is not a git checkout is null, and "
+                       "that is not a git checkout is null, a commit ending "
+                       "in +dirty names a checkout whose src/ or perfbench/ "
+                       "git status lists as changed from that commit, and "
                        "source_sha256 digests each side's src/ and "
                        "perfbench/ files. Times are scaled by run.py to its "
                        "reference machine speed.",

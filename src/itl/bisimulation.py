@@ -393,6 +393,5 @@ def find_distinguishing_formula(src: Model, p: Point, dst: Model, q: Point,
     j += ev.offsets[1]
     for program, k, mask in collapsed_corpus(ev, atoms, max_depth):
         if (mask >> i & 1) != (mask >> j & 1):
-            sub, (root,) = program.restrict([k])
-            return sub.formulas()[root]
+            return program.formula(k)
     return None

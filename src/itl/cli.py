@@ -286,7 +286,7 @@ def _criterion_number(text: str) -> int:
 
 def _cmd_suite(args) -> int:
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         numbers = sorted({_criterion_number(c) for c in args.criteria.split(",")})
     battery = suite.Battery(seed=args.seed)
     if args.json:

@@ -19,9 +19,11 @@ desugars the surface operators over them, in one place.
 
 A :class:`Program` is the compiled form the evaluator runs: formulas as a
 topologically ordered list of ``(op, a, b)`` over integer slots, with equal
-subformulas sharing a slot.  Parsing, printing and compiling walk formulas
-with explicit stacks, so nesting depth is not limited by Python's recursion
-limit.
+subformulas sharing a slot.  Parsing, printing, compiling and decompiling
+(:meth:`Program.formula`) walk formulas with explicit stacks, so nesting
+depth is not limited by Python's recursion limit; structural questions
+(:func:`atoms_of`, :func:`contains_f`) read a compiled program, which visits
+each shared subformula once.
 """
 
 from __future__ import annotations
@@ -50,11 +52,12 @@ class Formula:
     def __eq__(self, other):
         if not isinstance(other, Formula):
             return NotImplemented
-        stack = [(self, other)]
+        stack, seen = [(self, other)], set()  # seen: each pair compared once
         while stack:
             a, b = stack.pop()
-            if a is b:
+            if a is b or (id(a), id(b)) in seen:
                 continue
+            seen.add((id(a), id(b)))
             if type(a) is not type(b) or a._hc != b._hc:
                 return False
             for x, y in zip(a.__dict__.values(), b.__dict__.values()):
@@ -147,32 +150,15 @@ _FORMULA_UNARY = {"~": Not, "G": G, "H": H, "L": L, "F": F}
 
 
 def atoms_of(formula: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            out.add(node.name)
-        elif isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
-            stack.append(node.sub)
-    return frozenset(out)
+    program = Program()
+    program.add(formula)
+    return frozenset(program.atoms)
 
 
 def contains_f(formula: Formula) -> bool:
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, F):
-            return True
-        if isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif not isinstance(node, Atom):
-            stack.append(node.sub)
-    return False
+    program = Program()
+    program.add(formula)
+    return program.has_f
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +515,7 @@ class Program:
         self._keys: dict[tuple[int, int, int], int] = {}
         self._by_id: dict[int, int] = {}  # id of a compiled node -> its slot
         self._held: list[Formula] = []  # keeps every node in _by_id alive
-        self._formulas: list[Formula] = []  # decompiled slots, see formulas()
+        self._formulas: dict[int, Formula] = {}  # decompiled slots, see formula()
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -607,40 +593,24 @@ class Program:
             by_id[id(node)] = slot
         return by_id[id(formula)]
 
-    def restrict(self, roots) -> tuple[Program, list[int]]:
-        """The slots the given roots depend on, as a program of their own;
-        returns it and the roots' slots in it."""
-        ops, left, right = self.ops, self.left, self.right
-        need = set(roots)
-        stack = list(need)
+    def formula(self, slot: int) -> Formula:
+        """The formula of one slot.  Decompiles only the slots it reads, into
+        a memo all calls share, so formulas share subformulas as slots do."""
+        memo = self._formulas
+        stack = [] if slot in memo else [slot]
         while stack:
-            k = stack.pop()
-            if ops[k] != ATOM:
-                for j in (left[k], right[k]) if ops[k] == AND else (left[k],):
-                    if j not in need:
-                        need.add(j)
-                        stack.append(j)
-        # operands come before their users, so slot order stays topological
-        order = sorted(need)
-        moved = dict(zip(order, range(len(order))))
-        out = Program(self.mode)
-        out.ops = array("B", [ops[k] for k in order])
-        out.left = array("l", [out.atom(self.atoms[left[k]]) if ops[k] == ATOM
-                               else moved[left[k]] for k in order])
-        out.right = array("l", [moved[right[k]] if ops[k] == AND else 0
-                                for k in order])
-        out.has_f = WEAK_F in out.ops
-        return out, [moved[r] for r in roots]
+            k = stack[-1]
+            op, a, b = self.ops[k], self.left[k], self.right[k]
+            if op != ATOM and a not in memo:
+                stack.append(a)
+            elif op == AND and b not in memo:
+                stack.append(b)
+            else:
+                memo[stack.pop()] = (Atom(self.atoms[a]) if op == ATOM else
+                                     And(memo[a], memo[b]) if op == AND else
+                                     _UNARY_CLASSES[op](memo[a]))
+        return memo[slot]
 
     def formulas(self) -> tuple[Formula, ...]:
         """One formula per slot, sharing subformulas as the slots do."""
-        out = self._formulas
-        for k in range(len(out), len(self.ops)):
-            op, a = self.ops[k], self.left[k]
-            if op == ATOM:
-                out.append(Atom(self.atoms[a]))
-            elif op == AND:
-                out.append(And(out[a], out[self.right[k]]))
-            else:
-                out.append(_UNARY_CLASSES[op](out[a]))
-        return tuple(out)
+        return tuple(map(self.formula, range(len(self.ops))))

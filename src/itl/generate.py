@@ -12,6 +12,7 @@ import random
 from bisect import bisect_left, insort
 
 from . import limits
+from .errors import BoundExceededError
 from .structures import (
     Frame, IndistFunction, Model, Point, Tree, points, undividedness_indist,
 )
@@ -82,8 +83,13 @@ def gen_random_frame(seed: int, n_moments: int, branching: int = 2,
 def gen_random_model(seed: int, n_moments: int, branching: int = 2,
                      indist_policy: str = "undividedness",
                      n_atoms: int = 2) -> Model:
-    """A random model; the frame always passes validation."""
+    """A random model; the frame always passes validation.  Checks its size,
+    moments * (atoms + 1), against ``limits.GEN_SIZE_BOUND`` first."""
     limits.nonnegative(n_atoms, "n_atoms")
+    size = n_moments * (n_atoms + 1)
+    if size > limits.GEN_SIZE_BOUND:
+        raise BoundExceededError(f"moments * (atoms + 1) is {size}, above "
+                                 f"GEN_SIZE_BOUND ({limits.GEN_SIZE_BOUND})")
     rng = random.Random(seed)
     frame = gen_random_frame(rng.randrange(2 ** 32), n_moments, branching,
                              indist_policy)

@@ -1,4 +1,4 @@
-"""Enumeration bounds for the exhaustive operations.
+"""Bounds on the exhaustive enumerations and on the random model generator.
 
 The environment variable ``ITL_MAX_ENUM`` overrides both defaults; an
 explicit argument overrides the environment.  A bound from either must be a
@@ -19,6 +19,10 @@ DEFAULT_VALUATION_BOUND = 20
 # p-morphism search enumerates total maps between point sets; the bound caps
 # the number of points on either side.
 DEFAULT_SEARCH_BOUND = 7
+
+# gen_random_model builds about moments * (atoms + 1) objects; the bound keeps
+# the peak RSS of ``itl gen`` under 1 GB.
+GEN_SIZE_BOUND = 200_000
 
 
 def nonnegative(value, name: str) -> int:

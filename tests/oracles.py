@@ -228,9 +228,9 @@ def depth_height(frame) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# builders, one item at a time: the quadratic tree, the generator's classes,
-# per-slot corpus emission and the two-pass restriction the library's bulk
-# builders must equal
+# builders, one item at a time: the quadratic tree, the generator's classes
+# and per-slot corpus emission, which the library's bulk builders must equal,
+# and a two-pass restriction of a program
 # ---------------------------------------------------------------------------
 
 def naive_random_tree(seed: int, n_moments: int, branching: int = 2) -> Tree:
@@ -308,8 +308,9 @@ def naive_emit_by_depth(program: Program, atoms, max_depth: int):
 
 
 def naive_restrict(program: Program, roots) -> tuple[Program, list[int]]:
-    """``Program.restrict`` by marking every slot the roots need in one
-    backward scan of the whole program, then copying them in a forward scan."""
+    """The slots the given roots depend on, as a program of their own, and
+    the roots' slots in it: every slot the roots need is marked in one
+    backward scan of the whole program, then copied in a forward scan."""
     ops, left, right = program.ops, program.left, program.right
     need = bytearray(len(ops))
     for r in roots:
@@ -350,5 +351,5 @@ def naive_valid_corpus_formulas(frame, atoms, max_depth: int) -> set[int]:
         kept = [k for k, r in enumerate(roots) if masks[r] == full]
         if len(kept) < len(roots):
             alive = [alive[k] for k in kept]
-            program, roots = program.restrict([roots[k] for k in kept])
+            program, roots = naive_restrict(program, [roots[k] for k in kept])
     return set(alive)

@@ -1,6 +1,6 @@
 """The verdict that ``scripts/bench_pairs.py`` writes per metric, on
-synthetic runs, the digest that names the code each side ran, and the
-bytecode caches it keeps out of the runs."""
+synthetic runs, the commit and the digest that name the code each side ran,
+and the bytecode caches it keeps out of the runs."""
 
 import importlib.util
 import json
@@ -104,6 +104,31 @@ def test_the_source_digest_names_the_files_of_a_copy(tmp_path):
     assert bench_pairs.source_digest(two) == digest
     (two / "perfbench" / "run.py").rename(two / "perfbench" / "main.py")
     assert bench_pairs.source_digest(two) != digest
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_checkout_with_uncommitted_sources_is_named_dirty(tmp_path):
+    top = checkout_copy(tmp_path / "checkout")
+    assert bench_pairs.commit_of(top) is None  # not a git checkout
+
+    def git(*argv):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               *argv], cwd=top, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "sources")
+    head = git("rev-parse", "HEAD")
+    assert bench_pairs.commit_of(top) == head
+    (top / "README.md").write_text("outside the sources\n")
+    assert bench_pairs.commit_of(top) == head
+    (top / "src" / "pkg" / "a.py").write_text("A = 2\n")
+    assert bench_pairs.commit_of(top) == head + "+dirty"
+    git("checkout", "--", "src")
+    assert bench_pairs.commit_of(top) == head
+    (top / "perfbench" / "new.py").write_text("\n")  # untracked
+    assert bench_pairs.commit_of(top) == head + "+dirty"
 
 
 def checkout_copy(top: Path) -> Path:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import itl
+from itl import generate
 from itl.cli import _build_parser, run
+from itl.limits import GEN_SIZE_BOUND
 from itl.morphisms import conditions_for as morphism_conditions
 
 DATA = Path(__file__).parent / "data"
@@ -415,6 +417,40 @@ def test_gen_frame_only(capsys):
     assert "valuation" not in json.loads(out)
 
 
+class GeneratorStarted(Exception):
+    pass
+
+
+def started(seed):
+    raise GeneratorStarted
+
+
+@pytest.mark.parametrize("moments, atoms", [
+    (10 ** 20, 2), (1, 10 ** 20), (GEN_SIZE_BOUND // 3 + 1, 2),
+    (GEN_SIZE_BOUND + 1, 0)])
+def test_gen_refuses_a_model_above_its_size_bound(capsys, monkeypatch,
+                                                  moments, atoms):
+    # the generator's first step fails, so a check that came too late, or
+    # not at all, fails here instead of allocating
+    monkeypatch.setattr(generate.random, "Random", started)
+    code = run(["gen", "--seed", "1", "--moments", str(moments),
+                "--atoms", str(atoms)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: moments * (atoms + 1) is {moments * (atoms + 1)}, "
+                            f"above GEN_SIZE_BOUND ({GEN_SIZE_BOUND})\n")
+
+
+@pytest.mark.parametrize("moments, atoms", [
+    (GEN_SIZE_BOUND, 0), (GEN_SIZE_BOUND // 3, 2), (1, GEN_SIZE_BOUND - 1),
+    (50_000, 2)])  # the last is the 50,000-moment model CI generates
+def test_gen_starts_on_a_model_at_its_size_bound(monkeypatch, moments, atoms):
+    monkeypatch.setattr(generate.random, "Random", started)
+    with pytest.raises(GeneratorStarted):
+        run(["gen", "--seed", "1", "--moments", str(moments),
+             "--atoms", str(atoms)])
+
+
 def test_json_reports_roundtrip_documented_schemas(tmp_path, capsys):
     code, out = invoke(capsys, "eval", F1, "--at", "r/a", "--formula", "F p",
                        "--semantics", "both", "--json")
@@ -488,7 +524,7 @@ def test_bisim_check_json_reports_every_condition(tmp_path, capsys):
                                   "L-f", "L-b", "F-f", "F-b", "B")}
 
 
-@pytest.mark.parametrize("criteria", ["11", "0", "x", "3,11", "-1"])
+@pytest.mark.parametrize("criteria", ["11", "0", "x", "3,11", "-1", "", " ", "1,,2"])
 def test_suite_rejects_unknown_criteria(capsys, criteria):
     code = run(["suite", "--criteria", criteria])
     captured = capsys.readouterr()

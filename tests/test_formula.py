@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 
 from itl.errors import LanguageError, ParseError
 from itl.formula import (
-    MODES, And, Atom, F, G, H, L, Not, Program, _emit_by_depth,
+    AND, ATOM, MODES, And, Atom, F, Formula, G, H, L, Not, Program, _emit_by_depth,
     atoms_of, contains_f, corpus_program, corpus_size, enumerate_formulas,
     format_formula, parse, random_formula, read_formulas,
 )
 
-from oracles import naive_emit_by_depth, naive_restrict
+from oracles import naive_emit_by_depth
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +163,9 @@ def test_a_node_of_a_non_formula_builds():
     assert Not(None) == Not(None)
 
 
-@pytest.mark.parametrize("build", [format_formula, Program("LF").add],
-                         ids=["format_formula", "Program.add"])
+@pytest.mark.parametrize(
+    "build", [format_formula, Program("LF").add, atoms_of, contains_f],
+    ids=["format_formula", "Program.add", "atoms_of", "contains_f"])
 def test_a_non_formula_is_rejected(build):
     # not a string: the printer's stack also holds literal text
     with pytest.raises(TypeError, match="not a formula: None"):
@@ -348,29 +349,73 @@ def test_corpus_size_counts_the_corpus(atoms, max_depth, mode):
         atoms, max_depth, mode))
 
 
-def parsed_program(texts, mode: str) -> Program:
+def fresh_corpus(atoms, max_depth: int, mode: str) -> Program:
+    """``corpus_program``'s slots in a program of its own, with nothing
+    decompiled yet."""
     program = Program(mode)
-    for text in texts:
-        try:
-            program.parse(text)
-        except ParseError:
-            pass
+    for start, level in _emit_by_depth(program, atoms, max_depth):
+        level.extend(range(start, len(program)))
     return program
 
 
+def operands(program: Program, k: int) -> tuple[int, ...]:
+    op = program.ops[k]
+    return (() if op == ATOM else (program.left[k], program.right[k])
+            if op == AND else (program.left[k],))
+
+
 @given(data=st.data())
-def test_restrict_is_the_two_pass_restriction(data):
+def test_formula_decompiles_one_slot(data):
     mode = data.draw(st.sampled_from(MODES))
-    program = data.draw(st.one_of(
-        st.just(corpus_program(("p", "q"), 2, mode)),
-        st.just(corpus_program(("p",), 3, mode)),
-        st.lists(SURFACE, min_size=1, max_size=6).map(
-            lambda texts: parsed_program(texts, mode))))
-    if not len(program):
-        return
-    roots = data.draw(st.lists(st.integers(0, len(program) - 1), max_size=8))
-    roots += data.draw(st.lists(st.sampled_from(roots), max_size=2)
-                       if roots else st.just([]))
-    got, moved = program.restrict(roots)
-    expected, expected_moved = naive_restrict(program, roots)
-    assert (program_state(got), moved) == (program_state(expected), expected_moved)
+    parsed = Program(mode)
+    for text in data.draw(st.lists(SURFACE, min_size=1, max_size=6)):
+        try:
+            slot = parsed.parse(text)
+        except LanguageError:
+            continue
+        assert parsed.formula(slot) == parse(text, mode)
+    program = data.draw(st.sampled_from([
+        fresh_corpus(("p", "q"), 2, mode), fresh_corpus(("p",), 3, mode)]))
+    slots = data.draw(st.lists(st.integers(0, len(program) - 1), min_size=1,
+                               max_size=8))
+    # the first call decompiles exactly the slots its slot reads
+    read, stack = set(), [slots[0]]
+    while stack:
+        k = stack.pop()
+        read.add(k)
+        stack += operands(program, k)
+    program.formula(slots[0])
+    assert set(program._formulas) == read
+    for k in slots:
+        phi = program.formula(k)
+        assert program.formula(k) is phi
+        subs = [getattr(phi, field.name) for field in fields(phi)]
+        if program.ops[k] == ATOM:
+            assert subs == [program.atoms[program.left[k]]]
+        else:
+            assert all(sub is program.formula(j)
+                       for sub, j in zip(subs, operands(program, k), strict=True))
+
+
+def chain(depth: int, bottom: Formula) -> Formula:
+    """``x = And(x, x)``, ``depth`` times over ``bottom``: a formula of
+    2**depth paths through ``depth + 1`` nodes."""
+    for _ in range(depth):
+        bottom = And(bottom, bottom)
+    return bottom
+
+
+def test_structural_questions_visit_a_shared_subformula_once():
+    # a walk of every path would take 2**40 steps
+    x = chain(40, P)
+    assert (atoms_of(x), contains_f(x)) == (frozenset({"p"}), False)
+    assert (atoms_of(F(x)), contains_f(F(x))) == (frozenset({"p"}), True)
+
+
+def test_equality_compares_a_shared_pair_once():
+    assert chain(40, P) == chain(40, Atom("p"))
+    # CPython hashes -1 as -2, so these chains hash alike at every node and
+    # differ only at the bottom
+    assert hash(chain(40, Atom(-1))) == hash(chain(40, Atom(-2)))
+    assert chain(40, Atom(-1)) != chain(40, Atom(-2))
+    assert chain(40, P) != chain(40, Atom("q"))

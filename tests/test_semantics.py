@@ -437,6 +437,8 @@ def test_deeply_nested_formulas_parse_evaluate_and_print(text, shown):
     assert eval_hist(model, point, phi) == eval_rel(model, point, phi)
     assert parse(format_formula(phi)) == phi
     assert repr(phi) == shown
+    program = Program()
+    assert program.formula(program.parse(text)) == phi
 
 
 def test_repr_is_the_dataclass_text():
