@@ -44,8 +44,9 @@ each such history at its leaf is one (a leaf's class holds one history),
 so a point's height is the greatest depth of its successors less its own
 depth, or 0 if it has none.  A point's predecessors are its parent point
 and that point's, and its successors its child points and theirs, so both
-are read off the point forest (``Frame.point_forest``): depth is the parent
-point's plus one, and height one more than the child points' greatest.
+are read off the point forest, with the rel tables (``Frame.depth_height``):
+depth is the parent point's plus one, and height one more than the child
+points' greatest.
 
 Lemma: related points have equal depth.  By strong induction on the depth
 ``d`` of ``p``, for ``p Z q``.  Each predecessor ``y`` of ``q`` has, by H-b,
@@ -290,22 +291,6 @@ def check_bisimulation(src: Model, dst: Model, relation: PointRelation,
                         bisimulation_failures(src, dst, relation, anchor, mode)))
 
 
-def _depth_height(frame: Frame) -> list[tuple[int, int]]:
-    """Per point, in canonical order, its depth and height (see the module
-    docstring), read off the point forest in one pass down and one back up.
-    Not ``Tree.depth``: on an incoherent frame only this depth counts the rel
-    tables' predecessors, and the fixpoint must stay greatest over them."""
-    forest, n = frame.point_forest, len(frame.point_list)
-    depth, height = [0] * n, [0] * n
-    for i, j in forest:
-        if j is not None:
-            depth[i] = depth[j] + 1
-    for i, j in reversed(forest):
-        if j is not None and height[j] <= height[i]:
-            height[j] = height[i] + 1
-    return list(zip(depth, height))
-
-
 def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:
     """Per-point masks and their converse (see ``_relation_masks``) relating
     each source point to the target points of equal label, depth and height."""
@@ -315,8 +300,8 @@ def _atom_seed(src: Model, dst: Model) -> tuple[list[int], list[int]]:
             masks[key] = masks.get(key, 0) | 1 << i
         return masks
 
-    src_keys = list(zip(src.labels, _depth_height(src.frame)))
-    dst_keys = list(zip(dst.labels, _depth_height(dst.frame)))
+    src_keys = list(zip(src.labels, src.frame.depth_height))
+    dst_keys = list(zip(dst.labels, dst.frame.depth_height))
     src_classes, dst_classes = classes(src_keys), classes(dst_keys)
     return ([dst_classes.get(key, 0) for key in src_keys],
             [src_classes.get(key, 0) for key in dst_keys])

@@ -359,8 +359,8 @@ def random_formula(seed: int, max_depth: int, atoms, mode: str = "LF") -> Formul
     atoms = list(atoms)
     if not atoms:
         raise ValueError("atoms must be nonempty")
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+    if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 0:
+        raise ValueError(f"max_depth must be a nonnegative integer, got {max_depth!r}")
     rng = random.Random(seed)
     unary = [Not, G, H, L] + ([F] if mode == "LF" else [])
 

@@ -21,11 +21,15 @@ INDIST_POLICIES = ("undividedness", "coarsened")
 
 
 def random_tree(seed: int, n_moments: int, branching: int = 2) -> Tree:
-    """A random forest: mostly one tree, occasionally extra roots."""
+    """A random forest: mostly one tree, occasionally extra roots.  Refuses
+    more than ``limits.GEN_SIZE_BOUND`` moments before it draws anything."""
     if n_moments < 1:
         raise ValueError("n_moments must be >= 1")
     if branching < 1:
         raise ValueError("branching must be >= 1")
+    if n_moments > limits.GEN_SIZE_BOUND:
+        raise BoundExceededError(f"n_moments is {n_moments}, above "
+                                 f"GEN_SIZE_BOUND ({limits.GEN_SIZE_BOUND})")
     rng = random.Random(seed)
     moments = [f"m{i}" for i in range(n_moments)]
     edges = []

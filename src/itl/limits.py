@@ -20,8 +20,8 @@ DEFAULT_VALUATION_BOUND = 20
 # the number of points on either side.
 DEFAULT_SEARCH_BOUND = 7
 
-# gen_random_model builds about moments * (atoms + 1) objects; the bound keeps
-# the peak RSS of ``itl gen`` under 1 GB.
+# gen_random_model builds about moments * (atoms + 1) objects, random_tree one
+# per moment; the bound caps both and keeps ``itl gen``'s peak RSS under 1 GB.
 GEN_SIZE_BOUND = 200_000
 
 

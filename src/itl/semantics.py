@@ -18,7 +18,10 @@ One-model evaluators share their model's program for their mode
 (``Model.programs``): the hist and rel evaluators of one model compile each
 formula once.  Each keeps its own masks and modal memo, computed from its
 own route's tables, and at each call it also runs the slots that its
-siblings added since its last call.
+siblings added since its last call.  The one-off helpers (``eval_hist``,
+``eval_rel``, ``model_valid``, ``model_sat``) ask their one question on a
+copy of the model, which shares the frame and its tables but has programs
+of its own, so they run no slot that another evaluator compiled.
 
 A modal kernel (``_box`` for G, H and L, ``_weak_future`` for F) decides
 each point with one AND of its table entry against the operand, writes one
@@ -167,14 +170,6 @@ class Evaluator:
         i = _index_of(self._model().frame, point)
         return bool(self.extension_mask(formula) >> i & 1)
 
-    def _once(self, formula: Formula) -> int:
-        """One formula's extension mask, compiled into a program of its own.
-        For a throwaway evaluator: on its model's shared program, its first
-        call would also run every slot its siblings compiled."""
-        program = Program(self.mode)
-        root = program.add(formula)
-        return self.run(program)[root]
-
 
 def _index_of(frame: Frame, point: Point) -> int:
     i = frame.point_index.get(point)
@@ -204,31 +199,30 @@ def _weak_future(chains, sub_mask: int) -> int:
     return int("".join(digits), 2)
 
 
-def _holds_once(model: Model, point: Point, formula: Formula, mode: str,
-                relational: bool) -> bool:
-    ev = Evaluator(model, relational=relational, mode=mode)
-    i = _index_of(model.frame, point)
-    return bool(ev._once(formula) >> i & 1)
+def _one_off(model: Model, mode: str, relational: bool = False) -> Evaluator:
+    """An evaluator on a copy of the model, with programs of its own."""
+    copy = Model(model.frame, model.valuation)
+    return Evaluator(copy, relational=relational, mode=mode)
 
 
 def eval_hist(model: Model, point: Point, formula: Formula, mode: str = "LF") -> bool:
     """Truth at a point by the history-quantifying clauses."""
-    return _holds_once(model, point, formula, mode, relational=False)
+    return _one_off(model, mode).holds(point, formula)
 
 
 def eval_rel(model: Model, point: Point, formula: Formula, mode: str = "LF") -> bool:
     """Truth at a point quantifying over the derived point relations."""
-    return _holds_once(model, point, formula, mode, relational=True)
+    return _one_off(model, mode, relational=True).holds(point, formula)
 
 
 def model_valid(model: Model, formula: Formula, mode: str = "LF") -> bool:
     """True when the formula holds at every point of the model."""
-    return Evaluator(model, mode=mode)._once(formula) == model.frame.full_mask
+    return _one_off(model, mode).extension_mask(formula) == model.frame.full_mask
 
 
 def model_sat(model: Model, formula: Formula, mode: str = "LF") -> Point | None:
     """The canonically first point satisfying the formula, if any."""
-    mask = Evaluator(model, mode=mode)._once(formula)
+    mask = _one_off(model, mode).extension_mask(formula)
     first = model.frame.points_of(mask & -mask)
     return first[0] if first else None
 

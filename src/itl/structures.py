@@ -398,21 +398,26 @@ class Frame:
         return self._walk[2]
 
     @cached_property
-    def _rel_tables(self) -> tuple[tuple[int, ...], ...]:
-        """Successor and predecessor masks of the point relations.
+    def _rel_tables(self) -> tuple[tuple, ...]:
+        """The successor and predecessor masks, and ``depth_height``.
 
-        A point's predecessors are its parent point's plus that point, and
-        its successors its child points' plus those points: one pass down
-        the point forest and one back up."""
+        A point's predecessors are its parent point's plus that point, its
+        depth one more than that point's; its successors are its child
+        points' plus those points, its height one more than their greatest:
+        one pass down the point forest and one back up."""
         forest, n = self.point_forest, len(self.point_list)
         predecessors, successors = [0] * n, [0] * n
+        depth, height = [0] * n, [0] * n
         for i, j in forest:
             if j is not None:
                 predecessors[i] = predecessors[j] | 1 << j
+                depth[i] = depth[j] + 1
         for i, j in reversed(forest):
             if j is not None:
                 successors[j] |= successors[i] | 1 << i
-        return tuple(successors), tuple(predecessors)
+                if height[j] <= height[i]:
+                    height[j] = height[i] + 1
+        return tuple(successors), tuple(predecessors), tuple(zip(depth, height))
 
     @cached_property
     def rel_successor_masks(self) -> tuple[int, ...]:
@@ -425,6 +430,13 @@ class Frame:
     @cached_property
     def rel_same_moment_masks(self) -> tuple[int, ...]:
         return self.hist_class_masks
+
+    @property
+    def depth_height(self) -> tuple[tuple[int, int], ...]:
+        """Per point, its depth and height (see ``bisimulation``).  Not
+        ``Tree.depth``: on an incoherent frame only this depth counts the rel
+        tables' predecessors, and the fixpoint must stay greatest over them."""
+        return self._rel_tables[2]
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,9 +19,9 @@ sums its failures in one count, so its mutants each break one kind of
 witness; the map and valuation ones also reach their replayers' rejection of
 a kind they do not know.  ``test_suite_battery`` forges the rest.
 
-The mutants of criteria 1-3 and the recount of criterion 1 take about 1.5 s
-together (CPython 3.11 on a 2-core x86-64 machine), most of it criterion 2's
-8,000 parses."""
+The mutants of criteria 1-3 and the recounts of criteria 1 and 2 take about
+2 s together (CPython 3.11 on a 2-core x86-64 machine), most of it criterion
+2's 8,000 parses, once in the criterion and once in its recount."""
 
 import re
 from dataclasses import replace
@@ -29,7 +29,7 @@ from dataclasses import replace
 import pytest
 
 from itl import bisimulation, formula, morphisms, semantics, suite
-from itl.formula import Program, parse
+from itl.formula import Program, format_formula, parse
 from itl.semantics import Evaluator
 from itl.structures import Frame, Report, Tree
 from itl.suite import Battery
@@ -340,3 +340,28 @@ def test_criterion_1_counts_what_one_model_evaluators_count(monkeypatch):
         expected += sum(by_clauses[r] != by_relations[r] for r in roots)
     assert expected > 0
     assert detail.endswith(f", {expected} disagreements"), detail
+
+
+@pytest.mark.parametrize("mutant", [None, parse_expands_p_as_f],
+                         ids=["clean", "parse_expands_p_as_f"])
+def test_criterion_2_counts_what_an_all_pairs_recount_counts(monkeypatch, mutant):
+    # criterion 2 evaluates only the pairs its parse puts on two slots; the
+    # recount evaluates every pair with one LF evaluator
+    if mutant is not None:
+        mutant(monkeypatch)
+    battery = Battery(SEED)
+    detail = battery.criterion_2().detail
+    program = Program("LF")
+    pairs = [(program.parse(f"{surface} ({text})"),
+              program.parse(f"{expansion}({text})"))
+             for text in map(format_formula, battery.battery_formulas)
+             for surface, expansion in (("P", "~H ~"), ("f", "~G ~"),
+                                        ("M", "~L ~"), ("g", "~F ~"))]
+    ev = Evaluator(*battery.battery_models, mode="LF")
+    masks = ev.run(program)
+    mismatches = sum(a != b for a, b in pairs)
+    disagreements = sum(lane != 0 for a, b in pairs
+                        for lane in ev.lanes(masks[a] ^ masks[b]))
+    assert (mismatches > 0) == (mutant is not None)
+    assert detail.endswith(f": {mismatches} parse mismatches, "
+                           f"{disagreements} evaluation disagreements"), detail

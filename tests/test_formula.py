@@ -264,6 +264,9 @@ def test_random_formula_rejects_bad_arguments():
         random_formula(1, 2, ())
     with pytest.raises(ValueError):
         random_formula(1, -1, ("p",))
+    for max_depth in (True, 2.5):
+        with pytest.raises(ValueError, match=f"got {max_depth!r}$"):
+            random_formula(3, max_depth, ("p",))
     with pytest.raises(ValueError):
         random_formula(1, 2, ("p",), mode="X")
 

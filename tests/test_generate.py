@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from itl.documents import dumps, model_to_doc
-from itl.errors import InvalidBoundError
-from itl.generate import coarsened_indist, gen_random_model, random_tree
+from itl import generate
+from itl.errors import BoundExceededError, InvalidBoundError
+from itl.generate import (
+    coarsened_indist, gen_random_frame, gen_random_model, random_tree,
+)
+from itl.limits import GEN_SIZE_BOUND
 from itl.structures import (
     Frame, points, undividedness_indist, validate_frame, validate_model,
 )
@@ -92,6 +96,28 @@ def test_bad_arguments():
         random_tree(1, 3, branching=0)
     with pytest.raises(ValueError):
         gen_random_model(1, 3, indist_policy="nope")
+
+
+def test_the_generators_refuse_more_moments_than_the_bound_before_drawing(
+        monkeypatch):
+    # random_tree may not make its seeded generator, so an order that draws
+    # or allocates before the bound check fails here at once
+    real, allowed = generate.random.Random, []
+
+    def guarded(seed):
+        if not allowed:
+            raise AssertionError("random_tree drew before checking its size")
+        return real(allowed.pop())
+
+    monkeypatch.setattr(generate.random, "Random", guarded)
+    for n_moments in (GEN_SIZE_BOUND + 1, 10 ** 20):
+        with pytest.raises(BoundExceededError, match=f"n_moments is {n_moments}, "
+                                                     f"above GEN_SIZE_BOUND"):
+            random_tree(1, n_moments)
+    allowed.append(1)  # gen_random_frame's own generator, which draws the seed
+    with pytest.raises(BoundExceededError, match="above GEN_SIZE_BOUND"):
+        gen_random_frame(1, 10 ** 20)
+    assert not allowed
 
 
 @pytest.mark.parametrize("n_atoms", [-1, True, 1.5])

@@ -150,6 +150,44 @@ def test_hist_equals_rel_on_random_models(seed):
     assert hist.extension_mask(phi) == rel.extension_mask(phi)
 
 
+@given(seed=st.integers(0, 10_000), policy=st.sampled_from(INDIST_POLICIES),
+       n_atoms=st.integers(0, 2), mode=st.sampled_from(["L", "LF"]))
+def test_the_one_off_helpers_answer_as_the_models_evaluators(seed, policy,
+                                                             n_atoms, mode):
+    model = gen_random_model(seed, 1 + seed % 8, branching=3,
+                             indist_policy=policy, n_atoms=n_atoms)
+    phi = random_formula(seed, 3, ("p0", "p1"), mode=mode)
+    pts = points(model.frame)
+    hist = [eval_hist(model, point, phi, mode) for point in pts]
+    rel = [eval_rel(model, point, phi, mode) for point in pts]
+    valid, sat = model_valid(model, phi, mode), model_sat(model, phi, mode)
+    # each helper asked its question on a copy with a program of its own
+    assert len(model.programs[mode]) == 0
+    for relational, answers in ((False, hist), (True, rel)):
+        ev = Evaluator(model, relational=relational, mode=mode)
+        assert answers == [ev.holds(point, phi) for point in pts]
+    mask = Evaluator(model, mode=mode).extension_mask(phi)
+    assert valid == (mask == model.frame.full_mask)
+    assert sat == (model.frame.points_of(mask & -mask) or [None])[0]
+
+
+def test_the_one_off_helpers_check_mode_valuation_point_then_formula():
+    model = f1_model()
+    root = fork_point(model, "r", "a")
+    foreign = Point("r", frozenset({"zz"}))
+    broken = Model(model.frame, {"p": frozenset({foreign})})
+    phi = parse("F p")
+    for helper in (eval_hist, eval_rel):
+        with pytest.raises(ValueError, match="mode"):
+            helper(broken, foreign, phi, mode="X")
+        with pytest.raises(InvalidPointError, match="^r/zz is not a point of the frame$"):
+            helper(broken, foreign, phi, mode="L")
+        with pytest.raises(InvalidPointError, match="^r/zz is not a point of the model$"):
+            helper(model, foreign, phi, mode="L")
+        with pytest.raises(LanguageError):
+            helper(model, root, phi, mode="L")
+
+
 def test_abbreviation_theorems_on_f1():
     model = f1_model()
     for point in points(model.frame):

@@ -19,7 +19,9 @@ from itl.structures import (
     future_points, histories, histories_through, points, precedes,
     same_moment, undividedness_indist, validate_frame, validate_model,
 )
-from oracles import frame_views, maximal_chains, tree_views, undivided_pairs
+from oracles import (
+    depth_height, frame_views, maximal_chains, tree_views, undivided_pairs,
+)
 
 
 def make_frame(moments, edges, indist):
@@ -439,6 +441,35 @@ def test_rel_tables_match_precedes_and_same_moment(frame):
 def test_rel_tables_match_the_relations_on_generated_frames(seed, policy):
     _assert_rel_tables_match_the_relations(gen_random_frame(
         seed, 1 + seed % 12, branching=1 + seed % 3, indist_policy=policy))
+
+
+def _assert_depth_height_is_the_definition(frame):
+    assert dict(zip(frame.point_list, frame.depth_height)) == depth_height(frame)
+
+
+@pytest.mark.parametrize("name", sorted(catalog_frames()))
+def test_depth_and_height_are_their_definitions_on_the_catalogue(name):
+    _assert_depth_height_is_the_definition(catalog_frames()[name])
+
+
+@given(seed=st.integers(0, 5000),
+       policy=st.sampled_from(("undividedness", "coarsened")))
+def test_depth_and_height_are_their_definitions_on_generated_frames(seed, policy):
+    _assert_depth_height_is_the_definition(gen_random_frame(
+        seed, 1 + seed % 12, branching=1 + seed % 3, indist_policy=policy))
+
+
+@given(seed=st.integers(0, 5000))
+def test_depth_and_height_count_the_rel_tables_on_random_partitions(seed):
+    # on an incoherent frame the depth counts a point's predecessors in the
+    # rel tables, and the height reads the depths of its successors there
+    frame = repartitioned(seed)[1]
+    depths = [depth for depth, _ in frame.depth_height]
+    for i, (depth, height) in enumerate(frame.depth_height):
+        assert depth == bin(frame.rel_predecessor_masks[i]).count("1")
+        successors = frame.rel_successor_masks[i]
+        assert height == max((depths[k] - depth for k in range(len(depths))
+                              if successors >> k & 1), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,22 @@ def test_the_catalogue_is_built_once_per_battery(monkeypatch):
     assert [r.detail for r in results] == recorded
 
 
+def test_run_all_of_no_criteria_runs_none():
+    def log(line):
+        raise AssertionError(f"logged {line!r}")
+
+    assert Battery(0).run_all([], log=log) == []
+
+
+def test_a_passing_criterion_2_builds_no_evaluator(monkeypatch):
+    # every abbreviation pair parses to one slot, so nothing is evaluated
+    def refuse(*models, **kwargs):
+        raise AssertionError("criterion 2 built an evaluator")
+
+    monkeypatch.setattr(suite, "Evaluator", refuse)
+    assert Battery(0).criterion_2().passed
+
+
 @pytest.mark.parametrize("n", [1, 8, 9, 70])
 def test_point_columns_transposes_the_masks(n):
     masks = [0, (1 << n) - 1, 1, 1 << (n - 1), 0b1011 & ((1 << n) - 1),
